@@ -28,7 +28,8 @@ def bench(fn, args, repeats):
 def adam_args(rng):
     n = 128 * 128 * 2
     return (rng.standard_normal(n), rng.standard_normal(n),
-            np.zeros(n), np.zeros(n), 1e-3, 0.9, 0.999, 0.1, 0.001, 1e-8)
+            np.zeros(n), np.zeros(n), 1e-3, 0.9, 0.999, 0.1, 0.001, 1e-8,
+            np.empty((2, n)))
 
 
 def main():

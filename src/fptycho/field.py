@@ -37,14 +37,31 @@ def idft2(x: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(as_grid(x))
 
 
+def _roll2(x: np.ndarray, dr: int, dc: int) -> np.ndarray:
+    """Cyclic shift of a grid by (dr, dc), 0 <= dr <= rows, 0 <= dc <= cols,
+    as four block copies into one new array (what ``np.roll`` on both axes
+    gives, without the intermediate array of a per-axis roll)."""
+    out = np.empty_like(x)
+    rows, cols = x.shape
+    kr, kc = rows - dr, cols - dc
+    out[dr:, dc:] = x[:kr, :kc]
+    out[dr:, :dc] = x[:kr, kc:]
+    out[:dr, dc:] = x[kr:, :kc]
+    out[:dr, :dc] = x[kr:, kc:]
+    return out
+
+
 def center_shift(x: np.ndarray) -> np.ndarray:
-    """Move DC from (0, 0) to (rows // 2, cols // 2)."""
-    return np.fft.fftshift(as_grid(x))
+    """Move DC from (0, 0) to (rows // 2, cols // 2); equals np.fft.fftshift."""
+    g = as_grid(x)
+    return _roll2(g, g.shape[0] // 2, g.shape[1] // 2)
 
 
 def inverse_center_shift(x: np.ndarray) -> np.ndarray:
-    """Exact inverse of center_shift (distinct from it for odd sizes)."""
-    return np.fft.ifftshift(as_grid(x))
+    """Exact inverse of center_shift (distinct from it for odd sizes);
+    equals np.fft.ifftshift."""
+    g = as_grid(x)
+    return _roll2(g, (g.shape[0] + 1) // 2, (g.shape[1] + 1) // 2)
 
 
 def grid_center(shape: tuple[int, int]) -> tuple[int, int]:

@@ -129,8 +129,11 @@ def parse_manifest(text: str) -> tuple[OpticalConfig, list[str], float | None]:
     _require(not unknown, f"unknown manifest fields: {sorted(unknown)}")
     missing = _MANIFEST_KEYS - set(doc)
     _require(not missing, f"missing manifest fields: {sorted(missing)}")
-    _require(doc["version"] == MANIFEST_VERSION,
-             f"unsupported manifest version {doc['version']!r}")
+    version = doc["version"]
+    # bool is an int subclass and True == 1: check the type first
+    _require(isinstance(version, int) and not isinstance(version, bool)
+             and version == MANIFEST_VERSION,
+             f"unsupported manifest version {version!r}")
 
     def number(key, cls=float):
         val = doc[key]
@@ -148,6 +151,7 @@ def parse_manifest(text: str) -> tuple[OpticalConfig, list[str], float | None]:
              "illuminations must be a non-empty list")
     parsed = []
     files = []
+    seen: dict[str, int] = {}   # file name -> first illumination using it
     for i, entry in enumerate(ills):
         _require(isinstance(entry, dict), f"illumination {i} must be an object")
         unknown = set(entry) - _ILLUMINATION_KEYS
@@ -163,6 +167,9 @@ def parse_manifest(text: str) -> tuple[OpticalConfig, list[str], float | None]:
         _require(isinstance(fname, str) and fname != "" and "/" not in fname
                  and "\\" not in fname,
                  f"illumination {i}: file must be a bare file name")
+        _require(fname not in seen, f"illumination {i}: file {fname!r} is "
+                 f"already used by illumination {seen.get(fname)}")
+        seen[fname] = i
         try:
             parsed.append(Illumination(sx=float(sx), sy=float(sy)))
         except ValueError as exc:
@@ -202,6 +209,10 @@ def manifest_text(cfg: OpticalConfig, files: list[str],
     if len(files) != len(cfg.illuminations):
         raise ManifestError(
             f"{len(files)} file names for {len(cfg.illuminations)} illuminations")
+    # a repeated name would make write_dataset overwrite one capture with
+    # another
+    if len(set(files)) != len(files):
+        raise ManifestError("illumination file names must be distinct")
     doc = {
         "version": MANIFEST_VERSION,
         "wavelength_um": cfg.wavelength_um,

@@ -18,6 +18,13 @@ below are the per-image-step scalar loops (TV penalty, Zernike synthesis and
 projection, elementwise Adam) that run tens of thousands of times per
 reconstruction. ``benchmarks/bench_kernels.py`` times the two flavors against
 each other.
+
+``adam_update`` takes a caller-owned ``(2, n)`` float64 scratch array as its
+last argument (``pgnn.Moments`` keeps one per parameter group). The numpy
+flavor writes every temporary into its two rows with ``out=``, so a step over
+the 128x128 complex spectrum allocates nothing, yet performs the same
+operations in the same order as the plain allocating expression and gives
+the same bits. The numba flavor accepts the scratch and ignores it.
 """
 
 from __future__ import annotations
@@ -88,17 +95,32 @@ def project_modes_np(basis: np.ndarray, weight: np.ndarray) -> np.ndarray:
 
 def adam_update_np(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
                    lr: float, beta1: float, beta2: float,
-                   bc1: float, bc2: float, eps: float) -> None:
+                   bc1: float, bc2: float, eps: float,
+                   work: np.ndarray) -> None:
     """One in-place Adam step over flat float64 arrays.
 
     bc1/bc2 are the bias corrections (1 - beta^t) for the current step count;
-    moments are updated in place alongside the parameters.
+    moments are updated in place alongside the parameters. ``work`` is a
+    (2, p.size) float64 scratch array; every temporary lives in its two rows,
+    so the step allocates nothing. The operations and their order are those
+    of ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`` after the moment
+    updates, so results are bit-identical to that expression.
     """
+    a, b = work[0], work[1]
     np.multiply(m, beta1, out=m)
-    m += (1.0 - beta1) * g
+    np.multiply(g, 1.0 - beta1, out=a)
+    m += a
     np.multiply(v, beta2, out=v)
-    v += (1.0 - beta2) * (g * g)
-    p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    np.multiply(g, g, out=a)
+    a *= 1.0 - beta2
+    v += a
+    np.divide(m, bc1, out=a)
+    a *= lr
+    np.divide(v, bc2, out=b)
+    np.sqrt(b, out=b)
+    b += eps
+    a /= b
+    p -= a
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +223,9 @@ if HAVE_NUMBA:
         return _project_modes_nb(np.ascontiguousarray(basis, dtype=np.float64),
                                  np.ascontiguousarray(weight, dtype=np.float64))
 
-    def adam_update_nb(p, g, m, v, lr, beta1, beta2, bc1, bc2, eps) -> None:
+    def adam_update_nb(p, g, m, v, lr, beta1, beta2, bc1, bc2, eps,
+                       work) -> None:
+        # the compiled loop keeps its temporaries in registers: work is unused
         _adam_update_nb(p, np.ascontiguousarray(g), m, v,
                         lr, beta1, beta2, bc1, bc2, eps)
 

@@ -17,7 +17,10 @@ step on the active parameter group against
 
 Stages alternate: odd stages (1-based) update the object, even stages the
 pupil. Frozen groups keep parameters, Adam moments, and step counts
-bit-identical through the stage.
+bit-identical through the stage, so ``run_stage`` computes what depends only
+on them once when the stage starts: the pupil for an object stage, the TV
+penalty for a pupil stage. Every step then gets the same bits it would have
+computed itself.
 
 All gradients are true real-parameter gradients (for a complex array they are
 d/dRe + i*d/dIm), verified against central finite differences of the
@@ -74,10 +77,15 @@ class PgnnConfig:
 
 @dataclass
 class Moments:
-    """Adam first/second moments over the float view of one parameter array."""
+    """Adam first/second moments over the float view of one parameter array,
+    plus the (2, size) scratch that ``kernels.adam_update`` works in."""
 
     m: np.ndarray
     v: np.ndarray
+    work: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.work = np.empty((2, self.m.size))
 
     @classmethod
     def like(cls, view: np.ndarray) -> "Moments":
@@ -113,6 +121,34 @@ class Grads:
     pupil_free: np.ndarray | None = None
 
 
+@dataclass
+class _Frozen:
+    """Values a stage holds fixed, computed once when it starts.
+
+    An object stage fixes the pupil and hands every step the same full-grid
+    gradient buffer; a pupil stage fixes the object and so its TV penalty.
+    Fields a stage does not fix stay None and are computed per step."""
+
+    pupil: np.ndarray | None = None
+    tv_value: float | None = None
+    g_object: np.ndarray | None = None
+    dirty: object = None   # index of g_object the previous step wrote
+
+    def gradient_grid(self, shape, window, dense: bool) -> np.ndarray:
+        """An all-zero complex grid for one object gradient that writes
+        ``window`` (and, when ``dense``, adds a full-grid term)."""
+        g = self.g_object
+        if g is None:
+            return np.zeros(shape, dtype=np.complex128)
+        if self.dirty is not None:
+            g[self.dirty] = 0.0
+        self.dirty = Ellipsis if dense else window
+        return g
+
+
+_NOTHING_FROZEN = _Frozen()
+
+
 class PgnnModel:
     """Bundles the dataset, optics, config, and precomputed geometry."""
 
@@ -140,6 +176,8 @@ class PgnnModel:
         else:
             radii = [r * r + c * c for r, c in offsets]
             self.order = list(np.argsort(radii, kind="stable"))
+        # (state, update_object, _Frozen) while run_stage is running
+        self._stage = None
 
     # -- state ------------------------------------------------------------
 
@@ -171,9 +209,14 @@ class PgnnModel:
 
     def pupil(self, state: PgnnState) -> np.ndarray:
         if self.pcfg.use_zernike:
-            phase = kernels.synth_phase(self.basis.grids, state.zern_coeffs)
-            return state.pupil_amp * np.exp(1j * phase)
+            return self._zernike_pupil(state)[0]
         return state.pupil_free
+
+    def _zernike_pupil(self, state: PgnnState) -> tuple[np.ndarray, np.ndarray]:
+        """Zernike pupil and its unit phase factor, from one synthesis."""
+        phase_factor = np.exp(
+            1j * kernels.synth_phase(self.basis.grids, state.zern_coeffs))
+        return state.pupil_amp * phase_factor, phase_factor
 
     # -- forward and loss --------------------------------------------------
 
@@ -214,19 +257,19 @@ class PgnnModel:
         spatial = self.spatial_object(state)
         amp = np.abs(spatial)
         value = 0.0
-        g_spatial = np.zeros_like(spatial) if want_grad else None
+        if want_grad:
+            g_spatial = np.zeros_like(spatial)
+            guarded = np.maximum(amp, AMP_FLOOR)
         if pcfg.tv_alpha1 > 0.0:
             value += pcfg.tv_alpha1 * kernels.tv_value(amp, pcfg.tv_eta)
             if want_grad:
                 ga = kernels.tv_grad(amp, pcfg.tv_eta)
-                guarded = np.maximum(amp, AMP_FLOOR)
                 g_spatial += pcfg.tv_alpha1 * ga * (spatial / guarded)
         if pcfg.tv_alpha2 > 0.0:
             phase = wrap_phase(np.angle(spatial))
             value += pcfg.tv_alpha2 * kernels.tv_value(phase, pcfg.tv_eta)
             if want_grad:
                 gp = kernels.tv_grad(phase, pcfg.tv_eta)
-                guarded = np.maximum(amp, AMP_FLOOR)
                 g_spatial += pcfg.tv_alpha2 * gp * (1j * spatial / (guarded * guarded))
         if not want_grad:
             return value, None
@@ -250,21 +293,34 @@ class PgnnModel:
     # -- gradients ---------------------------------------------------------
 
     def _eval_step(self, state: PgnnState, n: int, want_object: bool,
-                   want_pupil: bool) -> tuple[Grads, float]:
+                   want_pupil: bool, frozen: _Frozen = _NOTHING_FROZEN
+                   ) -> tuple[Grads, float]:
         """Gradient blocks plus the total loss at the same point, computed
-        with one forward pass and one TV evaluation."""
+        with one forward pass and at most one TV evaluation; ``frozen``
+        supplies what the running stage holds fixed."""
         window, r0, c0 = self._window(state, n)
-        pupil = self.pupil(state)
+        phase_factor = None
+        if frozen.pupil is not None:
+            pupil = frozen.pupil
+        elif self.pcfg.use_zernike:
+            pupil, phase_factor = self._zernike_pupil(state)
+        else:
+            pupil = state.pupil_free
         fw = self.forward(state, n, pupil)
         residual = fw.predicted - fw.target
-        tv_val, tv_grad_spec = self._tv_eval(state, want_grad=want_object)
+        if frozen.tv_value is None:
+            tv_val, tv_grad_spec = self._tv_eval(state, want_grad=want_object)
+        else:
+            tv_val, tv_grad_spec = frozen.tv_value, None
         loss = fw.data_loss + tv_val
 
         g_object = None
         if want_object:
-            g_object = np.zeros(self.high_shape, dtype=np.complex128)
-            g_object[r0:r0 + self.cfg.low_rows, c0:c0 + self.cfg.low_cols] = \
-                2.0 * self.area_low * np.conj(pupil) * residual
+            win = (slice(r0, r0 + self.cfg.low_rows),
+                   slice(c0, c0 + self.cfg.low_cols))
+            g_object = frozen.gradient_grid(self.high_shape, win,
+                                            dense=tv_grad_spec is not None)
+            g_object[win] = 2.0 * self.area_low * np.conj(pupil) * residual
             if tv_grad_spec is not None:
                 g_object += tv_grad_spec
 
@@ -273,9 +329,8 @@ class PgnnModel:
 
         g_pupil = 2.0 * self.area_low * np.conj(window) * residual
         if self.pcfg.use_zernike:
-            phase_factor = np.exp(
-                1j * kernels.synth_phase(self.basis.grids, state.zern_coeffs))
-            g_amp = (np.conj(phase_factor) * g_pupil).real
+            # .real of a complex array is a strided view; Adam wants it packed
+            g_amp = np.ascontiguousarray((np.conj(phase_factor) * g_pupil).real)
             weight = (g_pupil * np.conj(pupil)).imag
             g_zern = kernels.project_modes(self.basis.grids, weight)
             return Grads(object_spectrum=g_object, pupil_amp=g_amp,
@@ -296,20 +351,20 @@ class PgnnModel:
     def _adam(self, state: PgnnState, name: str, view: np.ndarray,
               grad: np.ndarray, lr: float, t: int) -> None:
         pcfg = self.pcfg
-        mom = state.moments[name]
-        kernels.adam_update(view.ravel(), grad.ravel(), mom.m.ravel(),
-                            mom.v.ravel(), lr,
-                            pcfg.adam_beta1, pcfg.adam_beta2,
-                            1.0 - pcfg.adam_beta1 ** t,
-                            1.0 - pcfg.adam_beta2 ** t,
-                            pcfg.adam_eps)
+        adam_step(view, grad, state.moments[name], lr, t,
+                  pcfg.adam_beta1, pcfg.adam_beta2, pcfg.adam_eps)
 
     def step(self, state: PgnnState, n: int, update_object: bool) -> float:
         """One per-image Adam step on the active group; returns total_loss
         evaluated before the update."""
         pcfg = self.pcfg
+        frozen = _NOTHING_FROZEN
+        if (self._stage is not None and self._stage[0] is state
+                and self._stage[1] == update_object):
+            frozen = self._stage[2]
         grads, loss = self._eval_step(state, n, want_object=update_object,
-                                      want_pupil=not update_object)
+                                      want_pupil=not update_object,
+                                      frozen=frozen)
         if update_object:
             state.object_steps += 1
             self._adam(state, "object", state.object_spectrum.view(np.float64),
@@ -335,14 +390,25 @@ class PgnnModel:
         """One stage (1-based index): odd updates the object, even the pupil.
         Returns the per-epoch accumulated pre-update losses."""
         update_object = stage_index % 2 == 1
+        if update_object:
+            frozen = _Frozen(pupil=self.pupil(state),
+                             g_object=np.zeros(self.high_shape,
+                                               dtype=np.complex128))
+        else:
+            frozen = _Frozen(tv_value=self.tv_penalty(state))
         epoch_losses = []
-        for _ in range(self.pcfg.epochs_per_stage):
-            acc = 0.0
-            for n in self.order:
-                acc += self.step(state, n, update_object)
-            if not np.isfinite(acc):
-                raise NumericalError(f"loss became non-finite in stage {stage_index}")
-            epoch_losses.append(acc)
+        self._stage = (state, update_object, frozen)
+        try:
+            for _ in range(self.pcfg.epochs_per_stage):
+                acc = 0.0
+                for n in self.order:
+                    acc += self.step(state, n, update_object)
+                if not np.isfinite(acc):
+                    raise NumericalError(
+                        f"loss became non-finite in stage {stage_index}")
+                epoch_losses.append(acc)
+        finally:
+            self._stage = None
         return epoch_losses
 
     def run(self) -> tuple[np.ndarray, np.ndarray, list[float], PgnnState]:
@@ -375,8 +441,14 @@ def adam_step(param_view: np.ndarray, grad_view: np.ndarray, moments: Moments,
     """
     if t < 1:
         raise ValueError("step count t must be >= 1")
-    if param_view.shape != grad_view.shape or param_view.shape != moments.m.shape:
+    arrays = (param_view, grad_view, moments.m, moments.v)
+    if any(a.shape != param_view.shape for a in arrays):
         raise DimensionMismatch("param/grad/moment shapes differ")
+    # ravel() copies a strided array, and an update written into that copy
+    # would be lost while the moments still advanced
+    if not all(a.flags.c_contiguous for a in arrays):
+        raise DimensionMismatch("param/grad/moment arrays must be C-contiguous")
     kernels.adam_update(param_view.ravel(), grad_view.ravel(),
                         moments.m.ravel(), moments.v.ravel(), lr,
-                        beta1, beta2, 1.0 - beta1 ** t, 1.0 - beta2 ** t, eps)
+                        beta1, beta2, 1.0 - beta1 ** t, 1.0 - beta2 ** t, eps,
+                        moments.work)

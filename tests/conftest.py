@@ -74,6 +74,17 @@ def ap_misfit(spatial: np.ndarray, pupil: np.ndarray,
     return total
 
 
+def allocating_adam(p, g, m, v, lr, beta1, beta2, bc1, bc2, eps) -> None:
+    """The allocating Adam expression that ``kernels.adam_update_np``
+    replaced, temporaries and all: the bitwise reference for its scratch
+    version."""
+    np.multiply(m, beta1, out=m)
+    m += (1.0 - beta1) * g
+    np.multiply(v, beta2, out=v)
+    v += (1.0 - beta2) * (g * g)
+    p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
 DEFOCUS_UM = 50.0
 
 

@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, outputs, determinism, exit codes."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,20 @@ def test_manifest_problems_exit_2(tmp_path, capsys):
     code = main(["inspect", "--dataset", str(tmp_path)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_duplicate_capture_names_exit_2(cli_inputs, tmp_path, capsys):
+    doc = json.loads((cli_inputs / "config.json").read_text())
+    doc["illuminations"][3]["file"] = doc["illuminations"][2]["file"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    code = main(["simulate",
+                 "--truth-amp", str(cli_inputs / "amp.fpd1"),
+                 "--truth-phase", str(cli_inputs / "phase.fpd1"),
+                 "--config", str(config), "--out", str(tmp_path / "sim")])
+    assert code == 2
+    assert "already used" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
 
 
 def test_non_finite_data_exits_3(cli_dataset, tmp_path, capsys):

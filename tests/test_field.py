@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fptycho.errors import DimensionMismatch, WindowOutOfBounds
 from fptycho.field import (amplitude, center_shift, crop_window, dft2,
@@ -61,6 +63,31 @@ def test_center_shift_moves_origin_to_grid_center():
     out = center_shift(g)
     assert out[4, 4] == 1.0
     assert np.count_nonzero(out) == 1
+
+
+def test_center_shifts_equal_numpy_shifts_on_every_small_shape():
+    for rows in range(1, 41):
+        for cols in range(1, 41):
+            g = np.arange(rows * cols, dtype=np.float64).reshape(rows, cols)
+            assert np.array_equal(center_shift(g), np.fft.fftshift(g))
+            assert np.array_equal(inverse_center_shift(g), np.fft.ifftshift(g))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([np.float64, np.complex128]))
+def test_center_shifts_are_bitwise_numpy_shifts(rows, cols, seed, dtype):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    g = rng.standard_normal((rows, cols)).astype(dtype)
+    if dtype is np.complex128:
+        g += 1j * rng.standard_normal((rows, cols))
+    g[rng.random((rows, cols)) < 0.1] = -0.0
+    for ours, theirs in ((center_shift, np.fft.fftshift),
+                         (inverse_center_shift, np.fft.ifftshift)):
+        out = ours(g)
+        assert out.dtype == g.dtype and out.flags.c_contiguous
+        assert out.tobytes() == theirs(g).tobytes()
+    assert inverse_center_shift(center_shift(g)).tobytes() == g.tobytes()
 
 
 def test_grid_center_is_floor_halves():

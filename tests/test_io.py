@@ -151,6 +151,28 @@ def test_unsupported_version_is_rejected():
         parse_manifest(json.dumps(_doc(version=2)))
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1"])
+def test_version_must_be_the_integer_one(version):
+    # True == 1 and 1.0 == 1 in Python; neither is a manifest version
+    with pytest.raises(ManifestError, match="version"):
+        parse_manifest(json.dumps(_doc(version=version)))
+
+
+def test_duplicate_file_names_are_rejected():
+    doc = _doc()
+    doc["illuminations"][1]["file"] = doc["illuminations"][0]["file"]
+    with pytest.raises(ManifestError, match="already used by illumination 0"):
+        parse_manifest(json.dumps(doc))
+
+
+def test_duplicate_file_names_are_not_written(tmp_path):
+    ds = Dataset(optics=tiny_config(), images=[np.ones((8, 8)), np.zeros((8, 8))],
+                 files=["a.fpd1", "a.fpd1"])
+    with pytest.raises(ManifestError, match="distinct"):
+        write_dataset(ds, str(tmp_path))
+    assert not (tmp_path / "a.fpd1").exists()
+
+
 def test_invalid_json_is_rejected():
     with pytest.raises(ManifestError, match="JSON"):
         parse_manifest("{not json")

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from conftest import allocating_adam
 from fptycho.epie import EpieConfig, run_epie
 from fptycho.errors import DimensionMismatch, NumericalError
 from fptycho.field import center_shift, dft2, wrap_phase
 from fptycho.pgnn import (Moments, PgnnConfig, PgnnModel, adam_step, run_pgnn,
                           tv_grad, tv_value)
-from fptycho.optics import pupil_support
+from fptycho.optics import defocus_phase, make_ctf, pupil_support
+from fptycho.simulate import GroundTruth, simulate_dataset
 
 
 # -- gradient correctness (the keystone) -----------------------------------
@@ -211,6 +213,25 @@ def test_adam_validates_step_count_and_shapes():
         adam_step(p, np.array([1.0, 2.0]), Moments.like(p), lr=0.1, t=1)
 
 
+def test_adam_rejects_strided_arrays_instead_of_losing_the_update():
+    # ravel() of a strided view is a copy: the moments would advance while
+    # the update landed in the copy and the parameter stayed at 1.0
+    p = np.ones((4, 4))[:, ::2]
+    mom = Moments.like(p)
+    with pytest.raises(DimensionMismatch, match="contiguous"):
+        adam_step(p, np.ones((4, 2)), mom, lr=0.1, t=1)
+    assert np.all(p == 1.0) and np.all(mom.m == 0.0) and np.all(mom.v == 0.0)
+    packed = np.ones((4, 2))
+    with pytest.raises(DimensionMismatch, match="contiguous"):
+        adam_step(packed, np.ones((4, 4))[:, ::2], Moments.like(packed),
+                  lr=0.1, t=1)
+    strided = Moments(m=np.zeros((4, 4))[:, ::2], v=np.zeros((4, 2)))
+    with pytest.raises(DimensionMismatch, match="contiguous"):
+        adam_step(packed, np.ones((4, 2)), strided, lr=0.1, t=1)
+    adam_step(packed, np.ones((4, 2)), Moments.like(packed), lr=0.1, t=1)
+    assert np.all(packed < 1.0)
+
+
 # -- stages and full runs --------------------------------------------------
 
 def test_object_stage_freezes_pupil_parameters(small_instance):
@@ -304,6 +325,101 @@ def test_config_validation():
 def test_image_count_must_match_led_count(reference_cfg):
     with pytest.raises(DimensionMismatch):
         PgnnModel([np.ones((32, 32))] * 4, reference_cfg, PgnnConfig())
+
+
+# -- stage caching is bitwise-neutral --------------------------------------
+
+def _reference_adam(param, grad, mom, lr, t, pcfg):
+    """The allocating Adam step through the same flat views."""
+    b1, b2 = pcfg.adam_beta1, pcfg.adam_beta2
+    allocating_adam(param.ravel(), grad.ravel(), mom.m.ravel(), mom.v.ravel(),
+                    lr, b1, b2, 1.0 - b1 ** t, 1.0 - b2 ** t, pcfg.adam_eps)
+
+
+def _reference_stage(model, state, stage_index):
+    """run_stage without anything held per stage: every step recomputes the
+    pupil, its phase factor and the TV penalty, allocates a fresh gradient
+    grid (inside ``gradients``) and takes the allocating Adam step."""
+    pcfg = model.pcfg
+    update_object = stage_index % 2 == 1
+    losses = []
+    for _ in range(pcfg.epochs_per_stage):
+        acc = 0.0
+        for n in model.order:
+            loss = model.total_loss(state, n)
+            g = model.gradients(state, n)
+            if update_object:
+                state.object_steps += 1
+                _reference_adam(state.object_spectrum.view(np.float64),
+                                g.object_spectrum.view(np.float64),
+                                state.moments["object"], pcfg.lr_object,
+                                state.object_steps, pcfg)
+            elif pcfg.use_zernike:
+                state.pupil_steps += 1
+                t = state.pupil_steps
+                _reference_adam(state.pupil_amp, g.pupil_amp,
+                                state.moments["pupil_amp"], pcfg.lr_pupil_amp,
+                                t, pcfg)
+                _reference_adam(state.zern_coeffs, g.zern_coeffs,
+                                state.moments["zern"], pcfg.lr_zern, t, pcfg)
+                state.pupil_amp *= model.support
+            else:
+                state.pupil_steps += 1
+                _reference_adam(state.pupil_free.view(np.float64),
+                                g.pupil_free.view(np.float64),
+                                state.moments["pupil_free"], pcfg.lr_pupil_amp,
+                                state.pupil_steps, pcfg)
+                state.pupil_free *= model.support
+            acc += loss
+        losses.append(acc)
+    return losses
+
+
+def _state_bytes(state):
+    arrays = [state.object_spectrum, state.pupil_amp, state.zern_coeffs,
+              state.pupil_free]
+    for name in sorted(state.moments):
+        arrays += [state.moments[name].m, state.moments[name].v]
+    return ([None if a is None else a.tobytes() for a in arrays],
+            state.object_steps, state.pupil_steps)
+
+
+@pytest.mark.parametrize("pcfg", [
+    PgnnConfig(epochs_per_stage=2),
+    PgnnConfig(epochs_per_stage=2, use_zernike=False),
+    PgnnConfig(epochs_per_stage=2, tv_alpha1=1e-3, tv_alpha2=1e-3),
+], ids=["zernike", "free_pupil", "tv"])
+def test_run_stage_matches_a_loop_that_recomputes_every_step(small_instance,
+                                                             pcfg):
+    cfg, obj, _ = small_instance
+    pupil = make_ctf(cfg) * np.exp(1j * defocus_phase(cfg, 20.0))
+    images = simulate_dataset(GroundTruth(obj, pupil), cfg)
+    model = PgnnModel(images, cfg, pcfg)
+    fast, slow = model.initial_state(), model.initial_state()
+    start = _state_bytes(fast)
+    for stage in (1, 2, 3, 4):
+        fast_losses = model.run_stage(fast, stage)
+        slow_losses = _reference_stage(model, slow, stage)
+        assert (np.array(fast_losses).tobytes()
+                == np.array(slow_losses).tobytes()), f"stage {stage}"
+        assert _state_bytes(fast) == _state_bytes(slow), f"stage {stage}"
+    moved = _state_bytes(fast)[0]
+    assert all(a != b for a, b in zip(moved, start[0]) if a is not None)
+
+
+def test_steps_outside_a_stage_match_the_stage(small_instance):
+    # step() called on its own holds nothing fixed; it must take the same
+    # steps run_stage takes, for both groups
+    cfg, _, images = small_instance
+    model = PgnnModel(images, cfg, PgnnConfig(epochs_per_stage=1))
+    staged, single = model.initial_state(), model.initial_state()
+    for stage in (1, 2):
+        epoch = model.run_stage(staged, stage)[0]
+        acc = 0.0
+        for n in model.order:
+            acc += model.step(single, n, stage == 1)
+        assert acc == epoch
+        assert _state_bytes(staged) == _state_bytes(single)
 
 
 # -- end-to-end behavior on the reference problem --------------------------
