@@ -1,7 +1,7 @@
 """Fourier ptychography toolkit: simulation plus two reconstruction engines.
 
-A thin numpy core with numba-accelerated scalar kernels (see
-``fptycho.kernels`` for the backend switch). Public surface:
+A thin numpy core; the per-image step's small kernels live in
+``fptycho.kernels``. Public surface:
 
 * ``field``: DFT/windowing conventions every module shares
 * ``optics``: config, CTF, Zernike pupil basis, illumination geometry

@@ -74,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--lr-object", type=float, default=pdef.lr_object)
     rec.add_argument("--lr-pupil", type=float, default=pdef.lr_pupil_amp)
     rec.add_argument("--lr-zern", type=float, default=pdef.lr_zern)
-    rec.add_argument("--seed", type=_parse_seed, default=0)
     rec.add_argument("--out", required=True)
 
     met = sub.add_parser("metrics", help="compare a reconstruction with truth")
@@ -130,8 +129,7 @@ def cmd_reconstruct(args) -> int:
                           lr_zern=args.lr_zern, tv_alpha1=args.tv_alpha1,
                           tv_alpha2=args.tv_alpha2,
                           use_zernike=args.zernike is not None,
-                          zernike_modes=args.zernike or 1,
-                          seed=args.seed)
+                          zernike_modes=args.zernike or 1)
         obj, pupil, history, _ = run_pgnn(ds.images, ds.optics, pcfg)
     if not (np.all(np.isfinite(obj.view(np.float64)))
             and np.all(np.isfinite(pupil.view(np.float64)))):

@@ -140,20 +140,23 @@ def epie_step(state: EpieState, image: np.ndarray, offset: tuple[int, int],
     return state
 
 
-def amplitude_residual(state: EpieState, images: list[np.ndarray],
-                       cfg: OpticalConfig,
-                       offsets: list[tuple[int, int]] | None = None) -> float:
-    """Frozen-state data misfit: sum_n ||sqrt(I_n) - |field_n|||^2."""
-    if offsets is None:
-        offsets = illumination_offsets(cfg)
+def _image_misfit(state: EpieState, image: np.ndarray,
+                  offset: tuple[int, int], cfg: OpticalConfig) -> float:
+    """Frozen-state data misfit of one image: ||sqrt(I) - |field|||^2."""
     center = grid_center(state.object_spectrum.shape)
+    window = crop_window(state.object_spectrum, center[0] + offset[0],
+                         center[1] + offset[1], cfg.low_rows, cfg.low_cols)
+    field = idft2(inverse_center_shift(window * state.pupil))
+    diff = np.sqrt(np.asarray(image, dtype=np.float64)) - np.abs(field)
+    return float(np.vdot(diff, diff).real)
+
+
+def amplitude_residual(state: EpieState, images: list[np.ndarray],
+                       cfg: OpticalConfig) -> float:
+    """Frozen-state data misfit: sum_n ||sqrt(I_n) - |field_n|||^2."""
     total = 0.0
-    for img, off in zip(images, offsets):
-        window = crop_window(state.object_spectrum, center[0] + off[0],
-                             center[1] + off[1], cfg.low_rows, cfg.low_cols)
-        field = idft2(inverse_center_shift(window * state.pupil))
-        diff = np.sqrt(np.asarray(img, dtype=np.float64)) - np.abs(field)
-        total += float(np.vdot(diff, diff).real)
+    for img, off in zip(images, illumination_offsets(cfg)):
+        total += _image_misfit(state, img, off, cfg)
     return total
 
 
@@ -171,18 +174,13 @@ def run_epie(images: list[np.ndarray], cfg: OpticalConfig,
             f"{len(images)} images for {len(offsets)} illuminations")
     order = traversal_order(cfg, ecfg.traversal)
     state = initial_state(images, cfg)
-    center = grid_center(state.object_spectrum.shape)
     history = []
     for _ in range(ecfg.iterations):
         sweep = 0.0
         for n in order:
-            off = offsets[n]
-            window = crop_window(state.object_spectrum, center[0] + off[0],
-                                 center[1] + off[1], cfg.low_rows, cfg.low_cols)
-            field = idft2(inverse_center_shift(window * state.pupil))
-            diff = np.sqrt(np.asarray(images[n], dtype=np.float64)) - np.abs(field)
-            sweep += float(np.vdot(diff, diff).real)
-            epie_step(state, np.asarray(images[n], dtype=np.float64), off, ecfg)
+            sweep += _image_misfit(state, images[n], offsets[n], cfg)
+            epie_step(state, np.asarray(images[n], dtype=np.float64),
+                      offsets[n], ecfg)
         history.append(sweep)
     spatial = idft2(inverse_center_shift(state.object_spectrum))
     spatial /= cfg.spectrum_scale

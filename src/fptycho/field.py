@@ -92,39 +92,6 @@ def crop_window(g: np.ndarray, center_row: int, center_col: int,
     return g[r0:r0 + out_rows, c0:c0 + out_cols].copy()
 
 
-def embed_window(dst: np.ndarray, patch: np.ndarray, center_row: int,
-                 center_col: int, mode: str = "replace") -> np.ndarray:
-    """Return a copy of ``dst`` with ``patch`` written (or added) at the window
-    that ``crop_window`` would read from the same center."""
-    dst = as_grid(dst)
-    patch = as_grid(patch)
-    r0, c0 = window_bounds(center_row, center_col, patch.shape[0],
-                           patch.shape[1], dst.shape)
-    out = dst.copy()
-    block = out[r0:r0 + patch.shape[0], c0:c0 + patch.shape[1]]
-    if mode == "replace":
-        block[...] = patch
-    elif mode == "add":
-        block[...] += patch
-    else:
-        raise ValueError(f"unknown embed mode {mode!r}")
-    return out
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise product; shapes must match exactly."""
-    a = as_grid(a)
-    b = as_grid(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"hadamard shapes differ: {a.shape} vs {b.shape}")
-    return a * b
-
-
-def amplitude(z: np.ndarray) -> np.ndarray:
-    """|z| as a float grid."""
-    return np.abs(as_grid(z))
-
-
 def phase_unit(z: np.ndarray) -> np.ndarray:
     """z / |z| with the zero-amplitude convention phase_unit(0) = 1 + 0j."""
     z = as_grid(z, dtype=np.complex128)

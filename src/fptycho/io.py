@@ -64,7 +64,12 @@ def _read_grid(path: str, magic: bytes) -> tuple[int, int, np.ndarray]:
         if rows == 0 or cols == 0:
             raise FormatError(f"{path}: zero-sized grid {rows}x{cols}")
         per = 1 if magic == b"FPD1" else 2
-        payload = _read_exact(fh, rows * cols * per * 4, path, "payload")
+        size = rows * cols * per * 4
+        # a corrupt header can claim gigabytes: check the file holds them
+        # before asking read() for that many
+        if size > os.fstat(fh.fileno()).st_size - 12:
+            raise FormatError(f"{path}: truncated payload")
+        payload = _read_exact(fh, size, path, "payload")
         if fh.read(1):
             raise FormatError(f"{path}: trailing bytes after payload")
     data = np.frombuffer(payload, dtype="<f4")

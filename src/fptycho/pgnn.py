@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .epie import ap_project, initial_object_spectrum
+from .epie import ap_project, initial_object_spectrum, traversal_order
 from .errors import DimensionMismatch, NumericalError
 from .field import (dft2, center_shift, grid_center, idft2,
                     inverse_center_shift, wrap_phase, window_bounds)
@@ -64,7 +64,6 @@ class PgnnConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     traversal: str = "center_out"
-    seed: int = 0
 
     def __post_init__(self):
         if self.stages < 0 or self.epochs_per_stage < 0:
@@ -171,11 +170,7 @@ class PgnnModel:
         # field spectra are low_area * window * pupil; keeping the stored
         # spectrum divided by this puts every parameter on an O(1) scale
         self.area_low = cfg.low_rows * cfg.low_cols
-        if pcfg.traversal == "manifest_order":
-            self.order = list(range(len(offsets)))
-        else:
-            radii = [r * r + c * c for r, c in offsets]
-            self.order = list(np.argsort(radii, kind="stable"))
+        self.order = traversal_order(cfg, pcfg.traversal)
         # (state, update_object, _Frozen) while run_stage is running
         self._stage = None
 
@@ -423,12 +418,6 @@ def run_pgnn(images: list[np.ndarray], cfg: OpticalConfig,
              pcfg: PgnnConfig = PgnnConfig()):
     """Convenience wrapper; returns (spatial object, pupil, loss history, state)."""
     return PgnnModel(images, cfg, pcfg).run()
-
-
-# re-exported kernel entry points; the regularizer is part of this module's
-# public contract even though the loops live in kernels
-tv_value = kernels.tv_value
-tv_grad = kernels.tv_grad
 
 
 def adam_step(param_view: np.ndarray, grad_view: np.ndarray, moments: Moments,

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalError
-from .field import (amplitude, crop_window, dft2, center_shift, grid_center,
-                    hadamard, idft2, inverse_center_shift)
+from .field import (crop_window, dft2, center_shift, grid_center, idft2,
+                    inverse_center_shift)
 from .optics import OpticalConfig, illumination_offsets
 
 
@@ -66,8 +66,8 @@ def forward_capture(gt: GroundTruth, cfg: OpticalConfig,
     center = grid_center(spectrum.shape)
     window = crop_window(spectrum, center[0] + offset[0], center[1] + offset[1],
                          cfg.low_rows, cfg.low_cols)
-    field = cfg.spectrum_scale * idft2(inverse_center_shift(hadamard(window, gt.pupil)))
-    return amplitude(field) ** 2
+    field = cfg.spectrum_scale * idft2(inverse_center_shift(window * gt.pupil))
+    return np.abs(field) ** 2
 
 
 def simulate_dataset(gt: GroundTruth, cfg: OpticalConfig,

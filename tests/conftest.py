@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from fptycho.epie import EpieConfig, run_epie
-from fptycho.field import (amplitude, center_shift, crop_window, dft2,
-                           grid_center, hadamard, idft2, inverse_center_shift)
+from fptycho.field import center_shift, crop_window, dft2, grid_center
 from fptycho.epie import ap_project
 from fptycho.optics import (Illumination, OpticalConfig, defocus_phase,
                             illumination_offsets, make_ctf)
@@ -68,14 +67,14 @@ def ap_misfit(spatial: np.ndarray, pupil: np.ndarray,
     for img, off in zip(images, illumination_offsets(cfg)):
         window = crop_window(spectrum, center[0] + off[0], center[1] + off[1],
                              cfg.low_rows, cfg.low_cols)
-        phi = hadamard(window, pupil)
+        phi = window * pupil
         diff = ap_project(phi, np.asarray(img, dtype=np.float64)) - phi
         total += float(np.vdot(diff, diff).real)
     return total
 
 
 def allocating_adam(p, g, m, v, lr, beta1, beta2, bc1, bc2, eps) -> None:
-    """The allocating Adam expression that ``kernels.adam_update_np``
+    """The allocating Adam expression that ``kernels.adam_update``
     replaced, temporaries and all: the bitwise reference for its scratch
     version."""
     np.multiply(m, beta1, out=m)

@@ -15,8 +15,9 @@ from fptycho.field import center_shift, dft2
 from fptycho.io import (Dataset, default_file_names, manifest_text,
                         read_complex_grid, read_dataset, write_complex_grid,
                         write_dataset, write_real_grid)
+from fptycho.kernels import tv_value
 from fptycho.optics import Illumination, OpticalConfig, illumination_offsets, make_ctf
-from fptycho.pgnn import PgnnConfig, PgnnModel, tv_value
+from fptycho.pgnn import PgnnConfig, PgnnModel
 
 
 def _verdict(number: int, ok: bool, detail: str) -> None:

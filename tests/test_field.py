@@ -1,13 +1,12 @@
-"""Grid transforms, windowing, and element-wise field helpers."""
+"""Grid transforms, windowing, and phase helpers."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fptycho.errors import DimensionMismatch, WindowOutOfBounds
-from fptycho.field import (amplitude, center_shift, crop_window, dft2,
-                           embed_window, grid_center, hadamard, idft2,
+from fptycho.errors import WindowOutOfBounds
+from fptycho.field import (center_shift, crop_window, dft2, grid_center, idft2,
                            inverse_center_shift, phase_unit, window_bounds,
                            wrap_phase)
 
@@ -123,29 +122,6 @@ def test_crop_window_does_not_modify_source():
     assert np.array_equal(g, snapshot)
 
 
-def test_embed_then_crop_recovers_patch():
-    rng = np.random.Generator(np.random.PCG64(4))
-    patch = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    dst = np.zeros((9, 9), dtype=np.complex128)
-    out = embed_window(dst, patch, 5, 3, mode="replace")
-    assert np.array_equal(crop_window(out, 5, 3, 3, 3), patch)
-
-
-def test_embed_add_twice_doubles_window_values():
-    patch = np.full((2, 2), 1.5 + 0.5j)
-    dst = np.zeros((6, 6), dtype=np.complex128)
-    once = embed_window(dst, patch, 3, 3, mode="add")
-    twice = embed_window(once, patch, 3, 3, mode="add")
-    assert np.array_equal(crop_window(twice, 3, 3, 2, 2), 2.0 * patch)
-    assert not dst.any()    # embedding returns a copy, the input is untouched
-
-
-def test_embed_window_rejects_out_of_bounds_center():
-    dst = np.zeros((6, 6), dtype=np.complex128)
-    with pytest.raises(WindowOutOfBounds):
-        embed_window(dst, np.ones((4, 4), dtype=np.complex128), 5, 5)
-
-
 def test_crop_embed_round_trip_over_random_windows():
     rng = np.random.Generator(np.random.PCG64(5))
     for _ in range(25):
@@ -160,35 +136,8 @@ def test_crop_embed_round_trip_over_random_windows():
         patch = (rng.standard_normal((wr, wc))
                  + 1j * rng.standard_normal((wr, wc)))
         dst = np.zeros((rows, cols), dtype=np.complex128)
-        out = embed_window(dst, patch, cr, cc)
-        assert np.array_equal(crop_window(out, cr, cc, wr, wc), patch)
-        assert not dst.any()
-
-
-def test_hadamard_matches_scalar_complex_product():
-    a = np.full((2, 2), 1 + 1j)
-    b = np.full((2, 2), 1 - 1j)
-    assert np.array_equal(hadamard(a, b), np.full((2, 2), 2 + 0j))
-    rng = np.random.Generator(np.random.PCG64(6))
-    x = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    y = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    out = hadamard(x, y)
-    for r in range(5):
-        for c in range(5):
-            want = complex(x[r, c]) * complex(y[r, c])
-            # numpy's vectorized product may fuse multiply-adds, so the last
-            # ulp can differ from the scalar formula
-            assert abs(out[r, c] - want) <= 1e-14 * (abs(want) + 1.0)
-
-
-def test_hadamard_rejects_mismatched_dims():
-    with pytest.raises(DimensionMismatch):
-        hadamard(np.ones((2, 2), dtype=np.complex128),
-                 np.ones((3, 3), dtype=np.complex128))
-
-
-def test_amplitude_of_3_4_is_5():
-    assert amplitude(np.array([[3 + 4j]]))[0, 0] == pytest.approx(5.0)
+        dst[r0:r0 + wr, c0:c0 + wc] = patch
+        assert np.array_equal(crop_window(dst, cr, cc, wr, wc), patch)
 
 
 def test_phase_unit_zero_maps_to_one():

@@ -1,10 +1,15 @@
 """Grid files, dataset manifests, and graymap export."""
 
 import json
+import os
 import struct
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fptycho.errors import FormatError, ManifestError, NumericalError
 from fptycho.field import wrap_phase
@@ -95,6 +100,45 @@ def test_truncated_payload_names_the_file(tmp_path):
     path.write_bytes(path.read_bytes()[:-3])
     with pytest.raises(FormatError, match="cut.fpd1"):
         read_real_grid(str(path))
+
+
+def test_lying_header_is_rejected_before_allocating_its_claim(tmp_path):
+    # 28 bytes that claim a 4096x4096 complex grid (134 MB of payload)
+    path = tmp_path / "liar.fpc1"
+    path.write_bytes(b"FPC1" + struct.pack("<II", 4096, 4096) + bytes(16))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="truncated"):
+            read_complex_grid(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _small_grid_file():
+    """Header with small dimensions, then arbitrary payload bytes."""
+    return st.builds(lambda r, c, tail: struct.pack("<II", r, c) + tail,
+                     st.integers(0, 6), st.integers(0, 6),
+                     st.binary(max_size=320))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([(b"FPD1", read_real_grid),
+                        (b"FPC1", read_complex_grid)]),
+       st.binary(max_size=80) | _small_grid_file())
+def test_arbitrary_bytes_after_the_magic_read_or_raise_format_error(kind, body):
+    magic, reader = kind
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "g")
+        with open(path, "wb") as fh:
+            fh.write(magic + body)
+        try:
+            grid = reader(path)
+        except FormatError:
+            return
+    rows, cols = struct.unpack("<II", body[:8])
+    assert grid.shape == (rows, cols) and grid.size == rows * cols
 
 
 def test_zero_sized_grid_is_rejected(tmp_path):

@@ -7,8 +7,8 @@ from conftest import allocating_adam
 from fptycho.epie import EpieConfig, run_epie
 from fptycho.errors import DimensionMismatch, NumericalError
 from fptycho.field import center_shift, dft2, wrap_phase
-from fptycho.pgnn import (Moments, PgnnConfig, PgnnModel, adam_step, run_pgnn,
-                          tv_grad, tv_value)
+from fptycho.kernels import tv_grad, tv_value
+from fptycho.pgnn import Moments, PgnnConfig, PgnnModel, adam_step, run_pgnn
 from fptycho.optics import defocus_phase, make_ctf, pupil_support
 from fptycho.simulate import GroundTruth, simulate_dataset
 

@@ -120,6 +120,10 @@ def test_ground_truth_dims_are_checked(reference_cfg):
                       make_ctf(reference_cfg))
     with pytest.raises(DimensionMismatch):
         forward_capture(bad, reference_cfg, (0, 0))
+    bad_pupil = GroundTruth(np.ones((128, 128), dtype=np.complex128),
+                            np.ones((16, 16), dtype=np.complex128))
+    with pytest.raises(DimensionMismatch):
+        forward_capture(bad_pupil, reference_cfg, (0, 0))
 
 
 def test_textured_truth_keeps_energy_in_offaxis_captures(reference_cfg,
