@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateField, DegeneratePupil, DimensionMismatch
-from .field import (crop_window, dft2, center_shift, grid_center, idft2,
-                    inverse_center_shift, phase_unit, window_bounds)
+from .field import (dft2, center_shift, idft2, inverse_center_shift,
+                    phase_unit, window)
 from .optics import OpticalConfig, illumination_offsets, make_ctf
 
 
@@ -29,14 +29,11 @@ class EpieConfig:
     alpha: float = 1.0
     beta: float = 1.0
     update_pupil: bool = True
-    traversal: str = "center_out"      # or "manifest_order"
     pupil_update: str = "literal"      # or "conventional"
 
     def __post_init__(self):
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
-        if self.traversal not in ("center_out", "manifest_order"):
-            raise ValueError(f"unknown traversal {self.traversal!r}")
         if self.pupil_update not in ("literal", "conventional"):
             raise ValueError(f"unknown pupil_update {self.pupil_update!r}")
 
@@ -50,6 +47,13 @@ class EpieState:
     pupil: np.ndarray            # complex128 (low_rows, low_cols)
 
 
+def check_image_count(images: list[np.ndarray], cfg: OpticalConfig) -> None:
+    """Every engine needs exactly one capture per illumination."""
+    if len(images) != len(cfg.illuminations):
+        raise DimensionMismatch(
+            f"{len(images)} images for {len(cfg.illuminations)} illuminations")
+
+
 def initial_object_spectrum(images: list[np.ndarray], cfg: OpticalConfig) -> np.ndarray:
     """Zero-padded spectrum embedding of the most-axial capture's sqrt image.
 
@@ -58,16 +62,12 @@ def initial_object_spectrum(images: list[np.ndarray], cfg: OpticalConfig) -> np.
     grid; spatially that is the up-sampled sqrt-intensity image with zero
     phase at the correct brightness.
     """
-    if len(images) != len(cfg.illuminations):
-        raise DimensionMismatch(
-            f"{len(images)} images for {len(cfg.illuminations)} illuminations")
+    check_image_count(images, cfg)
     n0 = int(np.argmin([ill.sx ** 2 + ill.sy ** 2 for ill in cfg.illuminations]))
     amp = np.sqrt(np.asarray(images[n0], dtype=np.float64))
     low_spec = center_shift(dft2(amp))
     high = np.zeros((cfg.high_rows, cfg.high_cols), dtype=np.complex128)
-    cr, cc = grid_center(high.shape)
-    r0, c0 = window_bounds(cr, cc, cfg.low_rows, cfg.low_cols, high.shape)
-    high[r0:r0 + cfg.low_rows, c0:c0 + cfg.low_cols] = low_spec
+    high[window(high.shape, (0, 0), cfg.low_rows, cfg.low_cols)] = low_spec
     return high
 
 
@@ -76,12 +76,9 @@ def initial_state(images: list[np.ndarray], cfg: OpticalConfig) -> EpieState:
                      pupil=make_ctf(cfg))
 
 
-def traversal_order(cfg: OpticalConfig, traversal: str) -> list[int]:
-    """Image visiting order; center_out sorts by offset radius, stable."""
-    offsets = illumination_offsets(cfg)
-    if traversal == "manifest_order":
-        return list(range(len(offsets)))
-    radii = [r * r + c * c for r, c in offsets]
+def traversal_order(cfg: OpticalConfig) -> list[int]:
+    """Image visiting order, center out: sorted by offset radius, stable."""
+    radii = [r * r + c * c for r, c in illumination_offsets(cfg)]
     return list(np.argsort(radii, kind="stable"))
 
 
@@ -108,23 +105,20 @@ def epie_step(state: EpieState, image: np.ndarray, offset: tuple[int, int],
     Mutates and returns ``state``. Only the spectrum window addressed by
     ``offset`` is touched; every other object bin is left bit-identical.
     """
-    rows, cols = image.shape
-    center = grid_center(state.object_spectrum.shape)
-    r0, c0 = window_bounds(center[0] + offset[0], center[1] + offset[1],
-                           rows, cols, state.object_spectrum.shape)
-    window = state.object_spectrum[r0:r0 + rows, c0:c0 + cols]
+    patch = state.object_spectrum[window(state.object_spectrum.shape, offset,
+                                         *image.shape)]
 
     pupil = state.pupil
-    phi_low = window * pupil
+    phi_low = patch * pupil
     phi_high = ap_project(phi_low, image)
     residual = phi_high - phi_low
 
     pupil_max = np.max(np.abs(pupil)) ** 2
     if pupil_max == 0.0:
         raise DegeneratePupil("pupil is identically zero")
-    window_before = window.copy() if (cfg.update_pupil and
-                                      cfg.pupil_update == "conventional") else None
-    window += cfg.alpha * np.conj(pupil) / pupil_max * residual
+    patch_before = patch.copy() if (cfg.update_pupil and
+                                    cfg.pupil_update == "conventional") else None
+    patch += cfg.alpha * np.conj(pupil) / pupil_max * residual
 
     if cfg.update_pupil:
         if cfg.pupil_update == "literal":
@@ -133,20 +127,18 @@ def epie_step(state: EpieState, image: np.ndarray, offset: tuple[int, int],
                 raise DegenerateField("corrected window spectrum is identically zero")
             state.pupil = pupil + cfg.beta * np.conj(phi_high) / high_max * residual
         else:
-            win_max = np.max(np.abs(window_before)) ** 2
+            win_max = np.max(np.abs(patch_before)) ** 2
             if win_max == 0.0:
                 raise DegenerateField("object window is identically zero")
-            state.pupil = pupil + cfg.beta * np.conj(window_before) / win_max * residual
+            state.pupil = pupil + cfg.beta * np.conj(patch_before) / win_max * residual
     return state
 
 
 def _image_misfit(state: EpieState, image: np.ndarray,
                   offset: tuple[int, int], cfg: OpticalConfig) -> float:
     """Frozen-state data misfit of one image: ||sqrt(I) - |field|||^2."""
-    center = grid_center(state.object_spectrum.shape)
-    window = crop_window(state.object_spectrum, center[0] + offset[0],
-                         center[1] + offset[1], cfg.low_rows, cfg.low_cols)
-    field = idft2(inverse_center_shift(window * state.pupil))
+    win = window(state.object_spectrum.shape, offset, cfg.low_rows, cfg.low_cols)
+    field = idft2(inverse_center_shift(state.object_spectrum[win] * state.pupil))
     diff = np.sqrt(np.asarray(image, dtype=np.float64)) - np.abs(field)
     return float(np.vdot(diff, diff).real)
 
@@ -154,6 +146,7 @@ def _image_misfit(state: EpieState, image: np.ndarray,
 def amplitude_residual(state: EpieState, images: list[np.ndarray],
                        cfg: OpticalConfig) -> float:
     """Frozen-state data misfit: sum_n ||sqrt(I_n) - |field_n|||^2."""
+    check_image_count(images, cfg)
     total = 0.0
     for img, off in zip(images, illumination_offsets(cfg)):
         total += _image_misfit(state, img, off, cfg)
@@ -169,10 +162,7 @@ def run_epie(images: list[np.ndarray], cfg: OpticalConfig,
     the initialization untouched (and an empty history).
     """
     offsets = illumination_offsets(cfg)
-    if len(images) != len(offsets):
-        raise DimensionMismatch(
-            f"{len(images)} images for {len(offsets)} illuminations")
-    order = traversal_order(cfg, ecfg.traversal)
+    order = traversal_order(cfg)
     state = initial_state(images, cfg)
     history = []
     for _ in range(ecfg.iterations):

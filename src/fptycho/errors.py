@@ -14,7 +14,7 @@ class DimensionMismatch(FptychoError):
 
 
 class WindowOutOfBounds(FptychoError):
-    """A requested crop/embed window falls outside the grid."""
+    """A requested spectrum window falls outside the grid."""
 
 
 class InvalidModeCount(FptychoError):

@@ -9,7 +9,9 @@ Conventions, fixed once here and never re-decided elsewhere:
   moves DC from (0, 0) to the center, ``inverse_center_shift`` undoes it
   exactly, including odd sizes;
 * a window of size S centered at index c covers ``[c - S // 2, c - S // 2 + S)``
-  on each axis. Windows never wrap: out-of-range raises WindowOutOfBounds.
+  on each axis; ``window`` places c at an offset from the DC bin and is the
+  only place that does this arithmetic. Windows never wrap: out-of-range
+  raises WindowOutOfBounds.
 """
 
 from __future__ import annotations
@@ -64,32 +66,20 @@ def inverse_center_shift(x: np.ndarray) -> np.ndarray:
     return _roll2(g, (g.shape[0] + 1) // 2, (g.shape[1] + 1) // 2)
 
 
-def grid_center(shape: tuple[int, int]) -> tuple[int, int]:
-    """Index of the DC bin in centered layout."""
-    return shape[0] // 2, shape[1] // 2
-
-
-def window_bounds(center_row: int, center_col: int, rows: int, cols: int,
-                  shape: tuple[int, int]) -> tuple[int, int]:
-    """Top-left corner of a rows x cols window centered at (center_row, center_col).
+def window(shape: tuple[int, int], offset: tuple[int, int],
+           rows: int, cols: int) -> tuple[slice, slice]:
+    """Row and column slices of the rows x cols window whose center sits
+    ``offset`` bins from the DC bin ``(shape[0] // 2, shape[1] // 2)``.
 
     Raises WindowOutOfBounds unless the whole window lies inside ``shape``.
     """
-    r0 = center_row - rows // 2
-    c0 = center_col - cols // 2
+    r0 = shape[0] // 2 + offset[0] - rows // 2
+    c0 = shape[1] // 2 + offset[1] - cols // 2
     if r0 < 0 or c0 < 0 or r0 + rows > shape[0] or c0 + cols > shape[1]:
         raise WindowOutOfBounds(
-            f"{rows}x{cols} window at ({center_row}, {center_col}) exceeds "
+            f"{rows}x{cols} window at offset {tuple(offset)} exceeds "
             f"{shape[0]}x{shape[1]} grid (corner ({r0}, {c0}))")
-    return r0, c0
-
-
-def crop_window(g: np.ndarray, center_row: int, center_col: int,
-                out_rows: int, out_cols: int) -> np.ndarray:
-    """Copy out a window of ``g`` centered at (center_row, center_col)."""
-    g = as_grid(g)
-    r0, c0 = window_bounds(center_row, center_col, out_rows, out_cols, g.shape)
-    return g[r0:r0 + out_rows, c0:c0 + out_cols].copy()
+    return slice(r0, r0 + rows), slice(c0, c0 + cols)
 
 
 def phase_unit(z: np.ndarray) -> np.ndarray:

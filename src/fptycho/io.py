@@ -15,6 +15,7 @@ are rejected so that typos fail loudly instead of being ignored.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -33,6 +34,8 @@ _MANIFEST_KEYS = {
     "upsample", "low_rows", "low_cols", "saturation", "illuminations",
 }
 _ILLUMINATION_KEYS = {"sx", "sy", "file"}
+# largest high-res grid a manifest may ask for, in pixels: 1 GiB as complex128
+MAX_GRID_PIXELS = 2 ** 26
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +126,26 @@ def _require(cond: bool, msg: str) -> None:
         raise ManifestError(msg)
 
 
+def _finite(val, what: str) -> float:
+    """A JSON number as a finite float. json.loads accepts NaN and
+    +-Infinity, and an integer literal can be too large for a float."""
+    _require(isinstance(val, (int, float)) and not isinstance(val, bool),
+             f"{what} must be a number")
+    try:
+        val = float(val)
+    except OverflowError:
+        val = math.inf
+    _require(math.isfinite(val), f"{what} must be finite, got {val}")
+    return val
+
+
 def parse_manifest(text: str) -> tuple[OpticalConfig, list[str], float | None]:
     """Parse and validate manifest JSON; returns (optics, files, saturation)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError is a ValueError, as is an integer literal longer than
+    # int() accepts; nesting too deep for the parser raises RecursionError
+    except (ValueError, RecursionError) as exc:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "manifest root must be an object")
     unknown = set(doc) - _MANIFEST_KEYS
@@ -140,17 +158,10 @@ def parse_manifest(text: str) -> tuple[OpticalConfig, list[str], float | None]:
              and version == MANIFEST_VERSION,
              f"unsupported manifest version {version!r}")
 
-    def number(key, cls=float):
-        val = doc[key]
-        _require(isinstance(val, (int, float)) and not isinstance(val, bool),
-                 f"field {key} must be a number")
-        return cls(val)
-
     sat = doc["saturation"]
     if sat is not None:
-        _require(isinstance(sat, (int, float)) and not isinstance(sat, bool)
-                 and sat > 0, "saturation must be null or a positive number")
-        sat = float(sat)
+        sat = _finite(sat, "saturation")
+        _require(sat > 0, "saturation must be null or a positive number")
     ills = doc["illuminations"]
     _require(isinstance(ills, list) and len(ills) > 0,
              "illuminations must be a non-empty list")
@@ -165,10 +176,9 @@ def parse_manifest(text: str) -> tuple[OpticalConfig, list[str], float | None]:
         missing = _ILLUMINATION_KEYS - set(entry)
         _require(not missing,
                  f"illumination {i}: missing fields {sorted(missing)}")
-        sx, sy, fname = entry["sx"], entry["sy"], entry["file"]
-        _require(isinstance(sx, (int, float)) and not isinstance(sx, bool) and
-                 isinstance(sy, (int, float)) and not isinstance(sy, bool),
-                 f"illumination {i}: sx/sy must be numbers")
+        sx = _finite(entry["sx"], f"illumination {i}: sx")
+        sy = _finite(entry["sy"], f"illumination {i}: sy")
+        fname = entry["file"]
         _require(isinstance(fname, str) and fname != "" and "/" not in fname
                  and "\\" not in fname,
                  f"illumination {i}: file must be a bare file name")
@@ -176,7 +186,7 @@ def parse_manifest(text: str) -> tuple[OpticalConfig, list[str], float | None]:
                  f"already used by illumination {seen.get(fname)}")
         seen[fname] = i
         try:
-            parsed.append(Illumination(sx=float(sx), sy=float(sy)))
+            parsed.append(Illumination(sx=sx, sy=sy))
         except ValueError as exc:
             raise ManifestError(f"illumination {i}: {exc}") from exc
         files.append(fname)
@@ -190,10 +200,10 @@ def parse_manifest(text: str) -> tuple[OpticalConfig, list[str], float | None]:
                  and not isinstance(low_rows, bool) and not isinstance(low_cols, bool),
                  "low_rows/low_cols must be integers")
         cfg = OpticalConfig(
-            wavelength_um=number("wavelength_um"),
-            na=number("na"),
-            magnification=number("magnification"),
-            camera_pixel_um=number("camera_pixel_um"),
+            wavelength_um=_finite(doc["wavelength_um"], "wavelength_um"),
+            na=_finite(doc["na"], "na"),
+            magnification=_finite(doc["magnification"], "magnification"),
+            camera_pixel_um=_finite(doc["camera_pixel_um"], "camera_pixel_um"),
             upsample=upsample,
             low_rows=low_rows,
             low_cols=low_cols,
@@ -201,6 +211,9 @@ def parse_manifest(text: str) -> tuple[OpticalConfig, list[str], float | None]:
         )
     except ValueError as exc:
         raise ManifestError(str(exc)) from exc
+    _require(cfg.high_rows * cfg.high_cols <= MAX_GRID_PIXELS,
+             f"a {cfg.high_rows}x{cfg.high_cols} high-res grid exceeds "
+             f"{MAX_GRID_PIXELS} pixels")
     # geometry must close: every shifted window inside the high-res grid
     try:
         illumination_offsets(cfg)
@@ -309,7 +322,12 @@ def export_image(grid: np.ndarray, path: str, mode: str = "amp") -> None:
     if hi == lo:
         scaled = np.full(img.shape, 32768, dtype=np.uint16)
     else:
-        scaled = np.rint((img - lo) * (65535.0 / (hi - lo))).astype(np.uint16)
+        scale = 65535.0 / (hi - lo)
+        if math.isfinite(scale):
+            scaled = np.rint((img - lo) * scale).astype(np.uint16)
+        else:
+            # the reciprocal of a subnormal range overflows: divide by it
+            scaled = np.rint((img - lo) / (hi - lo) * 65535.0).astype(np.uint16)
     with open(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n65535\n" % (img.shape[1], img.shape[0]))
         fh.write(scaled.astype(">u2").tobytes())

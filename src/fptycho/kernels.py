@@ -18,8 +18,8 @@ import numpy as np
 # perfbench/run.py records this with every result; numpy is the only backend
 BACKEND = "numpy"
 
-# smoothing added under the root of the TV potential whenever eta <= 1,
-# making the value differentiable at zero gradient
+# smoothing added under the root of the TV potential, making the value
+# differentiable at zero gradient
 TV_EPS = 1e-8
 
 
@@ -33,29 +33,18 @@ def _differences(img: np.ndarray):
     return dr, dc, dr * dr + dc * dc
 
 
-def tv_value(img: np.ndarray, eta: float) -> float:
-    """Total-variation potential with forward differences and replicate edges.
-
-    Sum over pixels of (dr^2 + dc^2 [+ eps])^(eta/2), where dr/dc are the
-    forward differences (zero on the last row/col) and eps = TV_EPS is added
-    inside the root for eta <= 1.
-    """
+def tv_value(img: np.ndarray) -> float:
+    """Smoothed isotropic total variation with forward differences and
+    replicate edges: sum over pixels of sqrt(dr^2 + dc^2 + TV_EPS), where
+    dr/dc are the forward differences (zero on the last row/col)."""
     s2 = _differences(img)[2]
-    # no smoothing for eta > 1: 0^positive is fine for the value
-    if eta <= 1.0:
-        s2 = s2 + TV_EPS
-    return float(np.sum(s2 ** (0.5 * eta)))
+    return float(np.sum((s2 + TV_EPS) ** 0.5))
 
 
-def tv_grad(img: np.ndarray, eta: float) -> np.ndarray:
+def tv_grad(img: np.ndarray) -> np.ndarray:
     """Exact gradient of tv_value with respect to every pixel."""
     dr, dc, s2 = _differences(img)
-    if eta <= 1.0:
-        w = eta * (s2 + TV_EPS) ** (0.5 * eta - 1.0)
-    else:
-        w = np.zeros_like(s2)
-        nz = s2 > 0.0
-        w[nz] = eta * s2[nz] ** (0.5 * eta - 1.0)
+    w = (s2 + TV_EPS) ** -0.5
     grad = -w * (dr + dc)
     grad[1:, :] += (w * dr)[:-1, :]
     grad[:, 1:] += (w * dc)[:, :-1]

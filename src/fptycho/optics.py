@@ -14,7 +14,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DimensionMismatch, InvalidModeCount, WindowOutOfBounds
-from .field import grid_center, window_bounds
+from .field import window
 
 
 @dataclass(frozen=True)
@@ -92,21 +92,17 @@ def freq_grids(rows: int, cols: int, pixel_um: float) -> tuple[np.ndarray, np.nd
     return np.broadcast_to(fr, (rows, cols)), np.broadcast_to(fc, (rows, cols))
 
 
-def make_ctf(cfg: OpticalConfig) -> np.ndarray:
-    """Binary coherent transfer function on the capture grid.
-
-    1 + 0j strictly inside the cutoff circle, 0 outside; bins exactly on the
-    circle count as outside. Depends on frequency only through fr^2 + fc^2.
-    """
-    fr, fc = freq_grids(cfg.low_rows, cfg.low_cols, cfg.pixel_low_um)
-    inside = fr * fr + fc * fc < cfg.cutoff_cycles ** 2
-    return inside.astype(np.complex128)
-
-
 def pupil_support(cfg: OpticalConfig) -> np.ndarray:
-    """Boolean mask of the pupil disk (same strict-inequality rule as make_ctf)."""
+    """Boolean mask of the pupil disk on the capture grid: True strictly
+    inside the cutoff circle; bins exactly on the circle count as outside.
+    Depends on frequency only through fr^2 + fc^2."""
     fr, fc = freq_grids(cfg.low_rows, cfg.low_cols, cfg.pixel_low_um)
     return fr * fr + fc * fc < cfg.cutoff_cycles ** 2
+
+
+def make_ctf(cfg: OpticalConfig) -> np.ndarray:
+    """Binary coherent transfer function: 1 + 0j on the pupil disk, 0 off it."""
+    return pupil_support(cfg).astype(np.complex128)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +208,6 @@ def illumination_offsets(cfg: OpticalConfig) -> list[tuple[int, int]]:
     aperture does not fit and WindowOutOfBounds is raised.
     """
     high_shape = (cfg.high_rows, cfg.high_cols)
-    center = grid_center(high_shape)
     # bin pitch is 1 / (N * pixel); identical on the low and high grids
     # because the field of view is shared
     df_rows = 1.0 / (cfg.high_rows * cfg.pixel_high_um)
@@ -222,8 +217,7 @@ def illumination_offsets(cfg: OpticalConfig) -> list[tuple[int, int]]:
         off_r = _round_half_away(ill.sy / cfg.wavelength_um / df_rows)
         off_c = _round_half_away(ill.sx / cfg.wavelength_um / df_cols)
         try:
-            window_bounds(center[0] + off_r, center[1] + off_c,
-                          cfg.low_rows, cfg.low_cols, high_shape)
+            window(high_shape, (off_r, off_c), cfg.low_rows, cfg.low_cols)
         except WindowOutOfBounds as exc:
             raise WindowOutOfBounds(
                 f"illumination (sx={ill.sx}, sy={ill.sy}) shifts the capture "

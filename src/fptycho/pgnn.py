@@ -34,14 +34,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .epie import ap_project, initial_object_spectrum, traversal_order
+from .epie import (ap_project, check_image_count, initial_object_spectrum,
+                   traversal_order)
 from .errors import DimensionMismatch, NumericalError
-from .field import (dft2, center_shift, grid_center, idft2,
-                    inverse_center_shift, wrap_phase, window_bounds)
+from .field import (dft2, center_shift, idft2, inverse_center_shift,
+                    window, wrap_phase)
 from .optics import (OpticalConfig, ZernikeBasis, illumination_offsets,
                      make_ctf, pupil_support, zernike_basis)
 
 AMP_FLOOR = 1e-12  # guards divisions by |object| in the TV chain
+
+# Adam decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -57,19 +63,12 @@ class PgnnConfig:
     lr_zern: float = 1e-3
     tv_alpha1: float = 0.0
     tv_alpha2: float = 0.0
-    tv_eta: float = 1.0
     use_zernike: bool = True
     zernike_modes: int = 9
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    traversal: str = "center_out"
 
     def __post_init__(self):
         if self.stages < 0 or self.epochs_per_stage < 0:
             raise ValueError("stages and epochs_per_stage must be >= 0")
-        if self.traversal not in ("center_out", "manifest_order"):
-            raise ValueError(f"unknown traversal {self.traversal!r}")
         if self.tv_alpha1 < 0 or self.tv_alpha2 < 0:
             raise ValueError("TV weights must be >= 0")
 
@@ -133,15 +132,15 @@ class _Frozen:
     g_object: np.ndarray | None = None
     dirty: object = None   # index of g_object the previous step wrote
 
-    def gradient_grid(self, shape, window, dense: bool) -> np.ndarray:
-        """An all-zero complex grid for one object gradient that writes
-        ``window`` (and, when ``dense``, adds a full-grid term)."""
+    def gradient_grid(self, shape, win, dense: bool) -> np.ndarray:
+        """An all-zero complex grid for one object gradient that writes the
+        window slices ``win`` (and, when ``dense``, adds a full-grid term)."""
         g = self.g_object
         if g is None:
             return np.zeros(shape, dtype=np.complex128)
         if self.dirty is not None:
             g[self.dirty] = 0.0
-        self.dirty = Ellipsis if dense else window
+        self.dirty = Ellipsis if dense else win
         return g
 
 
@@ -153,26 +152,21 @@ class PgnnModel:
 
     def __init__(self, images: list[np.ndarray], cfg: OpticalConfig,
                  pcfg: PgnnConfig = PgnnConfig()):
-        offsets = illumination_offsets(cfg)
-        if len(images) != len(offsets):
-            raise DimensionMismatch(
-                f"{len(images)} images for {len(offsets)} illuminations")
+        check_image_count(images, cfg)
         self.images = [np.asarray(im, dtype=np.float64) for im in images]
         self.cfg = cfg
         self.pcfg = pcfg
-        self.offsets = offsets
-        self.sqrt_images = [np.sqrt(im) for im in self.images]
         self.support = pupil_support(cfg)
         self.basis: ZernikeBasis | None = (
             zernike_basis(cfg, pcfg.zernike_modes) if pcfg.use_zernike else None)
         self.high_shape = (cfg.high_rows, cfg.high_cols)
-        self.center = grid_center(self.high_shape)
+        # the object-spectrum window each image addresses
+        self.windows = [window(self.high_shape, off, cfg.low_rows, cfg.low_cols)
+                        for off in illumination_offsets(cfg)]
         # field spectra are low_area * window * pupil; keeping the stored
         # spectrum divided by this puts every parameter on an O(1) scale
         self.area_low = cfg.low_rows * cfg.low_cols
-        self.order = traversal_order(cfg, pcfg.traversal)
-        # (state, update_object, _Frozen) while run_stage is running
-        self._stage = None
+        self.order = traversal_order(cfg)
 
     # -- state ------------------------------------------------------------
 
@@ -215,21 +209,12 @@ class PgnnModel:
 
     # -- forward and loss --------------------------------------------------
 
-    def _window(self, state: PgnnState, n: int):
-        off = self.offsets[n]
-        r0, c0 = window_bounds(self.center[0] + off[0], self.center[1] + off[1],
-                               self.cfg.low_rows, self.cfg.low_cols,
-                               self.high_shape)
-        return state.object_spectrum[r0:r0 + self.cfg.low_rows,
-                                     c0:c0 + self.cfg.low_cols], r0, c0
-
     def predicted_spectrum(self, state: PgnnState, n: int,
                            pupil: np.ndarray | None = None) -> np.ndarray:
         """Modeled window spectrum for image n (centered layout)."""
-        window, _, _ = self._window(state, n)
         if pupil is None:
             pupil = self.pupil(state)
-        return self.area_low * window * pupil
+        return self.area_low * state.object_spectrum[self.windows[n]] * pupil
 
     def forward(self, state: PgnnState, n: int,
                 pupil: np.ndarray | None = None) -> ForwardResult:
@@ -256,15 +241,15 @@ class PgnnModel:
             g_spatial = np.zeros_like(spatial)
             guarded = np.maximum(amp, AMP_FLOOR)
         if pcfg.tv_alpha1 > 0.0:
-            value += pcfg.tv_alpha1 * kernels.tv_value(amp, pcfg.tv_eta)
+            value += pcfg.tv_alpha1 * kernels.tv_value(amp)
             if want_grad:
-                ga = kernels.tv_grad(amp, pcfg.tv_eta)
+                ga = kernels.tv_grad(amp)
                 g_spatial += pcfg.tv_alpha1 * ga * (spatial / guarded)
         if pcfg.tv_alpha2 > 0.0:
             phase = wrap_phase(np.angle(spatial))
-            value += pcfg.tv_alpha2 * kernels.tv_value(phase, pcfg.tv_eta)
+            value += pcfg.tv_alpha2 * kernels.tv_value(phase)
             if want_grad:
-                gp = kernels.tv_grad(phase, pcfg.tv_eta)
+                gp = kernels.tv_grad(phase)
                 g_spatial += pcfg.tv_alpha2 * gp * (1j * spatial / (guarded * guarded))
         if not want_grad:
             return value, None
@@ -293,7 +278,7 @@ class PgnnModel:
         """Gradient blocks plus the total loss at the same point, computed
         with one forward pass and at most one TV evaluation; ``frozen``
         supplies what the running stage holds fixed."""
-        window, r0, c0 = self._window(state, n)
+        win = self.windows[n]
         phase_factor = None
         if frozen.pupil is not None:
             pupil = frozen.pupil
@@ -311,8 +296,6 @@ class PgnnModel:
 
         g_object = None
         if want_object:
-            win = (slice(r0, r0 + self.cfg.low_rows),
-                   slice(c0, c0 + self.cfg.low_cols))
             g_object = frozen.gradient_grid(self.high_shape, win,
                                             dense=tv_grad_spec is not None)
             g_object[win] = 2.0 * self.area_low * np.conj(pupil) * residual
@@ -322,7 +305,8 @@ class PgnnModel:
         if not want_pupil:
             return Grads(object_spectrum=g_object), loss
 
-        g_pupil = 2.0 * self.area_low * np.conj(window) * residual
+        patch = state.object_spectrum[win]
+        g_pupil = 2.0 * self.area_low * np.conj(patch) * residual
         if self.pcfg.use_zernike:
             # .real of a complex array is a strided view; Adam wants it packed
             g_amp = np.ascontiguousarray((np.conj(phase_factor) * g_pupil).real)
@@ -343,41 +327,35 @@ class PgnnModel:
 
     # -- optimization ------------------------------------------------------
 
-    def _adam(self, state: PgnnState, name: str, view: np.ndarray,
-              grad: np.ndarray, lr: float, t: int) -> None:
-        pcfg = self.pcfg
-        adam_step(view, grad, state.moments[name], lr, t,
-                  pcfg.adam_beta1, pcfg.adam_beta2, pcfg.adam_eps)
-
-    def step(self, state: PgnnState, n: int, update_object: bool) -> float:
+    def step(self, state: PgnnState, n: int, update_object: bool, *,
+             frozen: _Frozen = _NOTHING_FROZEN) -> float:
         """One per-image Adam step on the active group; returns total_loss
-        evaluated before the update."""
+        evaluated before the update. ``run_stage`` passes what its stage
+        holds fixed as ``frozen``; a step on its own holds nothing fixed."""
         pcfg = self.pcfg
-        frozen = _NOTHING_FROZEN
-        if (self._stage is not None and self._stage[0] is state
-                and self._stage[1] == update_object):
-            frozen = self._stage[2]
+        moments = state.moments
         grads, loss = self._eval_step(state, n, want_object=update_object,
                                       want_pupil=not update_object,
                                       frozen=frozen)
         if update_object:
             state.object_steps += 1
-            self._adam(state, "object", state.object_spectrum.view(np.float64),
-                       grads.object_spectrum.view(np.float64),
-                       pcfg.lr_object, state.object_steps)
+            adam_step(state.object_spectrum.view(np.float64),
+                      grads.object_spectrum.view(np.float64),
+                      moments["object"], pcfg.lr_object, state.object_steps)
         else:
             state.pupil_steps += 1
             if pcfg.use_zernike:
-                self._adam(state, "pupil_amp", state.pupil_amp,
-                           grads.pupil_amp, pcfg.lr_pupil_amp,
-                           state.pupil_steps)
-                self._adam(state, "zern", state.zern_coeffs,
-                           grads.zern_coeffs, pcfg.lr_zern, state.pupil_steps)
+                adam_step(state.pupil_amp, grads.pupil_amp,
+                          moments["pupil_amp"], pcfg.lr_pupil_amp,
+                          state.pupil_steps)
+                adam_step(state.zern_coeffs, grads.zern_coeffs,
+                          moments["zern"], pcfg.lr_zern, state.pupil_steps)
                 state.pupil_amp *= self.support
             else:
-                self._adam(state, "pupil_free", state.pupil_free.view(np.float64),
-                           grads.pupil_free.view(np.float64),
-                           pcfg.lr_pupil_amp, state.pupil_steps)
+                adam_step(state.pupil_free.view(np.float64),
+                          grads.pupil_free.view(np.float64),
+                          moments["pupil_free"], pcfg.lr_pupil_amp,
+                          state.pupil_steps)
                 state.pupil_free *= self.support
         return loss
 
@@ -392,18 +370,14 @@ class PgnnModel:
         else:
             frozen = _Frozen(tv_value=self.tv_penalty(state))
         epoch_losses = []
-        self._stage = (state, update_object, frozen)
-        try:
-            for _ in range(self.pcfg.epochs_per_stage):
-                acc = 0.0
-                for n in self.order:
-                    acc += self.step(state, n, update_object)
-                if not np.isfinite(acc):
-                    raise NumericalError(
-                        f"loss became non-finite in stage {stage_index}")
-                epoch_losses.append(acc)
-        finally:
-            self._stage = None
+        for _ in range(self.pcfg.epochs_per_stage):
+            acc = 0.0
+            for n in self.order:
+                acc += self.step(state, n, update_object, frozen=frozen)
+            if not np.isfinite(acc):
+                raise NumericalError(
+                    f"loss became non-finite in stage {stage_index}")
+            epoch_losses.append(acc)
         return epoch_losses
 
     def run(self) -> tuple[np.ndarray, np.ndarray, list[float], PgnnState]:
@@ -421,8 +395,8 @@ def run_pgnn(images: list[np.ndarray], cfg: OpticalConfig,
 
 
 def adam_step(param_view: np.ndarray, grad_view: np.ndarray, moments: Moments,
-              lr: float, t: int, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
+              lr: float, t: int, beta1: float = ADAM_BETA1,
+              beta2: float = ADAM_BETA2, eps: float = ADAM_EPS) -> None:
     """Standalone bias-corrected Adam step over float64 views (in place).
 
     Complex parameters participate as their float views (two real scalars per

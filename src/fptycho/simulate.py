@@ -4,6 +4,8 @@ Each LED tilts the illumination, which slides the objective passband across
 the object spectrum. A capture is the intensity of the field obtained by
 cropping the (centered) high-res object spectrum around the LED's offset,
 multiplying by the pupil, and inverse-transforming at capture resolution.
+``simulate_dataset`` transforms the object once and crops that spectrum for
+every LED.
 
 Energy convention: a field rebuilt from the low-res spectrum window carries
 the factor s = (low area) / (high area), so a unit-amplitude object with a
@@ -19,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalError
-from .field import (crop_window, dft2, center_shift, grid_center, idft2,
-                    inverse_center_shift)
+from .field import center_shift, dft2, idft2, inverse_center_shift, window
 from .optics import OpticalConfig, illumination_offsets
 
 
@@ -58,15 +59,14 @@ def check_ground_truth(gt: GroundTruth, cfg: OpticalConfig) -> None:
             f"{(cfg.low_rows, cfg.low_cols)}")
 
 
-def forward_capture(gt: GroundTruth, cfg: OpticalConfig,
-                    offset: tuple[int, int]) -> np.ndarray:
-    """Ideal (noiseless) intensity for one LED given its spectrum-bin offset."""
-    check_ground_truth(gt, cfg)
-    spectrum = center_shift(dft2(gt.object_spatial))
-    center = grid_center(spectrum.shape)
-    window = crop_window(spectrum, center[0] + offset[0], center[1] + offset[1],
-                         cfg.low_rows, cfg.low_cols)
-    field = cfg.spectrum_scale * idft2(inverse_center_shift(window * gt.pupil))
+def forward_capture(spectrum: np.ndarray, pupil: np.ndarray,
+                    cfg: OpticalConfig, offset: tuple[int, int]) -> np.ndarray:
+    """Ideal (noiseless) intensity for one LED given its spectrum-bin offset.
+
+    ``spectrum`` is the centered object spectrum, ``center_shift(dft2(obj))``.
+    """
+    win = window(spectrum.shape, offset, cfg.low_rows, cfg.low_cols)
+    field = cfg.spectrum_scale * idft2(inverse_center_shift(spectrum[win] * pupil))
     return np.abs(field) ** 2
 
 
@@ -79,10 +79,11 @@ def simulate_dataset(gt: GroundTruth, cfg: OpticalConfig,
     PCG64(seed XOR n), so single images are reproducible in isolation;
     a noiseless run never touches the generator.
     """
-    offsets = illumination_offsets(cfg)
+    check_ground_truth(gt, cfg)
+    spectrum = center_shift(dft2(gt.object_spatial))
     images = []
-    for n, off in enumerate(offsets):
-        img = forward_capture(gt, cfg, off)
+    for n, off in enumerate(illumination_offsets(cfg)):
+        img = forward_capture(spectrum, gt.pupil, cfg, off)
         if opts.noise_sigma > 0.0:
             rng = np.random.Generator(np.random.PCG64(opts.seed ^ n))
             img = img + opts.noise_sigma * rng.standard_normal(img.shape)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fptycho.epie import EpieConfig, run_epie
-from fptycho.field import center_shift, crop_window, dft2, grid_center
+from fptycho.field import center_shift, dft2, window
 from fptycho.epie import ap_project
 from fptycho.optics import (Illumination, OpticalConfig, defocus_phase,
                             illumination_offsets, make_ctf)
@@ -62,12 +62,9 @@ def ap_misfit(spatial: np.ndarray, pupil: np.ndarray,
     not comparable; this rebuilds each low-res field spectrum from the
     (object, pupil) pair and sums the amplitude-replacement misfit."""
     spectrum = center_shift(dft2(spatial)) * cfg.spectrum_scale
-    center = grid_center(spectrum.shape)
     total = 0.0
     for img, off in zip(images, illumination_offsets(cfg)):
-        window = crop_window(spectrum, center[0] + off[0], center[1] + off[1],
-                             cfg.low_rows, cfg.low_cols)
-        phi = window * pupil
+        phi = spectrum[window(spectrum.shape, off, cfg.low_rows, cfg.low_cols)] * pupil
         diff = ap_project(phi, np.asarray(img, dtype=np.float64)) - phi
         total += float(np.vdot(diff, diff).real)
     return total

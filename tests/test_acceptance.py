@@ -52,7 +52,7 @@ def test_acceptance_2_forward_model_is_consistent_at_ground_truth(
         pupil=make_ctf(cfg))
     before = gt_state.object_spectrum.copy()
     offsets = illumination_offsets(cfg)
-    for n in traversal_order(cfg, "center_out"):
+    for n in traversal_order(cfg):
         epie_step(gt_state, images[n], offsets[n], EpieConfig())
     drift = (np.linalg.norm(gt_state.object_spectrum - before)
              / np.linalg.norm(before))
@@ -110,8 +110,8 @@ def test_acceptance_5_tv_weights_smooth_without_wrecking_the_fit(
         pgnn_defocus_tv, pgnn_defocus_zern, defocus_images, reference_cfg):
     tv_spatial = pgnn_defocus_tv[0]
     base_spatial = pgnn_defocus_zern[0]
-    tv_rough = tv_value(np.abs(tv_spatial), 1.0)
-    base_rough = tv_value(np.abs(base_spatial), 1.0)
+    tv_rough = tv_value(np.abs(tv_spatial))
+    base_rough = tv_value(np.abs(base_spatial))
 
     model = PgnnModel(defocus_images, reference_cfg, PgnnConfig())
     tv_data = sum(model.forward(pgnn_defocus_tv[3], n).data_loss

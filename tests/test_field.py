@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fptycho.errors import WindowOutOfBounds
-from fptycho.field import (center_shift, crop_window, dft2, grid_center, idft2,
-                           inverse_center_shift, phase_unit, window_bounds,
-                           wrap_phase)
+from fptycho.field import (center_shift, dft2, idft2, inverse_center_shift,
+                           phase_unit, window, wrap_phase)
 
 
 def test_dft2_of_ones_concentrates_in_dc_bin():
@@ -90,36 +89,30 @@ def test_center_shifts_are_bitwise_numpy_shifts(rows, cols, seed, dtype):
 
 
 def test_grid_center_is_floor_halves():
-    assert grid_center((8, 8)) == (4, 4)
-    assert grid_center((7, 5)) == (3, 2)
+    assert window((8, 8), (0, 0), 2, 2) == (slice(3, 5), slice(3, 5))
+    # odd sizes: DC at (3, 2), windows start half their (floored) size before
+    assert window((7, 5), (0, 0), 3, 1) == (slice(2, 5), slice(2, 3))
+    assert window((7, 5), (1, -1), 2, 3) == (slice(3, 5), slice(0, 3))
 
 
 def test_crop_at_center_with_full_dims_returns_same_grid():
     rng = np.random.Generator(np.random.PCG64(3))
     g = rng.standard_normal((6, 6)) + 0j
-    out = crop_window(g, 3, 3, 6, 6)
-    assert np.array_equal(out, g)
+    assert np.array_equal(g[window(g.shape, (0, 0), 6, 6)], g)
 
 
 def test_crop_window_follows_start_equals_center_minus_half_rule():
     # window of size S centered at c spans [c - S//2, c - S//2 + S); for a
-    # 2x2 window at (4,4) that is rows 3..4 x cols 3..4
+    # 2x2 window one bin below and right of DC (4, 4) that is rows 4..5 x
+    # cols 4..5
     g = np.arange(64, dtype=np.float64).reshape(8, 8).astype(np.complex128)
-    out = crop_window(g, 4, 4, 2, 2)
-    assert np.array_equal(out, g[3:5, 3:5])
+    assert np.array_equal(g[window(g.shape, (1, 1), 2, 2)], g[4:6, 4:6])
 
 
 def test_crop_window_rejects_out_of_bounds_center():
-    g = np.zeros((8, 8), dtype=np.complex128)
-    with pytest.raises(WindowOutOfBounds):
-        crop_window(g, 0, 0, 4, 4)
-
-
-def test_crop_window_does_not_modify_source():
-    g = np.ones((8, 8), dtype=np.complex128)
-    snapshot = g.copy()
-    crop_window(g, 4, 4, 2, 2)
-    assert np.array_equal(g, snapshot)
+    for offset in ((-4, -4), (-3, 0), (0, 3), (3, -1)):
+        with pytest.raises(WindowOutOfBounds):
+            window((8, 8), offset, 4, 4)
 
 
 def test_crop_embed_round_trip_over_random_windows():
@@ -131,13 +124,25 @@ def test_crop_embed_round_trip_over_random_windows():
         wc = int(rng.integers(1, cols + 1))
         cr = int(rng.integers(wr // 2, rows - (wr - wr // 2) + 1))
         cc = int(rng.integers(wc // 2, cols - (wc - wc // 2) + 1))
-        r0, c0 = window_bounds(cr, cc, wr, wc, (rows, cols))
-        assert (r0, c0) == (cr - wr // 2, cc - wc // 2)
+        offset = (cr - rows // 2, cc - cols // 2)
+        rs, cs = window((rows, cols), offset, wr, wc)
+        assert (rs, cs) == (slice(cr - wr // 2, cr - wr // 2 + wr),
+                            slice(cc - wc // 2, cc - wc // 2 + wc))
         patch = (rng.standard_normal((wr, wc))
                  + 1j * rng.standard_normal((wr, wc)))
         dst = np.zeros((rows, cols), dtype=np.complex128)
-        dst[r0:r0 + wr, c0:c0 + wc] = patch
-        assert np.array_equal(crop_window(dst, cr, cc, wr, wc), patch)
+        dst[cr - wr // 2:cr - wr // 2 + wr, cc - wc // 2:cc - wc // 2 + wc] = patch
+        assert np.array_equal(dst[rs, cs], patch)
+        # one bin further moves the window, or leaves the grid at its edge
+        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+            r0, c0 = rs.start + dr, cs.start + dc
+            moved = (offset[0] + dr, offset[1] + dc)
+            if r0 >= 0 and c0 >= 0 and r0 + wr <= rows and c0 + wc <= cols:
+                assert window((rows, cols), moved, wr, wc) == (
+                    slice(r0, r0 + wr), slice(c0, c0 + wc))
+            else:
+                with pytest.raises(WindowOutOfBounds):
+                    window((rows, cols), moved, wr, wc)
 
 
 def test_phase_unit_zero_maps_to_one():

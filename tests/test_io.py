@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fptycho.cli import main
 from fptycho.errors import FormatError, ManifestError, NumericalError
 from fptycho.field import wrap_phase
-from fptycho.io import (Dataset, default_file_names, export_image,
-                        manifest_text, parse_manifest, read_complex_grid,
-                        read_dataset, read_real_grid, write_complex_grid,
-                        write_dataset, write_real_grid)
+from fptycho.io import (MAX_GRID_PIXELS, Dataset, default_file_names,
+                        export_image, manifest_text, parse_manifest,
+                        read_complex_grid, read_dataset, read_real_grid,
+                        write_complex_grid, write_dataset, write_real_grid)
 from fptycho.optics import Illumination, OpticalConfig
 
 
@@ -218,8 +219,10 @@ def test_duplicate_file_names_are_not_written(tmp_path):
 
 
 def test_invalid_json_is_rejected():
-    with pytest.raises(ManifestError, match="JSON"):
-        parse_manifest("{not json")
+    for text in ("{not json", '{"upsample": ' + "1" * 5000 + "}",
+                 "[" * 100000 + "]" * 100000):
+        with pytest.raises(ManifestError, match="JSON"):
+            parse_manifest(text)
 
 
 def test_unit_direction_vector_is_rejected():
@@ -250,6 +253,42 @@ def test_unknown_illumination_field_is_rejected():
     doc["illuminations"][0]["power"] = 2.0
     with pytest.raises(ManifestError, match="unknown"):
         parse_manifest(json.dumps(doc))
+
+
+# json.loads accepts NaN and Infinity, and integer literals beyond any float;
+# tiny_config has 8x8 captures, so the last two ask for huge grids
+@pytest.mark.parametrize("key, value, match", [
+    ("wavelength_um", float("nan"), "wavelength_um must be finite"),
+    ("na", float("nan"), "na must be finite"),
+    ("magnification", float("inf"), "magnification must be finite"),
+    ("camera_pixel_um", float("inf"), "camera_pixel_um must be finite"),
+    ("magnification", 10 ** 400, "magnification must be finite"),
+    ("saturation", float("inf"), "saturation must be finite"),
+    ("upsample", 100000, "800000x800000 high-res grid"),
+    ("low_rows", 2 ** 24, "high-res grid"),
+], ids=["nan_wavelength", "nan_na", "inf_magnification", "inf_pixel",
+        "huge_int_magnification", "inf_saturation", "huge_upsample",
+        "huge_low_rows"])
+def test_non_finite_numbers_and_huge_grids_exit_2(tmp_path, capsys, key,
+                                                  value, match):
+    write_dataset(Dataset(optics=tiny_config(), images=[np.ones((8, 8))] * 2,
+                          files=default_file_names(2)), str(tmp_path))
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    doc[key] = value
+    text = json.dumps(doc)
+    with pytest.raises(ManifestError, match=match):
+        parse_manifest(text)
+    (tmp_path / "manifest.json").write_text(text)
+    assert main(["inspect", "--dataset", str(tmp_path)]) == 2
+    assert match in capsys.readouterr().err
+
+
+def test_grid_bound_admits_exactly_the_largest_grid():
+    # 8x8 captures upsampled 1024x give 8192 x 8192 = MAX_GRID_PIXELS
+    cfg, _, _ = parse_manifest(json.dumps(_doc(upsample=1024)))
+    assert cfg.high_rows * cfg.high_cols == MAX_GRID_PIXELS
+    with pytest.raises(ManifestError, match="8200x8200 high-res grid"):
+        parse_manifest(json.dumps(_doc(upsample=1025)))
 
 
 # -- dataset directories ----------------------------------------------------
@@ -330,6 +369,18 @@ def test_binary_grid_exports_full_scale(tmp_path):
     export_image(np.array([[0.0, 1.0], [1.0, 0.0]]), str(path), mode="amp")
     assert np.array_equal(_read_pgm(path),
                           np.array([[0, 65535], [65535, 0]], dtype=np.uint16))
+
+
+@pytest.mark.filterwarnings("error")
+def test_subnormal_value_range_still_spans_full_scale(tmp_path):
+    # 65535 / (hi - lo) overflows for a range of a few subnormal steps
+    tiny = np.nextafter(0.0, 1.0)
+    path = tmp_path / "s.pgm"
+    export_image(np.array([[0.0, 5e-324]]), str(path), mode="real")
+    assert np.array_equal(_read_pgm(path), np.array([[0, 65535]], dtype=np.uint16))
+    export_image(np.array([[0.0, 2 * tiny, 4 * tiny]]), str(path), mode="real")
+    assert np.array_equal(_read_pgm(path),
+                          np.array([[0, 32768, 65535]], dtype=np.uint16))
 
 
 def test_real_mode_maps_linearly(tmp_path):
