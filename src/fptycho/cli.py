@@ -128,8 +128,7 @@ def cmd_reconstruct(args) -> int:
                           lr_object=args.lr_object, lr_pupil_amp=args.lr_pupil,
                           lr_zern=args.lr_zern, tv_alpha1=args.tv_alpha1,
                           tv_alpha2=args.tv_alpha2,
-                          use_zernike=args.zernike is not None,
-                          zernike_modes=args.zernike or 1)
+                          zernike_modes=args.zernike)
         obj, pupil, history, _ = run_pgnn(ds.images, ds.optics, pcfg)
     if not (np.all(np.isfinite(obj.view(np.float64)))
             and np.all(np.isfinite(pupil.view(np.float64)))):

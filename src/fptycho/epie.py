@@ -3,7 +3,8 @@
 State is the energy-scaled object spectrum (DC-centered, high-res) plus a
 complex pupil on the capture grid. Each image step replaces the amplitude of
 the modeled low-res field with the measured one, then writes scaled
-corrections back into the object window and (optionally) the pupil.
+corrections back into the object window and (unless ``pupil_update`` is
+``"fixed"``) the pupil.
 
 The pupil update defaults to the literally published form, which weights the
 residual by conj(corrected window spectrum) over its squared max; the
@@ -26,15 +27,12 @@ from .optics import OpticalConfig, illumination_offsets, make_ctf
 @dataclass(frozen=True)
 class EpieConfig:
     iterations: int = 20
-    alpha: float = 1.0
-    beta: float = 1.0
-    update_pupil: bool = True
-    pupil_update: str = "literal"      # or "conventional"
+    pupil_update: str = "literal"      # or "conventional", or "fixed"
 
     def __post_init__(self):
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
-        if self.pupil_update not in ("literal", "conventional"):
+        if self.pupil_update not in ("literal", "conventional", "fixed"):
             raise ValueError(f"unknown pupil_update {self.pupil_update!r}")
 
 
@@ -100,7 +98,7 @@ def ap_project(phi_low: np.ndarray, measured: np.ndarray) -> np.ndarray:
 
 def epie_step(state: EpieState, image: np.ndarray, offset: tuple[int, int],
               cfg: EpieConfig) -> EpieState:
-    """One image visit: AP correction plus object (and maybe pupil) updates.
+    """One image visit: AP correction plus object and pupil updates.
 
     Mutates and returns ``state``. Only the spectrum window addressed by
     ``offset`` is touched; every other object bin is left bit-identical.
@@ -116,21 +114,19 @@ def epie_step(state: EpieState, image: np.ndarray, offset: tuple[int, int],
     pupil_max = np.max(np.abs(pupil)) ** 2
     if pupil_max == 0.0:
         raise DegeneratePupil("pupil is identically zero")
-    patch_before = patch.copy() if (cfg.update_pupil and
-                                    cfg.pupil_update == "conventional") else None
-    patch += cfg.alpha * np.conj(pupil) / pupil_max * residual
+    patch_before = patch.copy() if cfg.pupil_update == "conventional" else None
+    patch += np.conj(pupil) / pupil_max * residual
 
-    if cfg.update_pupil:
-        if cfg.pupil_update == "literal":
-            high_max = np.max(np.abs(phi_high)) ** 2
-            if high_max == 0.0:
-                raise DegenerateField("corrected window spectrum is identically zero")
-            state.pupil = pupil + cfg.beta * np.conj(phi_high) / high_max * residual
-        else:
-            win_max = np.max(np.abs(patch_before)) ** 2
-            if win_max == 0.0:
-                raise DegenerateField("object window is identically zero")
-            state.pupil = pupil + cfg.beta * np.conj(patch_before) / win_max * residual
+    if cfg.pupil_update == "literal":
+        high_max = np.max(np.abs(phi_high)) ** 2
+        if high_max == 0.0:
+            raise DegenerateField("corrected window spectrum is identically zero")
+        state.pupil = pupil + np.conj(phi_high) / high_max * residual
+    elif cfg.pupil_update == "conventional":
+        win_max = np.max(np.abs(patch_before)) ** 2
+        if win_max == 0.0:
+            raise DegenerateField("object window is identically zero")
+        state.pupil = pupil + np.conj(patch_before) / win_max * residual
     return state
 
 

@@ -199,6 +199,11 @@ def parse_manifest(text: str) -> tuple[OpticalConfig, list[str], float | None]:
         _require(isinstance(low_rows, int) and isinstance(low_cols, int)
                  and not isinstance(low_rows, bool) and not isinstance(low_cols, bool),
                  "low_rows/low_cols must be integers")
+        # before OpticalConfig, which divides by upsample as a float
+        high_rows, high_cols = low_rows * upsample, low_cols * upsample
+        _require(high_rows * high_cols <= MAX_GRID_PIXELS,
+                 f"a {high_rows}x{high_cols} high-res grid exceeds "
+                 f"{MAX_GRID_PIXELS} pixels")
         cfg = OpticalConfig(
             wavelength_um=_finite(doc["wavelength_um"], "wavelength_um"),
             na=_finite(doc["na"], "na"),
@@ -211,9 +216,6 @@ def parse_manifest(text: str) -> tuple[OpticalConfig, list[str], float | None]:
         )
     except ValueError as exc:
         raise ManifestError(str(exc)) from exc
-    _require(cfg.high_rows * cfg.high_cols <= MAX_GRID_PIXELS,
-             f"a {cfg.high_rows}x{cfg.high_cols} high-res grid exceeds "
-             f"{MAX_GRID_PIXELS} pixels")
     # geometry must close: every shifted window inside the high-res grid
     try:
         illumination_offsets(cfg)
@@ -297,9 +299,9 @@ def read_dataset(in_dir: str) -> Dataset:
 def export_image(grid: np.ndarray, path: str, mode: str = "amp") -> None:
     """Write a 16-bit binary PGM of one component of a grid.
 
-    mode selects amp | phase | real | imag; phases are wrapped to (-pi, pi]
-    before scaling. The value range maps linearly to 0..65535; a constant
-    grid maps to mid-gray 32768. Samples are big-endian per the PGM spec.
+    mode selects amp | phase; phases are wrapped to (-pi, pi] before
+    scaling. The value range maps linearly to 0..65535; a constant grid maps
+    to mid-gray 32768. Samples are big-endian per the PGM spec.
     """
     grid = np.asarray(grid)
     if grid.ndim != 2:
@@ -309,10 +311,6 @@ def export_image(grid: np.ndarray, path: str, mode: str = "amp") -> None:
         img = np.abs(z)
     elif mode == "phase":
         img = wrap_phase(np.angle(z))
-    elif mode == "real":
-        img = z.real.copy()
-    elif mode == "imag":
-        img = z.imag.copy()
     else:
         raise ValueError(f"unknown image mode {mode!r}")
     if not np.all(np.isfinite(img)):
@@ -322,11 +320,12 @@ def export_image(grid: np.ndarray, path: str, mode: str = "amp") -> None:
     if hi == lo:
         scaled = np.full(img.shape, 32768, dtype=np.uint16)
     else:
+        # a non-negative amplitude or a wrapped phase keeps hi - lo finite,
+        # but the reciprocal of a subnormal range overflows: divide by it
         scale = 65535.0 / (hi - lo)
         if math.isfinite(scale):
             scaled = np.rint((img - lo) * scale).astype(np.uint16)
         else:
-            # the reciprocal of a subnormal range overflows: divide by it
             scaled = np.rint((img - lo) / (hi - lo) * 65535.0).astype(np.uint16)
     with open(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n65535\n" % (img.shape[1], img.shape[0]))

@@ -50,6 +50,12 @@ class OpticalConfig:
             raise ValueError("need magnification > 0 and camera_pixel_um > 0")
         if self.upsample < 1 or self.low_rows < 1 or self.low_cols < 1:
             raise ValueError("upsample and capture dims must be >= 1")
+        # finite inputs can still overflow or underflow what derives from
+        # them, and the geometry divides by each of these
+        for name in ("pixel_low_um", "pixel_high_um", "cutoff_cycles"):
+            val = getattr(self, name)
+            if not (math.isfinite(val) and val > 0):
+                raise ValueError(f"derived {name} must be finite and > 0, got {val}")
 
     # object-plane sampling
     @property
@@ -194,9 +200,14 @@ def pupil_from_params(ctf_amp: np.ndarray, coeffs: np.ndarray,
 # illumination geometry
 
 
-def _round_half_away(x: float) -> int:
-    """Round to nearest with halves away from zero (keeps +/- symmetry)."""
-    return int(math.copysign(math.floor(abs(x) + 0.5), x))
+def _bin_offset(freq: float, pitch: float) -> int:
+    """freq / pitch rounded to whole bins, halves away from zero (keeps +/-
+    symmetry). A frequency that overflowed, or a field of view so wide that
+    its pitch is 0, leaves no finite offset: WindowOutOfBounds."""
+    bins = freq / pitch if pitch > 0 else math.inf
+    if not math.isfinite(bins):
+        raise WindowOutOfBounds(f"spectrum-bin offset {bins} is not finite")
+    return int(math.copysign(math.floor(abs(bins) + 0.5), bins))
 
 
 def illumination_offsets(cfg: OpticalConfig) -> list[tuple[int, int]]:
@@ -214,9 +225,9 @@ def illumination_offsets(cfg: OpticalConfig) -> list[tuple[int, int]]:
     df_cols = 1.0 / (cfg.high_cols * cfg.pixel_high_um)
     offsets = []
     for ill in cfg.illuminations:
-        off_r = _round_half_away(ill.sy / cfg.wavelength_um / df_rows)
-        off_c = _round_half_away(ill.sx / cfg.wavelength_um / df_cols)
         try:
+            off_r = _bin_offset(ill.sy / cfg.wavelength_um, df_rows)
+            off_c = _bin_offset(ill.sx / cfg.wavelength_um, df_cols)
             window(high_shape, (off_r, off_c), cfg.low_rows, cfg.low_cols)
         except WindowOutOfBounds as exc:
             raise WindowOutOfBounds(

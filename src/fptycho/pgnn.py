@@ -1,11 +1,12 @@
 """Gradient-descent reconstruction with alternating object/pupil stages.
 
 The learnable parameters are the DC-centered object spectrum as two real
-channels, and the pupil either as amplitude-plus-Zernike-phase (use_zernike)
-or as a free complex grid. The stored spectrum is mean-normalized (the DC bin
-equals the spatial mean of the object), so parameter magnitudes stay O(1)
-regardless of grid size and one learning rate serves every dataset; the
-forward model reapplies the window pixel count when forming field spectra.
+channels, and the pupil either as amplitude-plus-Zernike-phase (zernike_modes
+set) or as a free complex grid (zernike_modes None). The stored spectrum is
+mean-normalized (the DC bin equals the spatial mean of the object), so
+parameter magnitudes stay O(1) regardless of grid size and one learning rate
+serves every dataset; the forward model reapplies the window pixel count when
+forming field spectra.
 Each image step forms the modeled window spectrum, builds the
 amplitude-replaced target with the phase of the current model (the target is
 a constant of the step: no gradient flows through it), and takes one Adam
@@ -18,9 +19,9 @@ step on the active parameter group against
 Stages alternate: odd stages (1-based) update the object, even stages the
 pupil. Frozen groups keep parameters, Adam moments, and step counts
 bit-identical through the stage, so ``run_stage`` computes what depends only
-on them once when the stage starts: the pupil for an object stage, the TV
-penalty for a pupil stage. Every step then gets the same bits it would have
-computed itself.
+on them once when the stage starts and passes it to every ``step``: the pupil
+for an object stage, the TV penalty for a pupil stage. A step on its own
+computes the same values itself, so it gets the same bits.
 
 All gradients are true real-parameter gradients (for a complex array they are
 d/dRe + i*d/dIm), verified against central finite differences of the
@@ -29,7 +30,8 @@ frozen-target loss; see tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -63,14 +65,20 @@ class PgnnConfig:
     lr_zern: float = 1e-3
     tv_alpha1: float = 0.0
     tv_alpha2: float = 0.0
-    use_zernike: bool = True
-    zernike_modes: int = 9
+    zernike_modes: int | None = 9   # None: a free complex pupil
 
     def __post_init__(self):
         if self.stages < 0 or self.epochs_per_stage < 0:
             raise ValueError("stages and epochs_per_stage must be >= 0")
+        # NaN would pass the '< 0' checks below
+        for name in ("lr_object", "lr_pupil_amp", "lr_zern",
+                     "tv_alpha1", "tv_alpha2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.tv_alpha1 < 0 or self.tv_alpha2 < 0:
             raise ValueError("TV weights must be >= 0")
+        if self.zernike_modes is not None and self.zernike_modes < 1:
+            raise ValueError("zernike_modes must be >= 1, or None for a free pupil")
 
 
 @dataclass
@@ -93,8 +101,8 @@ class Moments:
 @dataclass
 class PgnnState:
     object_spectrum: np.ndarray          # complex128 (high), centered, mean-normalized
-    pupil_amp: np.ndarray | None         # float64 (low) when use_zernike
-    zern_coeffs: np.ndarray | None       # (modes,) float64 when use_zernike
+    pupil_amp: np.ndarray | None         # float64 (low) with a Zernike pupil
+    zern_coeffs: np.ndarray | None       # (modes,) float64 with a Zernike pupil
     pupil_free: np.ndarray | None        # complex128 (low) otherwise
     moments: dict[str, Moments] = field(default_factory=dict)
     object_steps: int = 0
@@ -113,38 +121,10 @@ class Grads:
     """Real-parameter gradients; object_spectrum covers the full grid (the
     data term lives on the current window, TV terms are dense)."""
 
-    object_spectrum: np.ndarray
+    object_spectrum: np.ndarray | None = None
     pupil_amp: np.ndarray | None = None
     zern_coeffs: np.ndarray | None = None
     pupil_free: np.ndarray | None = None
-
-
-@dataclass
-class _Frozen:
-    """Values a stage holds fixed, computed once when it starts.
-
-    An object stage fixes the pupil and hands every step the same full-grid
-    gradient buffer; a pupil stage fixes the object and so its TV penalty.
-    Fields a stage does not fix stay None and are computed per step."""
-
-    pupil: np.ndarray | None = None
-    tv_value: float | None = None
-    g_object: np.ndarray | None = None
-    dirty: object = None   # index of g_object the previous step wrote
-
-    def gradient_grid(self, shape, win, dense: bool) -> np.ndarray:
-        """An all-zero complex grid for one object gradient that writes the
-        window slices ``win`` (and, when ``dense``, adds a full-grid term)."""
-        g = self.g_object
-        if g is None:
-            return np.zeros(shape, dtype=np.complex128)
-        if self.dirty is not None:
-            g[self.dirty] = 0.0
-        self.dirty = Ellipsis if dense else win
-        return g
-
-
-_NOTHING_FROZEN = _Frozen()
 
 
 class PgnnModel:
@@ -158,7 +138,8 @@ class PgnnModel:
         self.pcfg = pcfg
         self.support = pupil_support(cfg)
         self.basis: ZernikeBasis | None = (
-            zernike_basis(cfg, pcfg.zernike_modes) if pcfg.use_zernike else None)
+            None if pcfg.zernike_modes is None
+            else zernike_basis(cfg, pcfg.zernike_modes))
         self.high_shape = (cfg.high_rows, cfg.high_cols)
         # the object-spectrum window each image addresses
         self.windows = [window(self.high_shape, off, cfg.low_rows, cfg.low_cols)
@@ -174,14 +155,14 @@ class PgnnModel:
         """Same starting point as the AP baseline: up-sampled sqrt of the
         most-axial capture with zero phase, binary CTF pupil."""
         spectrum = initial_object_spectrum(self.images, self.cfg) / self.area_low
-        if self.pcfg.use_zernike:
-            state = PgnnState(object_spectrum=spectrum,
-                             pupil_amp=make_ctf(self.cfg).real.copy(),
-                             zern_coeffs=np.zeros(self.pcfg.zernike_modes),
-                             pupil_free=None)
-        else:
+        if self.basis is None:
             state = PgnnState(object_spectrum=spectrum, pupil_amp=None,
                              zern_coeffs=None, pupil_free=make_ctf(self.cfg))
+        else:
+            state = PgnnState(object_spectrum=spectrum,
+                             pupil_amp=make_ctf(self.cfg).real.copy(),
+                             zern_coeffs=np.zeros(self.basis.count),
+                             pupil_free=None)
         for name, view in self._param_views(state).items():
             state.moments[name] = Moments.like(view)
         return state
@@ -189,17 +170,17 @@ class PgnnModel:
     def _param_views(self, state: PgnnState) -> dict[str, np.ndarray]:
         """Float64 views of every parameter array (complex ones interleaved)."""
         views = {"object": state.object_spectrum.view(np.float64)}
-        if self.pcfg.use_zernike:
+        if self.basis is None:
+            views["pupil_free"] = state.pupil_free.view(np.float64)
+        else:
             views["pupil_amp"] = state.pupil_amp
             views["zern"] = state.zern_coeffs
-        else:
-            views["pupil_free"] = state.pupil_free.view(np.float64)
         return views
 
     def pupil(self, state: PgnnState) -> np.ndarray:
-        if self.pcfg.use_zernike:
-            return self._zernike_pupil(state)[0]
-        return state.pupil_free
+        if self.basis is None:
+            return state.pupil_free
+        return self._zernike_pupil(state)[0]
 
     def _zernike_pupil(self, state: PgnnState) -> tuple[np.ndarray, np.ndarray]:
         """Zernike pupil and its unit phase factor, from one synthesis."""
@@ -272,49 +253,40 @@ class PgnnModel:
 
     # -- gradients ---------------------------------------------------------
 
-    def _eval_step(self, state: PgnnState, n: int, want_object: bool,
-                   want_pupil: bool, frozen: _Frozen = _NOTHING_FROZEN
-                   ) -> tuple[Grads, float]:
-        """Gradient blocks plus the total loss at the same point, computed
-        with one forward pass and at most one TV evaluation; ``frozen``
-        supplies what the running stage holds fixed."""
+    def _object_gradient(self, state: PgnnState, n: int, pupil: np.ndarray,
+                         zero_grid: np.ndarray) -> tuple[np.ndarray, float]:
+        """Object-spectrum gradient of total_loss at image n, and that loss.
+
+        Without TV the data term is written into the window of ``zero_grid``,
+        an all-zero grid the caller zeroes again after use; with TV it is
+        added into the window of the dense TV gradient."""
         win = self.windows[n]
-        phase_factor = None
-        if frozen.pupil is not None:
-            pupil = frozen.pupil
-        elif self.pcfg.use_zernike:
-            pupil, phase_factor = self._zernike_pupil(state)
-        else:
-            pupil = state.pupil_free
         fw = self.forward(state, n, pupil)
-        residual = fw.predicted - fw.target
-        if frozen.tv_value is None:
-            tv_val, tv_grad_spec = self._tv_eval(state, want_grad=want_object)
+        data = 2.0 * self.area_low * np.conj(pupil) * (fw.predicted - fw.target)
+        tv_val, g_object = self._tv_eval(state, want_grad=True)
+        if g_object is None:
+            g_object = zero_grid
+            g_object[win] = data
         else:
-            tv_val, tv_grad_spec = frozen.tv_value, None
-        loss = fw.data_loss + tv_val
+            g_object[win] += data
+        return g_object, fw.data_loss + tv_val
 
-        g_object = None
-        if want_object:
-            g_object = frozen.gradient_grid(self.high_shape, win,
-                                            dense=tv_grad_spec is not None)
-            g_object[win] = 2.0 * self.area_low * np.conj(pupil) * residual
-            if tv_grad_spec is not None:
-                g_object += tv_grad_spec
-
-        if not want_pupil:
-            return Grads(object_spectrum=g_object), loss
-
-        patch = state.object_spectrum[win]
-        g_pupil = 2.0 * self.area_low * np.conj(patch) * residual
-        if self.pcfg.use_zernike:
-            # .real of a complex array is a strided view; Adam wants it packed
-            g_amp = np.ascontiguousarray((np.conj(phase_factor) * g_pupil).real)
-            weight = (g_pupil * np.conj(pupil)).imag
-            g_zern = kernels.project_modes(self.basis.grids, weight)
-            return Grads(object_spectrum=g_object, pupil_amp=g_amp,
-                         zern_coeffs=g_zern), loss
-        return Grads(object_spectrum=g_object, pupil_free=g_pupil), loss
+    def _pupil_gradient(self, state: PgnnState, n: int) -> tuple[Grads, float]:
+        """Pupil-parameter gradients of the data term at image n, and that term."""
+        if self.basis is None:
+            pupil = state.pupil_free
+        else:
+            pupil, phase_factor = self._zernike_pupil(state)
+        fw = self.forward(state, n, pupil)
+        patch = state.object_spectrum[self.windows[n]]
+        g_pupil = 2.0 * self.area_low * np.conj(patch) * (fw.predicted - fw.target)
+        if self.basis is None:
+            return Grads(pupil_free=g_pupil), fw.data_loss
+        # .real of a complex array is a strided view; Adam wants it packed
+        g_amp = np.ascontiguousarray((np.conj(phase_factor) * g_pupil).real)
+        weight = (g_pupil * np.conj(pupil)).imag
+        g_zern = kernels.project_modes(self.basis.grids, weight)
+        return Grads(pupil_amp=g_amp, zern_coeffs=g_zern), fw.data_loss
 
     def gradients(self, state: PgnnState, n: int) -> Grads:
         """Real-parameter gradients of total_loss at image n, all blocks.
@@ -323,57 +295,70 @@ class PgnnModel:
         loss the solver actually descends); finite differences of that
         frozen-target loss are the reference the tests check against.
         """
-        return self._eval_step(state, n, want_object=True, want_pupil=True)[0]
+        g_object = self._object_gradient(
+            state, n, self.pupil(state),
+            np.zeros(self.high_shape, dtype=np.complex128))[0]
+        return replace(self._pupil_gradient(state, n)[0],
+                       object_spectrum=g_object)
 
     # -- optimization ------------------------------------------------------
 
     def step(self, state: PgnnState, n: int, update_object: bool, *,
-             frozen: _Frozen = _NOTHING_FROZEN) -> float:
+             pupil: np.ndarray | None = None,
+             zero_grid: np.ndarray | None = None,
+             tv_value: float | None = None) -> float:
         """One per-image Adam step on the active group; returns total_loss
-        evaluated before the update. ``run_stage`` passes what its stage
-        holds fixed as ``frozen``; a step on its own holds nothing fixed."""
+        evaluated before the update.
+
+        ``run_stage`` passes what its stage holds fixed: the pupil and an
+        all-zero gradient grid to object steps, the TV penalty to pupil
+        steps. A step on its own computes them."""
         pcfg = self.pcfg
         moments = state.moments
-        grads, loss = self._eval_step(state, n, want_object=update_object,
-                                      want_pupil=not update_object,
-                                      frozen=frozen)
         if update_object:
+            if pupil is None:
+                pupil = self.pupil(state)
+            if zero_grid is None:
+                zero_grid = np.zeros(self.high_shape, dtype=np.complex128)
+            g_object, loss = self._object_gradient(state, n, pupil, zero_grid)
             state.object_steps += 1
             adam_step(state.object_spectrum.view(np.float64),
-                      grads.object_spectrum.view(np.float64),
-                      moments["object"], pcfg.lr_object, state.object_steps)
+                      g_object.view(np.float64), moments["object"],
+                      pcfg.lr_object, state.object_steps)
+            zero_grid[self.windows[n]] = 0.0
+            return loss
+        if tv_value is None:
+            tv_value = self.tv_penalty(state)
+        grads, data_loss = self._pupil_gradient(state, n)
+        state.pupil_steps += 1
+        if self.basis is None:
+            adam_step(state.pupil_free.view(np.float64),
+                      grads.pupil_free.view(np.float64),
+                      moments["pupil_free"], pcfg.lr_pupil_amp,
+                      state.pupil_steps)
+            state.pupil_free *= self.support
         else:
-            state.pupil_steps += 1
-            if pcfg.use_zernike:
-                adam_step(state.pupil_amp, grads.pupil_amp,
-                          moments["pupil_amp"], pcfg.lr_pupil_amp,
-                          state.pupil_steps)
-                adam_step(state.zern_coeffs, grads.zern_coeffs,
-                          moments["zern"], pcfg.lr_zern, state.pupil_steps)
-                state.pupil_amp *= self.support
-            else:
-                adam_step(state.pupil_free.view(np.float64),
-                          grads.pupil_free.view(np.float64),
-                          moments["pupil_free"], pcfg.lr_pupil_amp,
-                          state.pupil_steps)
-                state.pupil_free *= self.support
-        return loss
+            adam_step(state.pupil_amp, grads.pupil_amp, moments["pupil_amp"],
+                      pcfg.lr_pupil_amp, state.pupil_steps)
+            adam_step(state.zern_coeffs, grads.zern_coeffs, moments["zern"],
+                      pcfg.lr_zern, state.pupil_steps)
+            state.pupil_amp *= self.support
+        return data_loss + tv_value
 
     def run_stage(self, state: PgnnState, stage_index: int) -> list[float]:
         """One stage (1-based index): odd updates the object, even the pupil.
         Returns the per-epoch accumulated pre-update losses."""
         update_object = stage_index % 2 == 1
         if update_object:
-            frozen = _Frozen(pupil=self.pupil(state),
-                             g_object=np.zeros(self.high_shape,
-                                               dtype=np.complex128))
+            held = dict(pupil=self.pupil(state),
+                        zero_grid=np.zeros(self.high_shape, dtype=np.complex128))
         else:
-            frozen = _Frozen(tv_value=self.tv_penalty(state))
+            held = dict(tv_value=self.tv_penalty(state))
         epoch_losses = []
         for _ in range(self.pcfg.epochs_per_stage):
             acc = 0.0
             for n in self.order:
-                acc += self.step(state, n, update_object, frozen=frozen)
+                acc += self.step(state, n, update_object, **held)
             if not np.isfinite(acc):
                 raise NumericalError(
                     f"loss became non-finite in stage {stage_index}")

@@ -16,6 +16,7 @@ cancels in every residual.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +43,12 @@ class SimOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-        if self.saturation is not None and self.saturation <= 0:
-            raise ValueError("saturation must be > 0 when set")
+        # NaN passes a '< 0' check
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError("noise_sigma must be finite and >= 0")
+        if self.saturation is not None and not (
+                math.isfinite(self.saturation) and self.saturation > 0):
+            raise ValueError("saturation must be finite and > 0 when set")
 
 
 def check_ground_truth(gt: GroundTruth, cfg: OpticalConfig) -> None:

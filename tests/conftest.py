@@ -102,7 +102,7 @@ def fd_check(seed: int, use_zernike: bool, alpha: float) -> float:
     cfg = OpticalConfig(wavelength_um=0.5, na=0.25, magnification=2.0,
                         camera_pixel_um=2.0, low_rows=4, low_cols=4, upsample=2,
                         illuminations=leds)
-    pcfg = _PC(use_zernike=use_zernike, zernike_modes=6,
+    pcfg = _PC(zernike_modes=6 if use_zernike else None,
                tv_alpha1=alpha, tv_alpha2=alpha)
     images = [rng.random((4, 4)) + 0.1 for _ in range(6)]
     model = _PM(images, cfg, pcfg)
@@ -234,7 +234,7 @@ def epie_infocus_nopupil(infocus_images, reference_cfg):
     # in focus the pupil is the known CTF; 20 iterations is the documented
     # convergence budget for the AP baseline
     return run_epie(infocus_images, reference_cfg,
-                    EpieConfig(iterations=20, update_pupil=False))
+                    EpieConfig(iterations=20, pupil_update="fixed"))
 
 
 @pytest.fixture(scope="session")
@@ -244,7 +244,7 @@ def pgnn_defocus_zern(defocus_images, reference_cfg):
 
 @pytest.fixture(scope="session")
 def pgnn_defocus_nozern(defocus_images, reference_cfg):
-    return run_pgnn(defocus_images, reference_cfg, PgnnConfig(use_zernike=False))
+    return run_pgnn(defocus_images, reference_cfg, PgnnConfig(zernike_modes=None))
 
 
 @pytest.fixture(scope="session")
@@ -274,7 +274,7 @@ def epie_defocus_conventional(defocus_images, reference_cfg):
 @pytest.fixture(scope="session")
 def epie_defocus_fixed_pupil(defocus_images, reference_cfg):
     return run_epie(defocus_images, reference_cfg,
-                    EpieConfig(iterations=50, update_pupil=False))
+                    EpieConfig(iterations=50, pupil_update="fixed"))
 
 
 @pytest.fixture(scope="session")
@@ -291,7 +291,7 @@ def epie_clipped_all_modes(clipped_images, reference_cfg):
                                    EpieConfig(iterations=50,
                                               pupil_update="conventional"))
     out["fixed"] = run_epie(clipped_images, reference_cfg,
-                            EpieConfig(iterations=50, update_pupil=False))
+                            EpieConfig(iterations=50, pupil_update="fixed"))
     return out
 
 

@@ -8,7 +8,7 @@ import pytest
 from fptycho.cli import main
 from fptycho.io import (default_file_names, manifest_text, read_complex_grid,
                         read_dataset, write_complex_grid, write_real_grid)
-from fptycho.optics import Illumination, OpticalConfig
+from fptycho.optics import Illumination, OpticalConfig, pupil_support
 
 
 def _cli_config() -> OpticalConfig:
@@ -109,6 +109,48 @@ def test_reconstruct_pgnn_runs_and_logs_per_epoch(cli_dataset, tmp_path):
     vals = [float(ln.split(",")[1]) for ln in lines[1:]]
     assert all(np.isfinite(v) for v in vals)
     assert read_complex_grid(str(out / "object.fpc1")).shape == (16, 16)
+
+
+def test_reconstruct_pgnn_free_pupil_is_byte_deterministic(cli_dataset,
+                                                           tmp_path):
+    for name in ("r1", "r2"):
+        assert _reconstruct(cli_dataset, tmp_path / name, "pgnn", "--stages",
+                            "2", "--epochs", "1", "--zernike", "off") == 0
+    assert _dir_bytes(tmp_path / "r1") == _dir_bytes(tmp_path / "r2")
+    pupil = read_complex_grid(str(tmp_path / "r1" / "pupil.fpc1"))
+    outside = ~pupil_support(_cli_config())
+    assert np.any(outside)
+    assert np.all(pupil[outside] == 0)
+    assert np.any(pupil[~outside] != 0)
+
+
+def test_zernike_mode_count_below_one_exits_2(cli_dataset, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _reconstruct(cli_dataset, tmp_path / "rec", "pgnn", "--zernike", "0")
+    assert exc.value.code == 2
+    assert "zernike mode count" in capsys.readouterr().err
+    assert not (tmp_path / "rec").exists()
+
+
+# NaN passes a '< 0' check: these used to run as if the option were 0
+@pytest.mark.parametrize("command, option", [
+    ("simulate", "--noise-sigma"),
+    ("simulate", "--saturation"),
+    ("reconstruct", "--tv-alpha1"),
+    ("reconstruct", "--tv-alpha2"),
+    ("reconstruct", "--lr-object"),
+])
+def test_nan_options_exit_1(cli_inputs, cli_dataset, tmp_path, capsys,
+                            command, option):
+    out = tmp_path / "out"
+    if command == "simulate":
+        code = _simulate(cli_inputs, out, option, "nan")
+    else:
+        code = _reconstruct(cli_dataset, out, "pgnn", "--stages", "1",
+                            "--epochs", "1", option, "nan")
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_metrics_of_identical_grids(tmp_path, capsys):

@@ -77,16 +77,15 @@ def test_full_sweep_at_ground_truth_is_invariant(small_instance):
     assert np.max(np.abs(state.pupil - pup0)) <= 1e-10 * np.max(np.abs(pup0))
 
 
-def test_zero_step_sizes_leave_state_bitwise(small_instance):
+def test_fixed_pupil_update_leaves_the_pupil_bitwise(small_instance):
     cfg, _, images = small_instance
     state = initial_state(images, cfg)
     spec0 = state.object_spectrum.copy()
     pup0 = state.pupil.copy()
     offsets = illumination_offsets(cfg)
-    epie_step(state, images[3], offsets[3],
-              EpieConfig(alpha=0.0, beta=0.0, update_pupil=False))
-    assert np.array_equal(state.object_spectrum, spec0)
+    epie_step(state, images[3], offsets[3], EpieConfig(pupil_update="fixed"))
     assert np.array_equal(state.pupil, pup0)
+    assert not np.array_equal(state.object_spectrum, spec0)
 
 
 def test_step_writes_only_the_addressed_window(small_instance):
@@ -112,7 +111,7 @@ def test_one_step_from_init_decreases_total_residual(reference_cfg,
     # pupil-update settings
     offsets = illumination_offsets(reference_cfg)
     n = traversal_order(reference_cfg)[1]
-    for ecfg in (EpieConfig(), EpieConfig(update_pupil=False)):
+    for ecfg in (EpieConfig(), EpieConfig(pupil_update="fixed")):
         state = initial_state(infocus_images, reference_cfg)
         before = amplitude_residual(state, infocus_images, reference_cfg)
         epie_step(state, infocus_images[n], offsets[n], ecfg)
@@ -143,6 +142,8 @@ def test_config_validation():
         EpieConfig(iterations=-1)
     with pytest.raises(ValueError):
         EpieConfig(pupil_update="fancy")
+    for kind in ("literal", "conventional", "fixed"):
+        assert EpieConfig(pupil_update=kind).pupil_update == kind
 
 
 def test_traversal_orders(reference_cfg):

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fptycho.cli import main
@@ -283,6 +283,52 @@ def test_non_finite_numbers_and_huge_grids_exit_2(tmp_path, capsys, key,
     assert match in capsys.readouterr().err
 
 
+# finite optics whose derived geometry overflows or underflows; each used to
+# escape parse_manifest as ZeroDivisionError or OverflowError (exit 1)
+@pytest.mark.parametrize("edits, match", [
+    (dict(camera_pixel_um=1e308, magnification=1e-308), "pixel_low_um"),
+    (dict(camera_pixel_um=1e-308, magnification=1e308), "pixel_low_um"),
+    (dict(camera_pixel_um=5e-324, magnification=1.0), "pixel_high_um"),
+    (dict(wavelength_um=1e-320), "cutoff_cycles"),
+    (dict(wavelength_um=1e300, na=1e-300), "cutoff_cycles"),
+    (dict(wavelength_um=1e-320, na=1e-300), "not finite"),
+    (dict(camera_pixel_um=1e308, magnification=1.0), "not finite"),
+    (dict(upsample=10 ** 400), "high-res grid"),
+], ids=["inf_pixel", "zero_pixel", "zero_high_pixel", "inf_cutoff",
+        "zero_cutoff", "inf_offset", "zero_bin_pitch", "huge_int_upsample"])
+def test_degenerate_geometry_exits_2(tmp_path, capsys, edits, match):
+    text = json.dumps(_doc(**edits))
+    with pytest.raises(ManifestError, match=match):
+        parse_manifest(text)
+    write_dataset(Dataset(optics=tiny_config(), images=[np.ones((8, 8))] * 2,
+                          files=default_file_names(2)), str(tmp_path))
+    (tmp_path / "manifest.json").write_text(text)
+    assert main(["inspect", "--dataset", str(tmp_path)]) == 2
+    assert match in capsys.readouterr().err
+
+
+# any finite float, with positive ones drawn half the time: only those get
+# past the sign checks to the derived geometry
+_FINITE = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_FINITE, _FINITE, _FINITE, _FINITE, _FINITE, _FINITE)
+@example(1e-320, 0.1, 2.0, 3.45, 0.05, -0.05)
+@example(0.532, 0.1, 1e-308, 1e308, 0.05, -0.05)
+def test_any_finite_optics_parse_or_raise_manifest_error(
+        wavelength_um, na, magnification, camera_pixel_um, sx, sy):
+    doc = _doc(wavelength_um=wavelength_um, na=na, magnification=magnification,
+               camera_pixel_um=camera_pixel_um)
+    doc["illuminations"][1].update(sx=sx, sy=sy)
+    try:
+        parse_manifest(json.dumps(doc))
+    except ManifestError:
+        pass
+
+
 def test_grid_bound_admits_exactly_the_largest_grid():
     # 8x8 captures upsampled 1024x give 8192 x 8192 = MAX_GRID_PIXELS
     cfg, _, _ = parse_manifest(json.dumps(_doc(upsample=1024)))
@@ -376,43 +422,47 @@ def test_subnormal_value_range_still_spans_full_scale(tmp_path):
     # 65535 / (hi - lo) overflows for a range of a few subnormal steps
     tiny = np.nextafter(0.0, 1.0)
     path = tmp_path / "s.pgm"
-    export_image(np.array([[0.0, 5e-324]]), str(path), mode="real")
+    export_image(np.array([[0.0, 5e-324]]), str(path), mode="amp")
     assert np.array_equal(_read_pgm(path), np.array([[0, 65535]], dtype=np.uint16))
-    export_image(np.array([[0.0, 2 * tiny, 4 * tiny]]), str(path), mode="real")
+    export_image(np.array([[0.0, 2 * tiny, 4 * tiny]]), str(path), mode="amp")
     assert np.array_equal(_read_pgm(path),
                           np.array([[0, 32768, 65535]], dtype=np.uint16))
 
 
-def test_real_mode_maps_linearly(tmp_path):
+@pytest.mark.filterwarnings("error")
+def test_largest_amplitude_range_spans_full_scale(tmp_path):
+    path = tmp_path / "h.pgm"
+    export_image(np.array([[0.0, 1.7e308]]), str(path), mode="amp")
+    assert np.array_equal(_read_pgm(path), np.array([[0, 65535]], dtype=np.uint16))
+
+
+def test_amp_mode_maps_linearly(tmp_path):
     path = tmp_path / "r.pgm"
-    export_image(np.array([[-1.0, 0.0], [1.0, 3.0]]), str(path), mode="real")
+    export_image(np.array([[-1.0, 0.0], [1.0j, 3.0]]), str(path), mode="amp")
     assert np.array_equal(_read_pgm(path),
-                          np.array([[0, 16384], [32768, 65535]],
+                          np.array([[21845, 0], [21845, 65535]],
                                    dtype=np.uint16))
 
 
-def test_phase_mode_equals_wrapped_angle_exported_as_real(tmp_path):
+def test_phase_mode_maps_the_wrapped_angle_linearly(tmp_path):
     rng = np.random.Generator(np.random.PCG64(63))
     z = np.exp(1j * (rng.random((6, 6)) * 12 - 6))
-    pa, pr = tmp_path / "a.pgm", tmp_path / "b.pgm"
-    export_image(z, str(pa), mode="phase")
-    export_image(wrap_phase(np.angle(z.astype(np.complex128))), str(pr),
-                 mode="real")
-    assert pa.read_bytes() == pr.read_bytes()
-
-
-def test_imag_mode_selects_the_imaginary_part(tmp_path):
-    path = tmp_path / "i.pgm"
-    export_image(np.array([[1.0 + 0.0j, 2.0 + 1.0j]]), str(path), mode="imag")
-    assert np.array_equal(_read_pgm(path),
-                          np.array([[0, 65535]], dtype=np.uint16))
+    path = tmp_path / "a.pgm"
+    export_image(z, str(path), mode="phase")
+    phase = wrap_phase(np.angle(z))
+    lo, hi = phase.min(), phase.max()
+    want = np.rint((phase - lo) * (65535.0 / (hi - lo))).astype(np.uint16)
+    assert np.array_equal(_read_pgm(path), want)
 
 
 def test_export_rejects_bad_inputs(tmp_path):
     path = str(tmp_path / "x.pgm")
-    with pytest.raises(ValueError):
-        export_image(np.ones((2, 2)), path, mode="fancy")
+    # only amp and phase are bounded: a real or imaginary part can span
+    # more than the largest float
+    for mode in ("fancy", "real", "imag"):
+        with pytest.raises(ValueError, match="unknown image mode"):
+            export_image(np.ones((2, 2)), path, mode=mode)
     with pytest.raises(FormatError):
         export_image(np.ones(4), path)
     with pytest.raises(NumericalError):
-        export_image(np.array([[1.0, np.inf]]), path, mode="real")
+        export_image(np.array([[1.0, np.inf]]), path, mode="amp")

@@ -43,6 +43,27 @@ def test_optical_config_validates_scalars():
         single_led_config(na=1.5)
     with pytest.raises(ValueError):
         single_led_config(upsample=0)
+    # finite inputs whose derived sampling overflows or underflows to 0
+    for kw, name in ((dict(camera_pixel_um=1e308, magnification=1e-308),
+                      "pixel_low_um"),
+                     (dict(camera_pixel_um=1e-308, magnification=1e308),
+                      "pixel_low_um"),
+                     (dict(camera_pixel_um=5e-324, magnification=1.0),
+                      "pixel_high_um"),
+                     (dict(wavelength_um=1e-320), "cutoff_cycles"),
+                     (dict(wavelength_um=1e300, na=1e-300), "cutoff_cycles")):
+        with pytest.raises(ValueError, match=name):
+            single_led_config(**kw)
+
+
+def test_offsets_must_be_finite():
+    # the frequency sx / wavelength overflows; so, for the axial LED, does
+    # the field of view, which makes the bin pitch 0
+    for kw in (dict(wavelength_um=1e-320, na=1e-300,
+                    illuminations=(Illumination(0.1, 0.0),)),
+               dict(camera_pixel_um=1e308, magnification=1.0)):
+        with pytest.raises(WindowOutOfBounds, match="not finite"):
+            illumination_offsets(single_led_config(**kw))
 
 
 def test_derived_sampling_properties():

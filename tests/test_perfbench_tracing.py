@@ -7,6 +7,8 @@ import pkgutil
 from pathlib import Path
 
 import fptycho
+import fptycho.epie
+import fptycho.pgnn
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -46,3 +48,34 @@ def test_tracer_finds_every_traced_name_and_restores_the_originals():
         assert vars(fptycho.pgnn.PgnnModel)[attr] is fn
     # perfbench/run.py records the backend with every result
     assert isinstance(fptycho.kernels.BACKEND, str)
+
+
+def _traced(tracing, call):
+    """Run ``call`` under a traced root span; returns the per-layer counts."""
+    tracer = tracing.Tracer()
+    with tracer.root("bench.call"):
+        call()
+    return {key: value for key, (value, _) in tracer.summary(1).items()}
+
+
+def test_traced_solvers_reach_every_step_entry_point(small_instance):
+    # a solver that bypasses a traced name would drop out of the benchmark's
+    # per-layer split; these counts catch it
+    cfg, _, images = small_instance
+    tracing = _load_tracing()
+    pcfg = fptycho.pgnn.PgnnConfig(stages=2, epochs_per_stage=1,
+                                   tv_alpha1=1e-3, tv_alpha2=1e-3)
+    counts = _traced(tracing, lambda: fptycho.pgnn.run_pgnn(images, cfg, pcfg))
+    steps = pcfg.stages * pcfg.epochs_per_stage * len(images)
+    assert counts["pgnn.run_pgnn.calls"] == 1
+    assert counts["pgnn.step.calls"] == steps
+    # one Adam call per object step, two (amplitude, Zernike) per pupil step
+    assert counts["kernels.adam_update.calls"] == 3 * len(images)
+    assert counts["kernels.tv_grad.calls"] > 0
+    assert counts["kernels.project_modes.calls"] == len(images)
+
+    ecfg = fptycho.epie.EpieConfig(iterations=2)
+    counts = _traced(tracing, lambda: fptycho.epie.run_epie(images, cfg, ecfg))
+    assert counts["epie.run_epie.calls"] == 1
+    assert counts["epie.epie_step.calls"] == ecfg.iterations * len(images)
+    assert counts["pgnn.step.calls"] == 0

@@ -262,7 +262,7 @@ def test_pupil_stage_freezes_object_spectrum(small_instance):
 
 def test_free_pupil_stage_respects_the_support_mask(small_instance):
     cfg, _, images = small_instance
-    model = PgnnModel(images, cfg, PgnnConfig(use_zernike=False,
+    model = PgnnModel(images, cfg, PgnnConfig(zernike_modes=None,
                                               epochs_per_stage=1))
     state = model.initial_state()
     assert state.pupil_free is not None and state.pupil_amp is None
@@ -317,6 +317,17 @@ def test_config_validation():
         PgnnConfig(stages=-1)
     with pytest.raises(ValueError):
         PgnnConfig(tv_alpha1=-1e-3)
+    # NaN passes a '< 0' check, and a NaN TV weight used to read as "TV off"
+    for name in ("lr_object", "lr_pupil_amp", "lr_zern", "tv_alpha1",
+                 "tv_alpha2"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=name):
+                PgnnConfig(**{name: value})
+    assert PgnnConfig(zernike_modes=None).zernike_modes is None
+    assert PgnnConfig(zernike_modes=1).zernike_modes == 1
+    for modes in (0, -3):
+        with pytest.raises(ValueError, match="zernike_modes"):
+            PgnnConfig(zernike_modes=modes)
 
 
 def test_image_count_must_match_led_count(reference_cfg):
@@ -351,7 +362,7 @@ def _reference_stage(model, state, stage_index):
                                 g.object_spectrum.view(np.float64),
                                 state.moments["object"], pcfg.lr_object,
                                 state.object_steps)
-            elif pcfg.use_zernike:
+            elif model.basis is not None:
                 state.pupil_steps += 1
                 t = state.pupil_steps
                 _reference_adam(state.pupil_amp, g.pupil_amp,
@@ -383,7 +394,7 @@ def _state_bytes(state):
 
 @pytest.mark.parametrize("pcfg", [
     PgnnConfig(epochs_per_stage=2),
-    PgnnConfig(epochs_per_stage=2, use_zernike=False),
+    PgnnConfig(epochs_per_stage=2, zernike_modes=None),
     PgnnConfig(epochs_per_stage=2, tv_alpha1=1e-3, tv_alpha2=1e-3),
 ], ids=["zernike", "free_pupil", "tv"])
 def test_run_stage_matches_a_loop_that_recomputes_every_step(small_instance,
@@ -405,18 +416,23 @@ def test_run_stage_matches_a_loop_that_recomputes_every_step(small_instance,
 
 
 def test_steps_outside_a_stage_match_the_stage(small_instance):
-    # step() called on its own holds nothing fixed; it must take the same
-    # steps run_stage takes, for both groups
+    # step() called on its own computes what a stage passes it; it must take
+    # the same steps run_stage takes, for both groups and both pupils, with
+    # and without TV
     cfg, _, images = small_instance
-    model = PgnnModel(images, cfg, PgnnConfig(epochs_per_stage=1))
-    staged, single = model.initial_state(), model.initial_state()
-    for stage in (1, 2):
-        epoch = model.run_stage(staged, stage)[0]
-        acc = 0.0
-        for n in model.order:
-            acc += model.step(single, n, stage == 1)
-        assert acc == epoch
-        assert _state_bytes(staged) == _state_bytes(single)
+    for pcfg in (PgnnConfig(epochs_per_stage=1),
+                 PgnnConfig(epochs_per_stage=1, zernike_modes=None),
+                 PgnnConfig(epochs_per_stage=1, tv_alpha1=1e-3,
+                            tv_alpha2=1e-3)):
+        model = PgnnModel(images, cfg, pcfg)
+        staged, single = model.initial_state(), model.initial_state()
+        for stage in (1, 2, 3):
+            epoch = model.run_stage(staged, stage)[0]
+            acc = 0.0
+            for n in model.order:
+                acc += model.step(single, n, stage % 2 == 1)
+            assert acc == epoch
+            assert _state_bytes(staged) == _state_bytes(single)
 
 
 # -- end-to-end behavior on the reference problem --------------------------

@@ -116,6 +116,11 @@ def test_sim_options_validation():
         SimOptions(noise_sigma=-0.1)
     with pytest.raises(ValueError):
         SimOptions(saturation=0.0)
+    # NaN passes a '< 0' check: a NaN sigma used to simulate noiselessly
+    for kw in (dict(noise_sigma=float("nan")), dict(noise_sigma=float("inf")),
+               dict(saturation=float("nan")), dict(saturation=float("inf"))):
+        with pytest.raises(ValueError, match="finite"):
+            SimOptions(**kw)
 
 
 def test_ground_truth_dims_are_checked(reference_cfg):
