@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateField, DegeneratePupil, DimensionMismatch
+from .errors import DegenerateField, DegeneratePupil, DimensionMismatch, NumericalError
 from .field import (dft2, center_shift, idft2, inverse_center_shift,
                     phase_unit, window)
 from .optics import OpticalConfig, illumination_offsets, make_ctf
@@ -80,27 +80,35 @@ def traversal_order(cfg: OpticalConfig) -> list[int]:
     return list(np.argsort(radii, kind="stable"))
 
 
-def ap_project(phi_low: np.ndarray, measured: np.ndarray) -> np.ndarray:
+def ap_project(phi_low: np.ndarray, measured: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Amplitude replacement in the capture plane, stated on spectra.
 
     Transforms the modeled window spectrum to the capture plane, swaps its
     amplitude for sqrt(measured) while keeping the phase (zero-amplitude
-    pixels get phase 0), and transforms back. Layout-consistent: the input
-    and output spectra are both DC-centered.
+    pixels get phase 0), and transforms back. Returns the replaced spectrum
+    and the modeled capture-plane field it was built from. Layout-consistent:
+    the input and output spectra are both DC-centered.
     """
     if phi_low.shape != measured.shape:
         raise DimensionMismatch(
             f"spectrum {phi_low.shape} vs measured {measured.shape}")
     field = idft2(inverse_center_shift(phi_low))
     replaced = np.sqrt(np.asarray(measured, dtype=np.float64)) * phase_unit(field)
-    return center_shift(dft2(replaced))
+    return center_shift(dft2(replaced)), field
+
+
+def _amplitude_misfit(measured: np.ndarray, field: np.ndarray) -> float:
+    """Data misfit of one capture: ||sqrt(I) - |field|||^2."""
+    diff = np.sqrt(np.asarray(measured, dtype=np.float64)) - np.abs(field)
+    return float(np.vdot(diff, diff).real)
 
 
 def epie_step(state: EpieState, image: np.ndarray, offset: tuple[int, int],
-              cfg: EpieConfig) -> EpieState:
+              cfg: EpieConfig) -> float:
     """One image visit: AP correction plus object and pupil updates.
 
-    Mutates and returns ``state``. Only the spectrum window addressed by
+    Mutates ``state`` and returns the image's pre-update misfit, read off the
+    field ``ap_project`` built. Only the spectrum window addressed by
     ``offset`` is touched; every other object bin is left bit-identical.
     """
     patch = state.object_spectrum[window(state.object_spectrum.shape, offset,
@@ -108,7 +116,7 @@ def epie_step(state: EpieState, image: np.ndarray, offset: tuple[int, int],
 
     pupil = state.pupil
     phi_low = patch * pupil
-    phi_high = ap_project(phi_low, image)
+    phi_high, field = ap_project(phi_low, image)
     residual = phi_high - phi_low
 
     pupil_max = np.max(np.abs(pupil)) ** 2
@@ -127,16 +135,7 @@ def epie_step(state: EpieState, image: np.ndarray, offset: tuple[int, int],
         if win_max == 0.0:
             raise DegenerateField("object window is identically zero")
         state.pupil = pupil + np.conj(patch_before) / win_max * residual
-    return state
-
-
-def _image_misfit(state: EpieState, image: np.ndarray,
-                  offset: tuple[int, int], cfg: OpticalConfig) -> float:
-    """Frozen-state data misfit of one image: ||sqrt(I) - |field|||^2."""
-    win = window(state.object_spectrum.shape, offset, cfg.low_rows, cfg.low_cols)
-    field = idft2(inverse_center_shift(state.object_spectrum[win] * state.pupil))
-    diff = np.sqrt(np.asarray(image, dtype=np.float64)) - np.abs(field)
-    return float(np.vdot(diff, diff).real)
+    return _amplitude_misfit(image, field)
 
 
 def amplitude_residual(state: EpieState, images: list[np.ndarray],
@@ -145,7 +144,9 @@ def amplitude_residual(state: EpieState, images: list[np.ndarray],
     check_image_count(images, cfg)
     total = 0.0
     for img, off in zip(images, illumination_offsets(cfg)):
-        total += _image_misfit(state, img, off, cfg)
+        win = window(state.object_spectrum.shape, off, cfg.low_rows, cfg.low_cols)
+        field = idft2(inverse_center_shift(state.object_spectrum[win] * state.pupil))
+        total += _amplitude_misfit(img, field)
     return total
 
 
@@ -154,19 +155,22 @@ def run_epie(images: list[np.ndarray], cfg: OpticalConfig,
     """Run the solver; returns (spatial object, pupil, per-iteration residuals).
 
     The residual history entry for an iteration accumulates each image's
-    pre-update amplitude misfit during that sweep. ``iterations=0`` returns
+    pre-update amplitude misfit during that sweep; a non-finite misfit raises
+    NumericalError naming the sweep and the image. ``iterations=0`` returns
     the initialization untouched (and an empty history).
     """
     offsets = illumination_offsets(cfg)
     order = traversal_order(cfg)
     state = initial_state(images, cfg)
     history = []
-    for _ in range(ecfg.iterations):
+    for it in range(1, ecfg.iterations + 1):
         sweep = 0.0
         for n in order:
-            sweep += _image_misfit(state, images[n], offsets[n], cfg)
-            epie_step(state, np.asarray(images[n], dtype=np.float64),
-                      offsets[n], ecfg)
+            misfit = epie_step(state, np.asarray(images[n], dtype=np.float64),
+                               offsets[n], ecfg)
+            if not np.isfinite(misfit):
+                raise NumericalError(f"non-finite misfit in sweep {it} at image {n}")
+            sweep += misfit
         history.append(sweep)
     spatial = idft2(inverse_center_shift(state.object_spectrum))
     spatial /= cfg.spectrum_scale

@@ -199,7 +199,7 @@ def parse_manifest(text: str) -> tuple[OpticalConfig, list[str], float | None]:
         _require(isinstance(low_rows, int) and isinstance(low_cols, int)
                  and not isinstance(low_rows, bool) and not isinstance(low_cols, bool),
                  "low_rows/low_cols must be integers")
-        # before OpticalConfig, which divides by upsample as a float
+        # before OpticalConfig, so an oversized grid is reported as one
         high_rows, high_cols = low_rows * upsample, low_cols * upsample
         _require(high_rows * high_cols <= MAX_GRID_PIXELS,
                  f"a {high_rows}x{high_cols} high-res grid exceeds "

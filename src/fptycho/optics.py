@@ -48,8 +48,9 @@ class OpticalConfig:
             raise ValueError("need wavelength > 0 and 0 < na < 1")
         if self.magnification <= 0 or self.camera_pixel_um <= 0:
             raise ValueError("need magnification > 0 and camera_pixel_um > 0")
-        if self.upsample < 1 or self.low_rows < 1 or self.low_cols < 1:
-            raise ValueError("upsample and capture dims must be >= 1")
+        # grid files store dims as u32, and a larger int can overflow the floats below
+        if not all(1 <= n < 2 ** 32 for n in (self.upsample, self.low_rows, self.low_cols)):
+            raise ValueError("upsample and capture dims must be in [1, 2**32)")
         # finite inputs can still overflow or underflow what derives from
         # them, and the geometry divides by each of these
         for name in ("pixel_low_um", "pixel_high_um", "cutoff_cycles"):
@@ -151,6 +152,11 @@ class ZernikeBasis:
     grids: np.ndarray  # (count, low_rows, low_cols) float64
     disk: np.ndarray   # bool, rho <= 1
 
+    def pupil(self, amp: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Unchecked ``pupil_from_params``, also returning the unit phase factor."""
+        phase_factor = np.exp(1j * kernels.synth_phase(self.grids, coeffs))
+        return amp * phase_factor, phase_factor
+
 
 def zernike_basis(cfg: OpticalConfig, count: int) -> ZernikeBasis:
     """Build modes 1..count. Mode 1 is piston; 2/3 tilts; 4 defocus; 5/6
@@ -192,8 +198,7 @@ def pupil_from_params(ctf_amp: np.ndarray, coeffs: np.ndarray,
         raise DimensionMismatch(
             f"got {coeffs.shape[0] if coeffs.ndim == 1 else coeffs.shape} coefficients "
             f"for a {basis.count}-mode basis")
-    phase = kernels.synth_phase(basis.grids, coeffs)
-    return ctf_amp * np.exp(1j * phase)
+    return basis.pupil(ctf_amp, coeffs)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -180,13 +180,7 @@ class PgnnModel:
     def pupil(self, state: PgnnState) -> np.ndarray:
         if self.basis is None:
             return state.pupil_free
-        return self._zernike_pupil(state)[0]
-
-    def _zernike_pupil(self, state: PgnnState) -> tuple[np.ndarray, np.ndarray]:
-        """Zernike pupil and its unit phase factor, from one synthesis."""
-        phase_factor = np.exp(
-            1j * kernels.synth_phase(self.basis.grids, state.zern_coeffs))
-        return state.pupil_amp * phase_factor, phase_factor
+        return self.basis.pupil(state.pupil_amp, state.zern_coeffs)[0]
 
     # -- forward and loss --------------------------------------------------
 
@@ -200,7 +194,7 @@ class PgnnModel:
     def forward(self, state: PgnnState, n: int,
                 pupil: np.ndarray | None = None) -> ForwardResult:
         predicted = self.predicted_spectrum(state, n, pupil)
-        target = ap_project(predicted, self.images[n])
+        target = ap_project(predicted, self.images[n])[0]
         diff = target - predicted
         return ForwardResult(predicted=predicted, target=target,
                              data_loss=float(np.vdot(diff, diff).real))
@@ -276,7 +270,7 @@ class PgnnModel:
         if self.basis is None:
             pupil = state.pupil_free
         else:
-            pupil, phase_factor = self._zernike_pupil(state)
+            pupil, phase_factor = self.basis.pupil(state.pupil_amp, state.zern_coeffs)
         fw = self.forward(state, n, pupil)
         patch = state.object_spectrum[self.windows[n]]
         g_pupil = 2.0 * self.area_low * np.conj(patch) * (fw.predicted - fw.target)

@@ -65,7 +65,7 @@ def ap_misfit(spatial: np.ndarray, pupil: np.ndarray,
     total = 0.0
     for img, off in zip(images, illumination_offsets(cfg)):
         phi = spectrum[window(spectrum.shape, off, cfg.low_rows, cfg.low_cols)] * pupil
-        diff = ap_project(phi, np.asarray(img, dtype=np.float64)) - phi
+        diff = ap_project(phi, np.asarray(img, dtype=np.float64))[0] - phi
         total += float(np.vdot(diff, diff).real)
     return total
 

@@ -7,8 +7,9 @@ from fptycho.epie import (EpieConfig, EpieState, amplitude_residual,
                           ap_project, epie_step, initial_object_spectrum,
                           initial_state, run_epie, traversal_order)
 from fptycho.errors import (DegenerateField, DegeneratePupil,
-                            DimensionMismatch)
-from fptycho.field import center_shift, dft2, idft2, inverse_center_shift
+                            DimensionMismatch, NumericalError)
+from fptycho.field import (center_shift, dft2, idft2, inverse_center_shift,
+                           window)
 from fptycho.optics import illumination_offsets, make_ctf
 
 
@@ -18,13 +19,13 @@ def test_ap_project_fixes_spectra_that_already_match():
     rng = np.random.Generator(np.random.PCG64(30))
     phi = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     measured = np.abs(idft2(inverse_center_shift(phi))) ** 2
-    out = ap_project(phi, measured)
+    out = ap_project(phi, measured)[0]
     assert np.linalg.norm(out - phi) <= 1e-12 * np.linalg.norm(phi)
 
 
 def test_ap_project_zero_field_uses_zero_phase_convention():
     phi = np.zeros((4, 4), dtype=np.complex128)
-    out = ap_project(phi, np.ones((4, 4)))
+    out = ap_project(phi, np.ones((4, 4)))[0]
     expected = center_shift(dft2(np.ones((4, 4), dtype=np.complex128)))
     assert np.allclose(out, expected, atol=1e-12)
 
@@ -33,7 +34,7 @@ def test_ap_project_output_amplitude_equals_measurement():
     rng = np.random.Generator(np.random.PCG64(31))
     phi = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     measured = rng.random((8, 8)) + 0.05
-    out = ap_project(phi, measured)
+    out = ap_project(phi, measured)[0]
     amp = np.abs(idft2(inverse_center_shift(out)))
     assert np.allclose(amp, np.sqrt(measured), atol=1e-12)
 
@@ -195,6 +196,35 @@ def test_amplitude_residual_needs_one_image_per_illumination(small_instance):
     for wrong in (images[:1], images + images[:1]):
         with pytest.raises(DimensionMismatch):
             amplitude_residual(state, wrong, cfg)
+
+
+@pytest.mark.parametrize("kind", ["literal", "conventional", "fixed"])
+def test_history_sums_each_visits_pre_update_misfit(small_instance, kind):
+    cfg, _, images = small_instance
+    ecfg = EpieConfig(iterations=2, pupil_update=kind)
+    offsets = illumination_offsets(cfg)
+    state = initial_state(images, cfg)
+    expected = []
+    for _ in range(ecfg.iterations):
+        sweep = 0.0
+        for n in traversal_order(cfg):
+            patch = state.object_spectrum[window(state.object_spectrum.shape,
+                                                 offsets[n], *images[n].shape)]
+            field = idft2(inverse_center_shift(patch * state.pupil))
+            diff = np.sqrt(images[n]) - np.abs(field)
+            sweep += float(np.vdot(diff, diff).real)
+            epie_step(state, images[n], offsets[n], ecfg)
+        expected.append(sweep)
+    assert run_epie(images, cfg, ecfg)[2] == expected
+
+
+@pytest.mark.parametrize("kind", ["literal", "conventional", "fixed"])
+def test_nonfinite_misfit_names_the_sweep_and_image(small_instance, kind):
+    cfg, _, images = small_instance
+    bad = [im.copy() for im in images]
+    bad[7][3, 5] = np.nan
+    with pytest.raises(NumericalError, match="sweep 1 at image 7"):
+        run_epie(bad, cfg, EpieConfig(iterations=2, pupil_update=kind))
 
 
 def test_infocus_run_collapses_the_residual(epie_infocus_nopupil):

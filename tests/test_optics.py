@@ -51,7 +51,12 @@ def test_optical_config_validates_scalars():
                      (dict(camera_pixel_um=5e-324, magnification=1.0),
                       "pixel_high_um"),
                      (dict(wavelength_um=1e-320), "cutoff_cycles"),
-                     (dict(wavelength_um=1e300, na=1e-300), "cutoff_cycles")):
+                     (dict(wavelength_um=1e300, na=1e-300), "cutoff_cycles"),
+                     # integers too large for a float used to raise
+                     # OverflowError, or pass and fail later in the geometry
+                     (dict(upsample=10 ** 400), "upsample"),
+                     (dict(low_rows=10 ** 400), "capture dims"),
+                     (dict(low_cols=10 ** 400), "capture dims")):
         with pytest.raises(ValueError, match=name):
             single_led_config(**kw)
 
