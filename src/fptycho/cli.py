@@ -18,7 +18,8 @@ from .epie import EpieConfig, run_epie
 from .errors import FormatError, FptychoError, ManifestError, NumericalError
 from .evaluate import metrics as compute_metrics
 from .io import (Dataset, export_image, read_complex_grid, read_dataset,
-                 read_real_grid, write_complex_grid, write_dataset)
+                 read_manifest, read_real_grid, write_complex_grid,
+                 write_dataset)
 from .optics import defocus_phase, make_ctf
 from .pgnn import PgnnConfig, run_pgnn
 from .simulate import GroundTruth, SimOptions, simulate_dataset
@@ -63,14 +64,14 @@ def build_parser() -> argparse.ArgumentParser:
     rec = sub.add_parser("reconstruct", help="recover object and pupil from a dataset")
     rec.add_argument("--dataset", required=True)
     rec.add_argument("--method", required=True, choices=("pgnn", "epie"))
-    rec.add_argument("--stages", type=int, default=10)
-    rec.add_argument("--epochs", type=int, default=5)
-    rec.add_argument("--iterations", type=int, default=20)
-    rec.add_argument("--tv-alpha1", type=float, default=0.0)
-    rec.add_argument("--tv-alpha2", type=float, default=0.0)
-    rec.add_argument("--zernike", type=_parse_zernike, default=9,
-                     help="Zernike mode count, or 'off' for a free complex pupil")
     pdef = PgnnConfig()
+    rec.add_argument("--stages", type=int, default=pdef.stages)
+    rec.add_argument("--epochs", type=int, default=pdef.epochs_per_stage)
+    rec.add_argument("--iterations", type=int, default=EpieConfig().iterations)
+    rec.add_argument("--tv-alpha1", type=float, default=pdef.tv_alpha1)
+    rec.add_argument("--tv-alpha2", type=float, default=pdef.tv_alpha2)
+    rec.add_argument("--zernike", type=_parse_zernike, default=pdef.zernike_modes,
+                     help="Zernike mode count, or 'off' for a free complex pupil")
     rec.add_argument("--lr-object", type=float, default=pdef.lr_object)
     rec.add_argument("--lr-pupil", type=float, default=pdef.lr_pupil_amp)
     rec.add_argument("--lr-zern", type=float, default=pdef.lr_zern)
@@ -85,19 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _load_config_manifest(path: str):
-    from .io import parse_manifest
-
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except FileNotFoundError as exc:
-        raise ManifestError(f"config manifest not found: {path}") from exc
-    return parse_manifest(text)
-
-
 def cmd_simulate(args) -> int:
-    cfg, files, _ = _load_config_manifest(args.config)
+    cfg, files, _ = read_manifest(args.config)
     amp = read_real_grid(args.truth_amp)
     phase = read_real_grid(args.truth_phase)
     want = (cfg.high_rows, cfg.high_cols)

@@ -14,6 +14,7 @@ available as ``pupil_update="conventional"``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,20 @@ def traversal_order(cfg: OpticalConfig) -> list[int]:
     """Image visiting order, center out: sorted by offset radius, stable."""
     radii = [r * r + c * c for r, c in illumination_offsets(cfg)]
     return list(np.argsort(radii, kind="stable"))
+
+
+def sweep(order, visit, where: str) -> float:
+    """Sum of ``visit(n)`` over the images in ``order``, in that order.
+
+    The first non-finite term raises NumericalError naming ``where`` and the
+    image, before any later image is visited."""
+    total = 0.0
+    for n in order:
+        term = visit(n)
+        if not math.isfinite(term):
+            raise NumericalError(f"non-finite loss in {where} at image {n}")
+        total += term
+    return total
 
 
 def ap_project(phi_low: np.ndarray, measured: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,16 +177,10 @@ def run_epie(images: list[np.ndarray], cfg: OpticalConfig,
     offsets = illumination_offsets(cfg)
     order = traversal_order(cfg)
     state = initial_state(images, cfg)
-    history = []
-    for it in range(1, ecfg.iterations + 1):
-        sweep = 0.0
-        for n in order:
-            misfit = epie_step(state, np.asarray(images[n], dtype=np.float64),
-                               offsets[n], ecfg)
-            if not np.isfinite(misfit):
-                raise NumericalError(f"non-finite misfit in sweep {it} at image {n}")
-            sweep += misfit
-        history.append(sweep)
+    images = [np.asarray(im, dtype=np.float64) for im in images]
+    history = [sweep(order, lambda n: epie_step(state, images[n], offsets[n], ecfg),
+                     f"sweep {it}")
+               for it in range(1, ecfg.iterations + 1)]
     spatial = idft2(inverse_center_shift(state.object_spectrum))
     spatial /= cfg.spectrum_scale
     return spatial, state.pupil, history

@@ -224,6 +224,18 @@ def parse_manifest(text: str) -> tuple[OpticalConfig, list[str], float | None]:
     return cfg, files, sat
 
 
+def read_manifest(path: str) -> tuple[OpticalConfig, list[str], float | None]:
+    """Parse a manifest file; one missing or not UTF-8 is a ManifestError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError as exc:
+        raise ManifestError(f"manifest not found: {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: manifest is not UTF-8: {exc}") from exc
+    return parse_manifest(text)
+
+
 def manifest_text(cfg: OpticalConfig, files: list[str],
                   saturation: float | None) -> str:
     if len(files) != len(cfg.illuminations):
@@ -269,13 +281,7 @@ def write_dataset(ds: Dataset, out_dir: str) -> None:
 
 def read_dataset(in_dir: str) -> Dataset:
     """Load and validate a dataset directory."""
-    mpath = os.path.join(in_dir, MANIFEST_NAME)
-    try:
-        with open(mpath, encoding="utf-8") as fh:
-            text = fh.read()
-    except FileNotFoundError as exc:
-        raise ManifestError(f"no {MANIFEST_NAME} in {in_dir}") from exc
-    cfg, files, sat = parse_manifest(text)
+    cfg, files, sat = read_manifest(os.path.join(in_dir, MANIFEST_NAME))
     images = []
     for fname in files:
         path = os.path.join(in_dir, fname)

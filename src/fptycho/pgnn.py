@@ -17,11 +17,11 @@ step on the active parameter group against
     + tv_alpha2 * TV(wrapped phase of the spatial object).
 
 Stages alternate: odd stages (1-based) update the object, even stages the
-pupil. Frozen groups keep parameters, Adam moments, and step counts
-bit-identical through the stage, so ``run_stage`` computes what depends only
-on them once when the stage starts and passes it to every ``step``: the pupil
-for an object stage, the TV penalty for a pupil stage. A step on its own
-computes the same values itself, so it gets the same bits.
+pupil; ``param_groups`` lists the arrays each updates. Frozen groups keep
+parameters, Adam moments, and step counts bit-identical through the stage, so
+``stage_constants`` computes what depends only on them once when the stage
+starts, and ``run_stage`` passes it to every ``step``: the pupil for an object
+stage, the TV penalty for a pupil stage.
 
 All gradients are true real-parameter gradients (for a complex array they are
 d/dRe + i*d/dIm), verified against central finite differences of the
@@ -31,14 +31,14 @@ frozen-target loss; see tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
 from .epie import (ap_project, check_image_count, initial_object_spectrum,
-                   traversal_order)
-from .errors import DimensionMismatch, NumericalError
+                   sweep, traversal_order)
+from .errors import DimensionMismatch
 from .field import (dft2, center_shift, idft2, inverse_center_shift,
                     window, wrap_phase)
 from .optics import (OpticalConfig, ZernikeBasis, illumination_offsets,
@@ -101,9 +101,9 @@ class Moments:
 @dataclass
 class PgnnState:
     object_spectrum: np.ndarray          # complex128 (high), centered, mean-normalized
-    pupil_amp: np.ndarray | None         # float64 (low) with a Zernike pupil
-    zern_coeffs: np.ndarray | None       # (modes,) float64 with a Zernike pupil
-    pupil_free: np.ndarray | None        # complex128 (low) otherwise
+    pupil_amp: np.ndarray | None = None    # float64 (low) with a Zernike pupil
+    zern_coeffs: np.ndarray | None = None  # (modes,) float64 with a Zernike pupil
+    pupil_free: np.ndarray | None = None   # complex128 (low) otherwise
     moments: dict[str, Moments] = field(default_factory=dict)
     object_steps: int = 0
     pupil_steps: int = 0
@@ -114,17 +114,6 @@ class ForwardResult:
     predicted: np.ndarray   # modeled window spectrum (centered layout)
     target: np.ndarray      # amplitude-replaced spectrum; constant per step
     data_loss: float
-
-
-@dataclass(frozen=True)
-class Grads:
-    """Real-parameter gradients; object_spectrum covers the full grid (the
-    data term lives on the current window, TV terms are dense)."""
-
-    object_spectrum: np.ndarray | None = None
-    pupil_amp: np.ndarray | None = None
-    zern_coeffs: np.ndarray | None = None
-    pupil_free: np.ndarray | None = None
 
 
 class PgnnModel:
@@ -156,26 +145,27 @@ class PgnnModel:
         most-axial capture with zero phase, binary CTF pupil."""
         spectrum = initial_object_spectrum(self.images, self.cfg) / self.area_low
         if self.basis is None:
-            state = PgnnState(object_spectrum=spectrum, pupil_amp=None,
-                             zern_coeffs=None, pupil_free=make_ctf(self.cfg))
+            state = PgnnState(spectrum, pupil_free=make_ctf(self.cfg))
         else:
-            state = PgnnState(object_spectrum=spectrum,
-                             pupil_amp=make_ctf(self.cfg).real.copy(),
-                             zern_coeffs=np.zeros(self.basis.count),
-                             pupil_free=None)
-        for name, view in self._param_views(state).items():
-            state.moments[name] = Moments.like(view)
+            state = PgnnState(spectrum, pupil_amp=make_ctf(self.cfg).real.copy(),
+                              zern_coeffs=np.zeros(self.basis.count))
+        state.moments = {key: Moments.like(view)
+                         for update_object in (True, False)
+                         for key, view, _ in self.param_groups(state, update_object)}
         return state
 
-    def _param_views(self, state: PgnnState) -> dict[str, np.ndarray]:
-        """Float64 views of every parameter array (complex ones interleaved)."""
-        views = {"object": state.object_spectrum.view(np.float64)}
+    def param_groups(self, state: PgnnState, update_object: bool) -> list:
+        """(moment key, float64 view, learning rate) of each array an object
+        step or a pupil step updates; complex arrays are viewed interleaved."""
+        pcfg = self.pcfg
+        if update_object:
+            return [("object", state.object_spectrum.view(np.float64),
+                     pcfg.lr_object)]
         if self.basis is None:
-            views["pupil_free"] = state.pupil_free.view(np.float64)
-        else:
-            views["pupil_amp"] = state.pupil_amp
-            views["zern"] = state.zern_coeffs
-        return views
+            return [("pupil_free", state.pupil_free.view(np.float64),
+                     pcfg.lr_pupil_amp)]
+        return [("pupil_amp", state.pupil_amp, pcfg.lr_pupil_amp),
+                ("zern", state.zern_coeffs, pcfg.lr_zern)]
 
     def pupil(self, state: PgnnState) -> np.ndarray:
         if self.basis is None:
@@ -204,37 +194,32 @@ class PgnnModel:
         rows, cols = self.high_shape
         return idft2(inverse_center_shift(state.object_spectrum)) * (rows * cols)
 
-    def _tv_eval(self, state: PgnnState, want_grad: bool):
-        """TV penalty value and (optionally) its object-spectrum gradient."""
+    def _tv_eval(self, state: PgnnState):
+        """TV penalty and its object-spectrum gradient (None without TV)."""
         pcfg = self.pcfg
         if pcfg.tv_alpha1 == 0.0 and pcfg.tv_alpha2 == 0.0:
             return 0.0, None
         spatial = self.spatial_object(state)
         amp = np.abs(spatial)
         value = 0.0
-        if want_grad:
-            g_spatial = np.zeros_like(spatial)
-            guarded = np.maximum(amp, AMP_FLOOR)
+        g_spatial = np.zeros_like(spatial)
+        guarded = np.maximum(amp, AMP_FLOOR)
         if pcfg.tv_alpha1 > 0.0:
             value += pcfg.tv_alpha1 * kernels.tv_value(amp)
-            if want_grad:
-                ga = kernels.tv_grad(amp)
-                g_spatial += pcfg.tv_alpha1 * ga * (spatial / guarded)
+            ga = kernels.tv_grad(amp)
+            g_spatial += pcfg.tv_alpha1 * ga * (spatial / guarded)
         if pcfg.tv_alpha2 > 0.0:
             phase = wrap_phase(np.angle(spatial))
             value += pcfg.tv_alpha2 * kernels.tv_value(phase)
-            if want_grad:
-                gp = kernels.tv_grad(phase)
-                g_spatial += pcfg.tv_alpha2 * gp * (1j * spatial / (guarded * guarded))
-        if not want_grad:
-            return value, None
+            gp = kernels.tv_grad(phase)
+            g_spatial += pcfg.tv_alpha2 * gp * (1j * spatial / (guarded * guarded))
         # adjoint of the mean-normalized synthesis (idft2 * pixel count):
         # the 1/N of idft2 cancels, leaving the plain forward transform
         g_spec = center_shift(dft2(g_spatial))
         return value, g_spec
 
     def tv_penalty(self, state: PgnnState) -> float:
-        return self._tv_eval(state, want_grad=False)[0]
+        return self._tv_eval(state)[0]
 
     def total_loss(self, state: PgnnState, n: int) -> float:
         return self.forward(state, n).data_loss + self.tv_penalty(state)
@@ -251,22 +236,20 @@ class PgnnModel:
                          zero_grid: np.ndarray) -> tuple[np.ndarray, float]:
         """Object-spectrum gradient of total_loss at image n, and that loss.
 
-        Without TV the data term is written into the window of ``zero_grid``,
-        an all-zero grid the caller zeroes again after use; with TV it is
-        added into the window of the dense TV gradient."""
-        win = self.windows[n]
+        Without TV the data term is added into the window of ``zero_grid``,
+        an all-zero grid the caller zeroes again after use; with TV, into the
+        window of the dense TV gradient."""
         fw = self.forward(state, n, pupil)
         data = 2.0 * self.area_low * np.conj(pupil) * (fw.predicted - fw.target)
-        tv_val, g_object = self._tv_eval(state, want_grad=True)
+        tv_val, g_object = self._tv_eval(state)
         if g_object is None:
             g_object = zero_grid
-            g_object[win] = data
-        else:
-            g_object[win] += data
+        g_object[self.windows[n]] += data
         return g_object, fw.data_loss + tv_val
 
-    def _pupil_gradient(self, state: PgnnState, n: int) -> tuple[Grads, float]:
-        """Pupil-parameter gradients of the data term at image n, and that term."""
+    def _pupil_gradient(self, state: PgnnState, n: int) -> tuple[list, float]:
+        """Pupil-parameter gradients of the data term at image n, as float64
+        arrays in ``param_groups`` order, and that term."""
         if self.basis is None:
             pupil = state.pupil_free
         else:
@@ -275,89 +258,76 @@ class PgnnModel:
         patch = state.object_spectrum[self.windows[n]]
         g_pupil = 2.0 * self.area_low * np.conj(patch) * (fw.predicted - fw.target)
         if self.basis is None:
-            return Grads(pupil_free=g_pupil), fw.data_loss
+            return [g_pupil.view(np.float64)], fw.data_loss
         # .real of a complex array is a strided view; Adam wants it packed
         g_amp = np.ascontiguousarray((np.conj(phase_factor) * g_pupil).real)
         weight = (g_pupil * np.conj(pupil)).imag
         g_zern = kernels.project_modes(self.basis.grids, weight)
-        return Grads(pupil_amp=g_amp, zern_coeffs=g_zern), fw.data_loss
+        return [g_amp, g_zern], fw.data_loss
 
-    def gradients(self, state: PgnnState, n: int) -> Grads:
-        """Real-parameter gradients of total_loss at image n, all blocks.
+    def gradients(self, state: PgnnState, n: int) -> dict[str, np.ndarray]:
+        """Real-parameter gradients of total_loss at image n, as float64
+        arrays keyed like ``state.moments``. The object gradient covers the
+        full grid: the data term lives on the window, TV terms are dense.
 
         The amplitude-replaced target is treated as a constant (matching the
         loss the solver actually descends); finite differences of that
         frozen-target loss are the reference the tests check against.
         """
-        g_object = self._object_gradient(
-            state, n, self.pupil(state),
-            np.zeros(self.high_shape, dtype=np.complex128))[0]
-        return replace(self._pupil_gradient(state, n)[0],
-                       object_spectrum=g_object)
+        g_object, _ = self._object_gradient(state, n,
+                                            **self.stage_constants(state, True))
+        keys = [key for key, _, _ in self.param_groups(state, False)]
+        return {"object": g_object.view(np.float64),
+                **dict(zip(keys, self._pupil_gradient(state, n)[0]))}
 
     # -- optimization ------------------------------------------------------
 
-    def step(self, state: PgnnState, n: int, update_object: bool, *,
-             pupil: np.ndarray | None = None,
-             zero_grid: np.ndarray | None = None,
-             tv_value: float | None = None) -> float:
-        """One per-image Adam step on the active group; returns total_loss
-        evaluated before the update.
-
-        ``run_stage`` passes what its stage holds fixed: the pupil and an
-        all-zero gradient grid to object steps, the TV penalty to pupil
-        steps. A step on its own computes them."""
-        pcfg = self.pcfg
-        moments = state.moments
+    def stage_constants(self, state: PgnnState, update_object: bool) -> dict:
+        """What a stage holds fixed, for ``step``: the pupil and an all-zero
+        gradient grid for object steps, the TV penalty for pupil steps."""
         if update_object:
-            if pupil is None:
-                pupil = self.pupil(state)
-            if zero_grid is None:
-                zero_grid = np.zeros(self.high_shape, dtype=np.complex128)
-            g_object, loss = self._object_gradient(state, n, pupil, zero_grid)
+            return {"pupil": self.pupil(state),
+                    "zero_grid": np.zeros(self.high_shape, dtype=np.complex128)}
+        return {"tv_value": self.tv_penalty(state)}
+
+    def step(self, state: PgnnState, n: int, update_object: bool,
+             held: dict) -> float:
+        """One per-image Adam step on the active group; returns total_loss
+        evaluated before the update. ``held`` is the stage's
+        ``stage_constants``, taken while the group it holds is frozen."""
+        if update_object:
+            g_object, loss = self._object_gradient(state, n, **held)
+            grads = [g_object.view(np.float64)]
             state.object_steps += 1
-            adam_step(state.object_spectrum.view(np.float64),
-                      g_object.view(np.float64), moments["object"],
-                      pcfg.lr_object, state.object_steps)
-            zero_grid[self.windows[n]] = 0.0
-            return loss
-        if tv_value is None:
-            tv_value = self.tv_penalty(state)
-        grads, data_loss = self._pupil_gradient(state, n)
-        state.pupil_steps += 1
-        if self.basis is None:
-            adam_step(state.pupil_free.view(np.float64),
-                      grads.pupil_free.view(np.float64),
-                      moments["pupil_free"], pcfg.lr_pupil_amp,
-                      state.pupil_steps)
+            t = state.object_steps
+        else:
+            grads, loss = self._pupil_gradient(state, n)
+            loss += held["tv_value"]
+            state.pupil_steps += 1
+            t = state.pupil_steps
+        for (key, view, lr), grad in zip(self.param_groups(state, update_object),
+                                         grads):
+            adam_step(view, grad, state.moments[key], lr, t)
+        if update_object:
+            held["zero_grid"][self.windows[n]] = 0.0
+        elif self.basis is None:
             state.pupil_free *= self.support
         else:
-            adam_step(state.pupil_amp, grads.pupil_amp, moments["pupil_amp"],
-                      pcfg.lr_pupil_amp, state.pupil_steps)
-            adam_step(state.zern_coeffs, grads.zern_coeffs, moments["zern"],
-                      pcfg.lr_zern, state.pupil_steps)
             state.pupil_amp *= self.support
-        return data_loss + tv_value
+        return loss
 
     def run_stage(self, state: PgnnState, stage_index: int) -> list[float]:
         """One stage (1-based index): odd updates the object, even the pupil.
-        Returns the per-epoch accumulated pre-update losses."""
+        Returns the per-epoch accumulated pre-update losses; the first
+        non-finite loss raises NumericalError naming the group, stage, epoch
+        and image."""
         update_object = stage_index % 2 == 1
-        if update_object:
-            held = dict(pupil=self.pupil(state),
-                        zero_grid=np.zeros(self.high_shape, dtype=np.complex128))
-        else:
-            held = dict(tv_value=self.tv_penalty(state))
-        epoch_losses = []
-        for _ in range(self.pcfg.epochs_per_stage):
-            acc = 0.0
-            for n in self.order:
-                acc += self.step(state, n, update_object, **held)
-            if not np.isfinite(acc):
-                raise NumericalError(
-                    f"loss became non-finite in stage {stage_index}")
-            epoch_losses.append(acc)
-        return epoch_losses
+        held = self.stage_constants(state, update_object)
+        group = "object" if update_object else "pupil"
+        return [sweep(self.order,
+                      lambda n: self.step(state, n, update_object, held),
+                      f"{group} stage {stage_index} epoch {epoch}")
+                for epoch in range(1, self.pcfg.epochs_per_stage + 1)]
 
     def run(self) -> tuple[np.ndarray, np.ndarray, list[float], PgnnState]:
         state = self.initial_state()

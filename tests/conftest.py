@@ -84,10 +84,14 @@ def allocating_adam(p, g, m, v, lr, beta1, beta2, bc1, bc2, eps) -> None:
 DEFOCUS_UM = 50.0
 
 
-def fd_check(seed: int, use_zernike: bool, alpha: float) -> float:
+def fd_check(seed: int, use_zernike: bool, alpha: float,
+             low: tuple[int, int] = (4, 4), upsample: int = 2,
+             leds: tuple[Illumination, ...] | None = None) -> float:
     """Finite-difference audit of one random gradient instance.
 
-    Builds a 6-LED, 4x4-capture (8x8 recovered) problem, perturbs the
+    Builds a ``low``-capture problem recovered at ``upsample`` times its size
+    (by default 6 LEDs, 4x4 captures, 8x8 recovered; offsets stay within one
+    bin for captures up to 6 pixels a side), perturbs the
     standard starting point, and central-differences EVERY real parameter of
     the frozen-target loss at h=1e-6. A coordinate passes when the
     fd/analytic gap sits under the cancellation noise floor of the loss
@@ -97,25 +101,27 @@ def fd_check(seed: int, use_zernike: bool, alpha: float) -> float:
     from fptycho.pgnn import PgnnConfig as _PC, PgnnModel as _PM
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    st2 = (-0.12, 0.0, 0.12)
-    leds = tuple(Illumination(sx, sy) for sy in st2 for sx in st2)[:6]
+    if leds is None:
+        st2 = (-0.12, 0.0, 0.12)
+        leds = tuple(Illumination(sx, sy) for sy in st2 for sx in st2)[:6]
     cfg = OpticalConfig(wavelength_um=0.5, na=0.25, magnification=2.0,
-                        camera_pixel_um=2.0, low_rows=4, low_cols=4, upsample=2,
-                        illuminations=leds)
+                        camera_pixel_um=2.0, low_rows=low[0], low_cols=low[1],
+                        upsample=upsample, illuminations=leds)
+    high = (cfg.high_rows, cfg.high_cols)
     pcfg = _PC(zernike_modes=6 if use_zernike else None,
                tv_alpha1=alpha, tv_alpha2=alpha)
-    images = [rng.random((4, 4)) + 0.1 for _ in range(6)]
+    images = [rng.random(low) + 0.1 for _ in leds]
     model = _PM(images, cfg, pcfg)
     state = model.initial_state()
-    state.object_spectrum += 0.2 * (rng.standard_normal((8, 8))
-                                    + 1j * rng.standard_normal((8, 8)))
+    state.object_spectrum += 0.2 * (rng.standard_normal(high)
+                                    + 1j * rng.standard_normal(high))
     if use_zernike:
-        state.pupil_amp += 0.15 * rng.random((4, 4)) * model.support
+        state.pupil_amp += 0.15 * rng.random(low) * model.support
         state.zern_coeffs += 0.1 * rng.standard_normal(6)
     else:
-        state.pupil_free += 0.15 * (rng.standard_normal((4, 4))
-                                    + 1j * rng.standard_normal((4, 4))) * model.support
-    n = int(rng.integers(0, 6))
+        state.pupil_free += 0.15 * (rng.standard_normal(low)
+                                    + 1j * rng.standard_normal(low)) * model.support
+    n = int(rng.integers(0, len(leds)))
 
     target = model.forward(state, n).target
 
@@ -125,17 +131,19 @@ def fd_check(seed: int, use_zernike: bool, alpha: float) -> float:
         return float(np.vdot(diff, diff).real) + model.tv_penalty(state)
 
     grads = model.gradients(state, n)
+    assert grads.keys() == state.moments.keys()
     h = 1e-6
     worst = 0.0
-    blocks = [(state.object_spectrum, grads.object_spectrum)]
+    blocks = [(state.object_spectrum, grads["object"])]
     if use_zernike:
-        blocks += [(state.pupil_amp, grads.pupil_amp),
-                   (state.zern_coeffs, grads.zern_coeffs)]
+        blocks += [(state.pupil_amp, grads["pupil_amp"]),
+                   (state.zern_coeffs, grads["zern"])]
     else:
-        blocks += [(state.pupil_free, grads.pupil_free)]
+        blocks += [(state.pupil_free, grads["pupil_free"])]
     for arr, grad in blocks:
         flat = arr.view(np.float64).ravel() if np.iscomplexobj(arr) else arr.ravel()
-        gflat = grad.view(np.float64).ravel() if np.iscomplexobj(grad) else grad.ravel()
+        gflat = grad.ravel()
+        assert gflat.size == flat.size
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h

@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from fptycho.cli import main
+from fptycho.cli import build_parser, main
+from fptycho.epie import EpieConfig
 from fptycho.io import (default_file_names, manifest_text, read_complex_grid,
                         read_dataset, write_complex_grid, write_real_grid)
 from fptycho.optics import Illumination, OpticalConfig, pupil_support
+from fptycho.pgnn import PgnnConfig
 
 
 def _cli_config() -> OpticalConfig:
@@ -205,6 +207,33 @@ def test_manifest_problems_exit_2(tmp_path, capsys):
     code = main(["inspect", "--dataset", str(tmp_path)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["inspect", "simulate"])
+def test_manifest_that_is_not_utf8_exits_2(cli_inputs, tmp_path, capsys,
+                                           command):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_bytes(b"\xff" + (cli_inputs / "config.json").read_bytes())
+    if command == "inspect":
+        code = main(["inspect", "--dataset", str(tmp_path)])
+    else:
+        code = main(["simulate",
+                     "--truth-amp", str(cli_inputs / "amp.fpd1"),
+                     "--truth-phase", str(cli_inputs / "phase.fpd1"),
+                     "--config", str(manifest), "--out", str(tmp_path / "sim")])
+    assert code == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_bare_reconstruct_parses_to_the_config_defaults():
+    args = build_parser().parse_args(["reconstruct", "--dataset", "d",
+                                      "--method", "pgnn", "--out", "o"])
+    pdef = PgnnConfig()
+    assert (args.stages, args.epochs, args.tv_alpha1, args.tv_alpha2,
+            args.zernike, args.lr_object, args.lr_pupil, args.lr_zern) == (
+        pdef.stages, pdef.epochs_per_stage, pdef.tv_alpha1, pdef.tv_alpha2,
+        pdef.zernike_modes, pdef.lr_object, pdef.lr_pupil_amp, pdef.lr_zern)
+    assert args.iterations == EpieConfig().iterations
 
 
 def test_duplicate_capture_names_exit_2(cli_inputs, tmp_path, capsys):

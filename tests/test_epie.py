@@ -218,7 +218,12 @@ def test_history_sums_each_visits_pre_update_misfit(small_instance, kind):
     assert run_epie(images, cfg, ecfg)[2] == expected
 
 
-@pytest.mark.parametrize("kind", ["literal", "conventional", "fixed"])
+# the literal pupil update divides by the NaN-poisoned spectrum maximum in the
+# same visit, before the misfit check raises, so numpy warns there
+@pytest.mark.parametrize("kind", [
+    pytest.param("literal", marks=pytest.mark.filterwarnings(
+        "ignore::RuntimeWarning")),
+    "conventional", "fixed"])
 def test_nonfinite_misfit_names_the_sweep_and_image(small_instance, kind):
     cfg, _, images = small_instance
     bad = [im.copy() for im in images]
