@@ -11,7 +11,8 @@ A thin numpy core; the per-image step's small kernels live in
 * ``io`` / ``evaluate`` / ``cli``: formats, metrics, command line
 """
 
-from .epie import EpieConfig, ap_project, epie_step, run_epie
+from .epie import (EpieConfig, ap_project, epie_step, measured_amplitudes,
+                   run_epie)
 from .errors import (DegenerateField, DegeneratePupil, DegenerateReference,
                      DimensionMismatch, FormatError, FptychoError,
                      InvalidModeCount, ManifestError, NumericalError,
@@ -33,7 +34,7 @@ __all__ = [
     "Metrics", "NumericalError", "OpticalConfig", "PgnnConfig", "PgnnModel",
     "SimOptions", "WindowOutOfBounds", "ZernikeBasis", "ap_project",
     "defocus_phase", "epie_step", "forward_capture", "global_phase_align",
-    "illumination_offsets", "make_ctf", "metrics", "passband_rel_err_amp",
-    "pupil_from_params", "read_dataset", "run_epie", "run_pgnn",
-    "simulate_dataset", "write_dataset", "zernike_basis",
+    "illumination_offsets", "make_ctf", "measured_amplitudes", "metrics",
+    "passband_rel_err_amp", "pupil_from_params", "read_dataset", "run_epie",
+    "run_pgnn", "simulate_dataset", "write_dataset", "zernike_basis",
 ]

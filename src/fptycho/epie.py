@@ -46,32 +46,38 @@ class EpieState:
     pupil: np.ndarray            # complex128 (low_rows, low_cols)
 
 
-def check_image_count(images: list[np.ndarray], cfg: OpticalConfig) -> None:
-    """Every engine needs exactly one capture per illumination."""
+def measured_amplitudes(images, cfg: OpticalConfig) -> np.ndarray:
+    """The captures as one float64 (L, low_rows, low_cols) stack of sqrt(I):
+    the one place that knows captures are intensities. DimensionMismatch
+    names a missing, surplus or misshapen image."""
     if len(images) != len(cfg.illuminations):
         raise DimensionMismatch(
             f"{len(images)} images for {len(cfg.illuminations)} illuminations")
+    want = (cfg.low_rows, cfg.low_cols)
+    for n, img in enumerate(images):
+        if np.shape(img) != want:
+            raise DimensionMismatch(f"image {n} is {np.shape(img)}, config wants {want}")
+    amplitudes = np.array(images, dtype=np.float64)
+    return np.sqrt(amplitudes, out=amplitudes)
 
 
-def initial_object_spectrum(images: list[np.ndarray], cfg: OpticalConfig) -> np.ndarray:
-    """Zero-padded spectrum embedding of the most-axial capture's sqrt image.
+def initial_object_spectrum(amplitudes: np.ndarray, cfg: OpticalConfig) -> np.ndarray:
+    """Zero-padded spectrum embedding of the most-axial capture's amplitude.
 
     In the energy-scaled convention this is simply the centered low-res
     spectrum of sqrt(I_central) dropped into the middle of a zero high-res
     grid; spatially that is the up-sampled sqrt-intensity image with zero
     phase at the correct brightness.
     """
-    check_image_count(images, cfg)
     n0 = int(np.argmin([ill.sx ** 2 + ill.sy ** 2 for ill in cfg.illuminations]))
-    amp = np.sqrt(np.asarray(images[n0], dtype=np.float64))
-    low_spec = center_shift(dft2(amp))
+    low_spec = center_shift(dft2(amplitudes[n0]))
     high = np.zeros((cfg.high_rows, cfg.high_cols), dtype=np.complex128)
     high[window(high.shape, (0, 0), cfg.low_rows, cfg.low_cols)] = low_spec
     return high
 
 
-def initial_state(images: list[np.ndarray], cfg: OpticalConfig) -> EpieState:
-    return EpieState(object_spectrum=initial_object_spectrum(images, cfg),
+def initial_state(amplitudes: np.ndarray, cfg: OpticalConfig) -> EpieState:
+    return EpieState(object_spectrum=initial_object_spectrum(amplitudes, cfg),
                      pupil=make_ctf(cfg))
 
 
@@ -95,74 +101,70 @@ def sweep(order, visit, where: str) -> float:
     return total
 
 
-def ap_project(phi_low: np.ndarray, measured: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def ap_project(phi_low: np.ndarray, amplitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Amplitude replacement in the capture plane, stated on spectra.
 
-    Transforms the modeled window spectrum to the capture plane, swaps its
-    amplitude for sqrt(measured) while keeping the phase (zero-amplitude
-    pixels get phase 0), and transforms back. Returns the replaced spectrum
-    and the modeled capture-plane field it was built from. Layout-consistent:
-    the input and output spectra are both DC-centered.
+    Transforms the modeled window spectrum (or a stack of them) to the
+    capture plane, swaps its amplitude for ``amplitude`` keeping the phase
+    (zero-amplitude pixels get phase 0), and transforms back. Returns the
+    replaced spectrum and the modeled capture-plane field it was built from.
+    Layout-consistent: the input and output spectra are both DC-centered.
     """
-    if phi_low.shape != measured.shape:
+    if phi_low.shape != amplitude.shape:
         raise DimensionMismatch(
-            f"spectrum {phi_low.shape} vs measured {measured.shape}")
+            f"spectrum {phi_low.shape} vs amplitude {amplitude.shape}")
     field = idft2(inverse_center_shift(phi_low))
-    replaced = np.sqrt(np.asarray(measured, dtype=np.float64)) * phase_unit(field)
-    return center_shift(dft2(replaced)), field
+    return center_shift(dft2(amplitude * phase_unit(field))), field
 
 
-def _amplitude_misfit(measured: np.ndarray, field: np.ndarray) -> float:
-    """Data misfit of one capture: ||sqrt(I) - |field|||^2."""
-    diff = np.sqrt(np.asarray(measured, dtype=np.float64)) - np.abs(field)
-    return float(np.vdot(diff, diff).real)
+def _update(weight: np.ndarray, residual: np.ndarray, error: type,
+            name: str) -> np.ndarray:
+    """ePIE correction of one factor, weighted by the other factor w:
+    conj(w) / max|w|^2 * residual; a zero w raises ``error``."""
+    peak = np.max(np.abs(weight)) ** 2
+    if peak == 0.0:
+        raise error(f"{name} is identically zero")
+    return np.conj(weight) / peak * residual
 
 
-def epie_step(state: EpieState, image: np.ndarray, offset: tuple[int, int],
+def epie_step(state: EpieState, amplitude: np.ndarray, offset: tuple[int, int],
               cfg: EpieConfig) -> float:
     """One image visit: AP correction plus object and pupil updates.
 
     Mutates ``state`` and returns the image's pre-update misfit, read off the
     field ``ap_project`` built. Only the spectrum window addressed by
-    ``offset`` is touched; every other object bin is left bit-identical.
+    ``offset`` is touched; every other object bin is left bit-identical. A
+    degenerate weight raises before ``state`` changes.
     """
     patch = state.object_spectrum[window(state.object_spectrum.shape, offset,
-                                         *image.shape)]
-
+                                         *amplitude.shape)]
     pupil = state.pupil
     phi_low = patch * pupil
-    phi_high, field = ap_project(phi_low, image)
+    phi_high, field = ap_project(phi_low, amplitude)
     residual = phi_high - phi_low
 
-    pupil_max = np.max(np.abs(pupil)) ** 2
-    if pupil_max == 0.0:
-        raise DegeneratePupil("pupil is identically zero")
-    patch_before = patch.copy() if cfg.pupil_update == "conventional" else None
-    patch += np.conj(pupil) / pupil_max * residual
-
+    object_step = _update(pupil, residual, DegeneratePupil, "pupil")
     if cfg.pupil_update == "literal":
-        high_max = np.max(np.abs(phi_high)) ** 2
-        if high_max == 0.0:
-            raise DegenerateField("corrected window spectrum is identically zero")
-        state.pupil = pupil + np.conj(phi_high) / high_max * residual
+        state.pupil = pupil + _update(phi_high, residual, DegenerateField,
+                                      "corrected window spectrum")
     elif cfg.pupil_update == "conventional":
-        win_max = np.max(np.abs(patch_before)) ** 2
-        if win_max == 0.0:
-            raise DegenerateField("object window is identically zero")
-        state.pupil = pupil + np.conj(patch_before) / win_max * residual
-    return _amplitude_misfit(image, field)
+        state.pupil = pupil + _update(patch, residual, DegenerateField,
+                                      "object window")
+    patch += object_step
+    diff = amplitude - np.abs(field)
+    return float(np.vdot(diff, diff).real)
 
 
-def amplitude_residual(state: EpieState, images: list[np.ndarray],
-                       cfg: OpticalConfig) -> float:
-    """Frozen-state data misfit: sum_n ||sqrt(I_n) - |field_n|||^2."""
-    check_image_count(images, cfg)
-    total = 0.0
-    for img, off in zip(images, illumination_offsets(cfg)):
-        win = window(state.object_spectrum.shape, off, cfg.low_rows, cfg.low_cols)
-        field = idft2(inverse_center_shift(state.object_spectrum[win] * state.pupil))
-        total += _amplitude_misfit(img, field)
-    return total
+def spectral_misfit(spectrum: np.ndarray, pupil: np.ndarray,
+                    amplitudes: np.ndarray, cfg: OpticalConfig) -> float:
+    """Frozen-state misfit sum_n ||P_n(phi_n) - phi_n||^2, phi_n the window of
+    the centered ``spectrum`` at LED n times ``pupil``, P_n ``ap_project``
+    against capture n. One stacked projection; the terms add in manifest
+    order, so the sum equals a per-LED loop bit for bit."""
+    phi = np.stack([spectrum[window(spectrum.shape, off, cfg.low_rows, cfg.low_cols)]
+                    for off in illumination_offsets(cfg)]) * pupil
+    diff = ap_project(phi, amplitudes)[0] - phi
+    return sum(float(np.vdot(d, d).real) for d in diff)
 
 
 def run_epie(images: list[np.ndarray], cfg: OpticalConfig,
@@ -174,11 +176,11 @@ def run_epie(images: list[np.ndarray], cfg: OpticalConfig,
     NumericalError naming the sweep and the image. ``iterations=0`` returns
     the initialization untouched (and an empty history).
     """
+    amplitudes = measured_amplitudes(images, cfg)
     offsets = illumination_offsets(cfg)
     order = traversal_order(cfg)
-    state = initial_state(images, cfg)
-    images = [np.asarray(im, dtype=np.float64) for im in images]
-    history = [sweep(order, lambda n: epie_step(state, images[n], offsets[n], ecfg),
+    state = initial_state(amplitudes, cfg)
+    history = [sweep(order, lambda n: epie_step(state, amplitudes[n], offsets[n], ecfg),
                      f"sweep {it}")
                for it in range(1, ecfg.iterations + 1)]
     spatial = idft2(inverse_center_shift(state.object_spectrum))

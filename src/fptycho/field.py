@@ -2,7 +2,8 @@
 
 Conventions, fixed once here and never re-decided elsewhere:
 
-* grids are 2-D C-contiguous numpy arrays, float64 or complex128, row-major;
+* a grid is a 2-D C-contiguous float64 or complex128 array, row-major, or a
+  stack of grids on the last two axes, transformed slice by slice;
 * ``dft2`` is the plain unnormalized forward transform, ``idft2`` carries the
   1/(rows*cols) factor, so ``idft2(dft2(x)) == x``;
 * "centered" layout puts DC at ``(rows // 2, cols // 2)``; ``center_shift``
@@ -22,10 +23,10 @@ from .errors import DimensionMismatch, WindowOutOfBounds
 
 
 def as_grid(a, dtype=None) -> np.ndarray:
-    """Validate that ``a`` is a 2-D grid; return it as a contiguous array."""
+    """Validate a grid or a stack of grids (ndim >= 2); return it contiguous."""
     g = np.ascontiguousarray(a, dtype=dtype)
-    if g.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D grid, got ndim={g.ndim}")
+    if g.ndim < 2:
+        raise DimensionMismatch(f"expected a grid of ndim >= 2, got ndim={g.ndim}")
     return g
 
 
@@ -40,30 +41,30 @@ def idft2(x: np.ndarray) -> np.ndarray:
 
 
 def _roll2(x: np.ndarray, dr: int, dc: int) -> np.ndarray:
-    """Cyclic shift of a grid by (dr, dc), 0 <= dr <= rows, 0 <= dc <= cols,
-    as four block copies into one new array (what ``np.roll`` on both axes
-    gives, without the intermediate array of a per-axis roll)."""
+    """Cyclic shift of the last two axes by (dr, dc), 0 <= dr <= rows,
+    0 <= dc <= cols, as four block copies into one new array (``np.roll`` on
+    both axes, without a per-axis roll's intermediate array)."""
     out = np.empty_like(x)
-    rows, cols = x.shape
+    rows, cols = x.shape[-2:]
     kr, kc = rows - dr, cols - dc
-    out[dr:, dc:] = x[:kr, :kc]
-    out[dr:, :dc] = x[:kr, kc:]
-    out[:dr, dc:] = x[kr:, :kc]
-    out[:dr, :dc] = x[kr:, kc:]
+    out[..., dr:, dc:] = x[..., :kr, :kc]
+    out[..., dr:, :dc] = x[..., :kr, kc:]
+    out[..., :dr, dc:] = x[..., kr:, :kc]
+    out[..., :dr, :dc] = x[..., kr:, kc:]
     return out
 
 
 def center_shift(x: np.ndarray) -> np.ndarray:
     """Move DC from (0, 0) to (rows // 2, cols // 2); equals np.fft.fftshift."""
     g = as_grid(x)
-    return _roll2(g, g.shape[0] // 2, g.shape[1] // 2)
+    return _roll2(g, g.shape[-2] // 2, g.shape[-1] // 2)
 
 
 def inverse_center_shift(x: np.ndarray) -> np.ndarray:
     """Exact inverse of center_shift (distinct from it for odd sizes);
     equals np.fft.ifftshift."""
     g = as_grid(x)
-    return _roll2(g, (g.shape[0] + 1) // 2, (g.shape[1] + 1) // 2)
+    return _roll2(g, (g.shape[-2] + 1) // 2, (g.shape[-1] + 1) // 2)
 
 
 def window(shape: tuple[int, int], offset: tuple[int, int],

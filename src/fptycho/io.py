@@ -179,8 +179,10 @@ def parse_manifest(text: str) -> tuple[OpticalConfig, list[str], float | None]:
         sx = _finite(entry["sx"], f"illumination {i}: sx")
         sy = _finite(entry["sy"], f"illumination {i}: sy")
         fname = entry["file"]
-        _require(isinstance(fname, str) and fname != "" and "/" not in fname
-                 and "\\" not in fname,
+        # "." and ".." are directories; NUL and lone surrogates cannot be opened
+        _require(isinstance(fname, str) and fname not in ("", ".", "..")
+                 and not any(c in "/\\\0" or "\ud800" <= c <= "\udfff"
+                             for c in fname),
                  f"illumination {i}: file must be a bare file name")
         _require(fname not in seen, f"illumination {i}: file {fname!r} is "
                  f"already used by illumination {seen.get(fname)}")

@@ -257,19 +257,13 @@ def defocus_phase(cfg: OpticalConfig, z_um: float) -> np.ndarray:
 
 
 def synthetic_aperture_mask(cfg: OpticalConfig) -> np.ndarray:
-    """Union of all LED-shifted pupil disks on the high-res centered grid.
+    """Union over LEDs of ``pupil_support`` placed in the LED's capture window.
 
     Used to compare a reconstruction against ground truth only over the
     frequencies the measurements can actually carry.
     """
-    offsets = illumination_offsets(cfg)
-    fr, fc = freq_grids(cfg.high_rows, cfg.high_cols, cfg.pixel_high_um)
-    df_rows = 1.0 / (cfg.high_rows * cfg.pixel_high_um)
-    df_cols = 1.0 / (cfg.high_cols * cfg.pixel_high_um)
+    support = pupil_support(cfg)
     mask = np.zeros((cfg.high_rows, cfg.high_cols), dtype=bool)
-    cut2 = cfg.cutoff_cycles ** 2
-    for off_r, off_c in offsets:
-        dr = fr - off_r * df_rows
-        dc = fc - off_c * df_cols
-        mask |= dr * dr + dc * dc < cut2
+    for off in illumination_offsets(cfg):
+        mask[window(mask.shape, off, cfg.low_rows, cfg.low_cols)] |= support
     return mask

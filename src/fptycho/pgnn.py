@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .epie import (ap_project, check_image_count, initial_object_spectrum,
-                   sweep, traversal_order)
+from .epie import (ap_project, initial_object_spectrum, measured_amplitudes,
+                   spectral_misfit, sweep, traversal_order)
 from .errors import DimensionMismatch
 from .field import (dft2, center_shift, idft2, inverse_center_shift,
                     window, wrap_phase)
@@ -121,8 +121,7 @@ class PgnnModel:
 
     def __init__(self, images: list[np.ndarray], cfg: OpticalConfig,
                  pcfg: PgnnConfig = PgnnConfig()):
-        check_image_count(images, cfg)
-        self.images = [np.asarray(im, dtype=np.float64) for im in images]
+        self.amplitudes = measured_amplitudes(images, cfg)
         self.cfg = cfg
         self.pcfg = pcfg
         self.support = pupil_support(cfg)
@@ -143,7 +142,7 @@ class PgnnModel:
     def initial_state(self) -> PgnnState:
         """Same starting point as the AP baseline: up-sampled sqrt of the
         most-axial capture with zero phase, binary CTF pupil."""
-        spectrum = initial_object_spectrum(self.images, self.cfg) / self.area_low
+        spectrum = initial_object_spectrum(self.amplitudes, self.cfg) / self.area_low
         if self.basis is None:
             state = PgnnState(spectrum, pupil_free=make_ctf(self.cfg))
         else:
@@ -184,7 +183,7 @@ class PgnnModel:
     def forward(self, state: PgnnState, n: int,
                 pupil: np.ndarray | None = None) -> ForwardResult:
         predicted = self.predicted_spectrum(state, n, pupil)
-        target = ap_project(predicted, self.images[n])[0]
+        target = ap_project(predicted, self.amplitudes[n])[0]
         diff = target - predicted
         return ForwardResult(predicted=predicted, target=target,
                              data_loss=float(np.vdot(diff, diff).real))
@@ -226,9 +225,9 @@ class PgnnModel:
 
     def dataset_loss(self, state: PgnnState) -> float:
         """Frozen-state total loss accumulated over every image."""
-        data = sum(self.forward(state, n).data_loss
-                   for n in range(len(self.images)))
-        return data + len(self.images) * self.tv_penalty(state)
+        data = spectral_misfit(self.area_low * state.object_spectrum,
+                               self.pupil(state), self.amplitudes, self.cfg)
+        return data + len(self.amplitudes) * self.tv_penalty(state)
 
     # -- gradients ---------------------------------------------------------
 

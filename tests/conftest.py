@@ -8,11 +8,11 @@ import math
 import numpy as np
 import pytest
 
-from fptycho.epie import EpieConfig, run_epie
-from fptycho.field import center_shift, dft2, window
-from fptycho.epie import ap_project
+from fptycho.epie import (EpieConfig, measured_amplitudes, run_epie,
+                          spectral_misfit)
+from fptycho.field import center_shift, dft2
 from fptycho.optics import (Illumination, OpticalConfig, defocus_phase,
-                            illumination_offsets, make_ctf)
+                            make_ctf)
 from fptycho.pgnn import PgnnConfig, run_pgnn
 from fptycho.simulate import GroundTruth, simulate_dataset
 
@@ -62,12 +62,7 @@ def ap_misfit(spatial: np.ndarray, pupil: np.ndarray,
     not comparable; this rebuilds each low-res field spectrum from the
     (object, pupil) pair and sums the amplitude-replacement misfit."""
     spectrum = center_shift(dft2(spatial)) * cfg.spectrum_scale
-    total = 0.0
-    for img, off in zip(images, illumination_offsets(cfg)):
-        phi = spectrum[window(spectrum.shape, off, cfg.low_rows, cfg.low_cols)] * pupil
-        diff = ap_project(phi, np.asarray(img, dtype=np.float64))[0] - phi
-        total += float(np.vdot(diff, diff).real)
-    return total
+    return spectral_misfit(spectrum, pupil, measured_amplitudes(images, cfg), cfg)
 
 
 def allocating_adam(p, g, m, v, lr, beta1, beta2, bc1, bc2, eps) -> None:

@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
-from fptycho.epie import (EpieConfig, EpieState, amplitude_residual,
-                          ap_project, epie_step, initial_object_spectrum,
-                          initial_state, run_epie, traversal_order)
+import fptycho.epie
+from fptycho.epie import (EpieConfig, EpieState, ap_project, epie_step,
+                          initial_object_spectrum, initial_state,
+                          measured_amplitudes, run_epie, spectral_misfit,
+                          traversal_order)
 from fptycho.errors import (DegenerateField, DegeneratePupil,
                             DimensionMismatch, NumericalError)
 from fptycho.field import (center_shift, dft2, idft2, inverse_center_shift,
                            window)
-from fptycho.optics import illumination_offsets, make_ctf
+from fptycho.optics import (Illumination, OpticalConfig, illumination_offsets,
+                            make_ctf)
 
 
 # -- amplitude projection --------------------------------------------------
@@ -18,8 +21,8 @@ from fptycho.optics import illumination_offsets, make_ctf
 def test_ap_project_fixes_spectra_that_already_match():
     rng = np.random.Generator(np.random.PCG64(30))
     phi = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    measured = np.abs(idft2(inverse_center_shift(phi))) ** 2
-    out = ap_project(phi, measured)[0]
+    amplitude = np.abs(idft2(inverse_center_shift(phi)))
+    out = ap_project(phi, amplitude)[0]
     assert np.linalg.norm(out - phi) <= 1e-12 * np.linalg.norm(phi)
 
 
@@ -33,10 +36,10 @@ def test_ap_project_zero_field_uses_zero_phase_convention():
 def test_ap_project_output_amplitude_equals_measurement():
     rng = np.random.Generator(np.random.PCG64(31))
     phi = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    measured = rng.random((8, 8)) + 0.05
-    out = ap_project(phi, measured)[0]
+    amplitude = rng.random((8, 8)) + 0.05
+    out = ap_project(phi, amplitude)[0]
     amp = np.abs(idft2(inverse_center_shift(out)))
-    assert np.allclose(amp, np.sqrt(measured), atol=1e-12)
+    assert np.allclose(amp, amplitude, atol=1e-12)
 
 
 def test_ap_project_rejects_mismatched_dims():
@@ -54,11 +57,12 @@ def ground_truth_state(cfg, obj):
 
 def test_step_at_ground_truth_changes_nothing(small_instance):
     cfg, obj, images = small_instance
+    amps = measured_amplitudes(images, cfg)
     state = ground_truth_state(cfg, obj)
     spec0 = state.object_spectrum.copy()
     pup0 = state.pupil.copy()
     offsets = illumination_offsets(cfg)
-    epie_step(state, images[0], offsets[0], EpieConfig())
+    epie_step(state, amps[0], offsets[0], EpieConfig())
     assert (np.max(np.abs(state.object_spectrum - spec0))
             <= 1e-12 * np.max(np.abs(spec0)))
     assert np.max(np.abs(state.pupil - pup0)) <= 1e-12 * np.max(np.abs(pup0))
@@ -66,12 +70,13 @@ def test_step_at_ground_truth_changes_nothing(small_instance):
 
 def test_full_sweep_at_ground_truth_is_invariant(small_instance):
     cfg, obj, images = small_instance
+    amps = measured_amplitudes(images, cfg)
     state = ground_truth_state(cfg, obj)
     spec0 = state.object_spectrum.copy()
     pup0 = state.pupil.copy()
     offsets = illumination_offsets(cfg)
-    for n in range(len(images)):
-        epie_step(state, images[n], offsets[n], EpieConfig())
+    for n in range(len(amps)):
+        epie_step(state, amps[n], offsets[n], EpieConfig())
     # measured drift over a 9-image sweep is ~2e-16 relative
     assert (np.max(np.abs(state.object_spectrum - spec0))
             <= 1e-10 * np.max(np.abs(spec0)))
@@ -80,22 +85,24 @@ def test_full_sweep_at_ground_truth_is_invariant(small_instance):
 
 def test_fixed_pupil_update_leaves_the_pupil_bitwise(small_instance):
     cfg, _, images = small_instance
-    state = initial_state(images, cfg)
+    amps = measured_amplitudes(images, cfg)
+    state = initial_state(amps, cfg)
     spec0 = state.object_spectrum.copy()
     pup0 = state.pupil.copy()
     offsets = illumination_offsets(cfg)
-    epie_step(state, images[3], offsets[3], EpieConfig(pupil_update="fixed"))
+    epie_step(state, amps[3], offsets[3], EpieConfig(pupil_update="fixed"))
     assert np.array_equal(state.pupil, pup0)
     assert not np.array_equal(state.object_spectrum, spec0)
 
 
 def test_step_writes_only_the_addressed_window(small_instance):
     cfg, _, images = small_instance
-    state = initial_state(images, cfg)
+    amps = measured_amplitudes(images, cfg)
+    state = initial_state(amps, cfg)
     spec0 = state.object_spectrum.copy()
     offsets = illumination_offsets(cfg)
     n = 0                                   # corner LED, off-center window
-    epie_step(state, images[n], offsets[n], EpieConfig())
+    epie_step(state, amps[n], offsets[n], EpieConfig())
     center = (cfg.high_rows // 2, cfg.high_cols // 2)
     r0 = center[0] + offsets[n][0] - cfg.low_rows // 2
     c0 = center[1] + offsets[n][1] - cfg.low_cols // 2
@@ -112,28 +119,119 @@ def test_one_step_from_init_decreases_total_residual(reference_cfg,
     # pupil-update settings
     offsets = illumination_offsets(reference_cfg)
     n = traversal_order(reference_cfg)[1]
+    amps = measured_amplitudes(infocus_images, reference_cfg)
+
+    def misfit(state):
+        return spectral_misfit(state.object_spectrum, state.pupil, amps,
+                               reference_cfg)
+
     for ecfg in (EpieConfig(), EpieConfig(pupil_update="fixed")):
-        state = initial_state(infocus_images, reference_cfg)
-        before = amplitude_residual(state, infocus_images, reference_cfg)
-        epie_step(state, infocus_images[n], offsets[n], ecfg)
-        after = amplitude_residual(state, infocus_images, reference_cfg)
-        assert after < before
+        state = initial_state(amps, reference_cfg)
+        before = misfit(state)
+        epie_step(state, amps[n], offsets[n], ecfg)
+        assert misfit(state) < before
 
 
 def test_zero_pupil_is_rejected(small_instance):
     cfg, _, images = small_instance
-    state = initial_state(images, cfg)
+    amps = measured_amplitudes(images, cfg)
+    state = initial_state(amps, cfg)
     state.pupil = np.zeros_like(state.pupil)
     with pytest.raises(DegeneratePupil):
-        epie_step(state, images[0], (0, 0), EpieConfig())
+        epie_step(state, amps[0], (0, 0), EpieConfig())
 
 
+# both corrections are formed before either is applied, so a degenerate
+# pupil weight raises with the state untouched
 def test_all_dark_image_breaks_literal_pupil_update(small_instance):
     cfg, _, images = small_instance
-    state = initial_state(images, cfg)
-    dark = np.zeros_like(images[0])
+    amps = measured_amplitudes(images, cfg)
+    state = initial_state(amps, cfg)
+    spec0, pup0 = state.object_spectrum.copy(), state.pupil.copy()
+    dark = np.zeros_like(amps[0])
     with pytest.raises(DegenerateField):
         epie_step(state, dark, (0, 0), EpieConfig())
+    assert np.array_equal(state.object_spectrum, spec0)
+    assert np.array_equal(state.pupil, pup0)
+
+
+def test_zero_object_window_breaks_conventional_pupil_update(small_instance):
+    cfg, _, images = small_instance
+    amps = measured_amplitudes(images, cfg)
+    state = initial_state(amps, cfg)
+    state.object_spectrum[...] = 0.0
+    pup0 = state.pupil.copy()
+    with pytest.raises(DegenerateField):
+        epie_step(state, amps[0], (0, 0), EpieConfig(pupil_update="conventional"))
+    assert not state.object_spectrum.any()
+    assert np.array_equal(state.pupil, pup0)
+
+
+# -- captures and the frozen-state misfit ------------------------------------
+
+def test_measured_amplitudes_roots_each_capture_into_a_new_stack(small_instance):
+    cfg, _, images = small_instance
+    for given_images in (images, np.array(images), [im.astype(np.float32)
+                                                     for im in images]):
+        before = [np.array(im) for im in given_images]
+        amps = measured_amplitudes(given_images, cfg)
+        assert amps.dtype == np.float64 and amps.shape == (9, 16, 16)
+        for amp, im, im0 in zip(amps, given_images, before):
+            assert np.array_equal(amp, np.sqrt(np.asarray(im, dtype=np.float64)))
+            assert np.array_equal(im, im0)
+
+
+def test_a_misshapen_capture_is_named_before_any_visit(small_instance,
+                                                       monkeypatch):
+    cfg, _, images = small_instance
+    bad = list(images)
+    bad[7] = np.ones((8, 8))
+
+    def visit(*args):
+        raise AssertionError("an image was visited")
+
+    monkeypatch.setattr(fptycho.epie, "epie_step", visit)
+    with pytest.raises(DimensionMismatch, match=r"image 7 is \(8, 8\)"):
+        run_epie(bad, cfg, EpieConfig(iterations=1))
+
+
+def per_led_misfit(spectrum, pupil, images, cfg):
+    """The per-LED loop ``spectral_misfit`` replaced: one projection per
+    capture, each rooting its own intensity."""
+    total = 0.0
+    for img, off in zip(images, illumination_offsets(cfg)):
+        phi = spectrum[window(spectrum.shape, off, cfg.low_rows, cfg.low_cols)] * pupil
+        amplitude = np.sqrt(np.asarray(img, dtype=np.float64))
+        diff = ap_project(phi, amplitude)[0] - phi
+        total += float(np.vdot(diff, diff).real)
+    return total
+
+
+def odd_instance(rng):
+    """5x7 captures at 3x upsampling under a 3x3 LED grid."""
+    steps = (-0.1, 0.0, 0.1)
+    leds = tuple(Illumination(sx, sy) for sy in steps for sx in steps)
+    cfg = OpticalConfig(wavelength_um=0.5, na=0.25, magnification=2.0,
+                        camera_pixel_um=2.0, low_rows=5, low_cols=7,
+                        upsample=3, illuminations=leds)
+    return cfg, [rng.random((5, 7)) for _ in leds]
+
+
+def test_spectral_misfit_equals_a_per_led_loop(small_instance):
+    rng = np.random.Generator(np.random.PCG64(40))
+    cfg, _, images = small_instance
+    for cfg, images in ((cfg, images), odd_instance(rng)):
+        amps = measured_amplitudes(images, cfg)
+        high = (cfg.high_rows, cfg.high_cols)
+        low = (cfg.low_rows, cfg.low_cols)
+        state = initial_state(amps, cfg)
+        pupils = (state.pupil,
+                  rng.standard_normal(low) + 1j * rng.standard_normal(low))
+        spectra = (state.object_spectrum,
+                   rng.standard_normal(high) + 1j * rng.standard_normal(high))
+        for spectrum, pupil in zip(spectra, pupils):
+            assert (spectral_misfit(spectrum, pupil, amps, cfg)
+                    == per_led_misfit(spectrum, pupil, images, cfg))
 
 
 # -- configuration and traversal -------------------------------------------
@@ -158,7 +256,8 @@ def test_traversal_orders(reference_cfg):
 
 def test_initialization_embeds_central_capture_spectrum(small_instance):
     cfg, _, images = small_instance
-    spec = initial_object_spectrum(images, cfg)
+    amps = measured_amplitudes(images, cfg)
+    spec = initial_object_spectrum(amps, cfg)
     central = len(images) // 2
     low = center_shift(dft2(np.sqrt(images[central]).astype(np.complex128)))
     r0 = cfg.high_rows // 2 - cfg.low_rows // 2
@@ -167,15 +266,16 @@ def test_initialization_embeds_central_capture_spectrum(small_instance):
     outside = spec.copy()
     outside[r0:r0 + cfg.low_rows, c0:c0 + cfg.low_cols] = 0.0
     assert np.all(outside == 0.0)
-    assert np.array_equal(initial_state(images, cfg).pupil, make_ctf(cfg))
+    assert np.array_equal(initial_state(amps, cfg).pupil, make_ctf(cfg))
 
 
 # -- full runs -------------------------------------------------------------
 
 def test_zero_iterations_returns_initialization(small_instance):
     cfg, _, images = small_instance
+    amps = measured_amplitudes(images, cfg)
     spatial, pupil, history = run_epie(images, cfg, EpieConfig(iterations=0))
-    init = initial_state(images, cfg)
+    init = initial_state(amps, cfg)
     expected = idft2(inverse_center_shift(init.object_spectrum))
     expected /= cfg.spectrum_scale
     assert history == []
@@ -188,14 +288,13 @@ def test_image_count_must_match_led_count(reference_cfg):
         run_epie([np.ones((32, 32))] * 3, reference_cfg, EpieConfig())
 
 
-def test_amplitude_residual_needs_one_image_per_illumination(small_instance):
-    # zipping images with offsets used to sum a short list silently and
-    # drop the surplus of a long one
+def test_measured_amplitudes_needs_one_image_per_illumination(small_instance):
+    # zipping images with offsets would sum a short list silently and drop
+    # the surplus of a long one
     cfg, _, images = small_instance
-    state = initial_state(images, cfg)
     for wrong in (images[:1], images + images[:1]):
-        with pytest.raises(DimensionMismatch):
-            amplitude_residual(state, wrong, cfg)
+        with pytest.raises(DimensionMismatch, match="illuminations"):
+            measured_amplitudes(wrong, cfg)
 
 
 @pytest.mark.parametrize("kind", ["literal", "conventional", "fixed"])
@@ -203,7 +302,8 @@ def test_history_sums_each_visits_pre_update_misfit(small_instance, kind):
     cfg, _, images = small_instance
     ecfg = EpieConfig(iterations=2, pupil_update=kind)
     offsets = illumination_offsets(cfg)
-    state = initial_state(images, cfg)
+    amps = measured_amplitudes(images, cfg)
+    state = initial_state(amps, cfg)
     expected = []
     for _ in range(ecfg.iterations):
         sweep = 0.0
@@ -213,7 +313,7 @@ def test_history_sums_each_visits_pre_update_misfit(small_instance, kind):
             field = idft2(inverse_center_shift(patch * state.pupil))
             diff = np.sqrt(images[n]) - np.abs(field)
             sweep += float(np.vdot(diff, diff).real)
-            epie_step(state, images[n], offsets[n], ecfg)
+            epie_step(state, amps[n], offsets[n], ecfg)
         expected.append(sweep)
     assert run_epie(images, cfg, ecfg)[2] == expected
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fptycho.errors import WindowOutOfBounds
+from fptycho.errors import DimensionMismatch, WindowOutOfBounds
 from fptycho.field import (center_shift, dft2, idft2, inverse_center_shift,
                            phase_unit, window, wrap_phase)
 
@@ -160,3 +160,27 @@ def test_wrap_phase_lands_in_half_open_interval():
     assert out[2] == pytest.approx(-np.pi / 2)
     assert out[3] == pytest.approx(np.pi / 2)
     assert out[4] == pytest.approx(0.25)
+
+
+# the stacked misfit and every stacked caller rely on a stack transforming
+# slice by slice, bit for bit; a numpy whose stacked FFTs drift fails here
+@pytest.mark.parametrize("shape", [(5, 32, 32), (3, 8, 6), (4, 7, 5),
+                                   (3, 1, 9), (3, 9, 1), (2, 3, 4, 5)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+@pytest.mark.parametrize("op", [dft2, idft2, center_shift,
+                                inverse_center_shift, phase_unit],
+                         ids=lambda op: op.__name__)
+def test_stacked_grids_transform_like_each_slice(shape, op):
+    rng = np.random.Generator(np.random.PCG64(sum(shape)))
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    stack.reshape(-1)[::7] = 0.0                 # phase_unit's zero lanes
+    got = op(stack)
+    assert got.shape == stack.shape
+    for idx in np.ndindex(shape[:-2]):
+        assert np.array_equal(got[idx], op(stack[idx]))
+
+
+def test_grids_need_two_axes():
+    for bad in (np.float64(1.0), np.ones(4)):
+        with pytest.raises(DimensionMismatch):
+            dft2(bad)

@@ -240,6 +240,22 @@ def test_path_separators_in_file_names_are_rejected():
         parse_manifest(json.dumps(doc))
 
 
+# each used to parse and then exit 1 from inspect: "." and ".." open as
+# directories, NUL and a lone surrogate raise ValueError inside open()
+@pytest.mark.parametrize("fname", [".", "..", "a\x00b", "\ud800"],
+                         ids=["dot", "dotdot", "nul", "surrogate"])
+def test_file_names_that_open_no_file_in_the_dataset_exit_2(tmp_path, capsys,
+                                                            fname):
+    doc = _doc()
+    doc["illuminations"][1]["file"] = fname
+    text = json.dumps(doc)
+    with pytest.raises(ManifestError, match="bare"):
+        parse_manifest(text)
+    (tmp_path / "manifest.json").write_text(text)
+    assert main(["inspect", "--dataset", str(tmp_path)]) == 2
+    assert "bare file name" in capsys.readouterr().err
+
+
 def test_window_escaping_the_grid_is_rejected():
     # the 16x16 synthesis grid cannot hold a window shifted by this angle
     cfg = tiny_config(illuminations=(Illumination(sx=0.0, sy=0.0),
@@ -327,6 +343,50 @@ def test_any_finite_optics_parse_or_raise_manifest_error(
         parse_manifest(json.dumps(doc))
     except ManifestError:
         pass
+
+
+# any value json.loads can return, huge integers and NaN/Infinity included
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4)
+    | st.integers(min_value=-10 ** 400, max_value=10 ** 400),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+# plausible values half the time, so cases also get past the type checks
+_DIM = st.integers(min_value=-2, max_value=40) | _JSON
+_SINE = st.floats(min_value=-0.2, max_value=0.2) | _JSON
+_FILE = st.text(max_size=6) | st.sampled_from([".", "..", "a\x00b", "\ud800"]) | _JSON
+_LED = _JSON | st.fixed_dictionaries({"sx": _SINE, "sy": _SINE, "file": _FILE},
+                                     optional={"power": _JSON})
+_EDITS = st.fixed_dictionaries({}, optional={
+    "files": st.lists(_FILE, min_size=2, max_size=2),
+    "saturation": st.floats(min_value=0.0) | _JSON,
+    "upsample": _DIM, "low_rows": _DIM, "low_cols": _DIM,
+    "illuminations": st.lists(_LED, max_size=4) | _JSON})
+
+
+def names_a_file_in_the_directory(fname: str) -> bool:
+    """What ``read_dataset`` can open as ``os.path.join(in_dir, fname)``."""
+    try:
+        fname.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return os.path.basename(fname) == fname and fname not in ("", ".", "..") \
+        and "\0" not in fname
+
+
+@settings(max_examples=500, deadline=None)
+@given(_EDITS)
+def test_any_manifest_fields_parse_or_raise_manifest_error(edits):
+    doc = _doc()
+    for entry, fname in zip(doc["illuminations"], edits.pop("files", [])):
+        entry["file"] = fname
+    doc.update(edits)
+    try:
+        _, files, _ = parse_manifest(json.dumps(doc))
+    except (ManifestError, FormatError):
+        return
+    assert all(names_a_file_in_the_directory(f) for f in files)
 
 
 def test_grid_bound_admits_exactly_the_largest_grid():

@@ -7,8 +7,11 @@ from conftest import grid_config
 from fptycho.errors import DegenerateReference, DimensionMismatch
 from fptycho.evaluate import (global_phase_align, metrics, passband_filter,
                               passband_rel_err_amp)
-from fptycho.field import center_shift, dft2, idft2, inverse_center_shift
-from fptycho.optics import pupil_support, synthetic_aperture_mask
+from fptycho.field import (center_shift, dft2, idft2, inverse_center_shift,
+                           window)
+from fptycho.optics import (Illumination, OpticalConfig, freq_grids,
+                            illumination_offsets, pupil_support,
+                            synthetic_aperture_mask)
 
 
 def _pair(seed, n=16):
@@ -122,6 +125,45 @@ def test_aperture_union_covers_every_shifted_disk(reference_cfg):
     # the axial disk sits in the central window of the union
     r0 = 64 - 16
     assert np.all(mask[r0:r0 + 32, r0:r0 + 32][support])
+
+
+def shifted_disk_union(cfg):
+    """The mask as a formula on the high-res grid: a bin is in when its
+    frequency lies strictly inside the cutoff around some LED's shifted
+    pupil centre."""
+    fr, fc = freq_grids(cfg.high_rows, cfg.high_cols, cfg.pixel_high_um)
+    df_rows = 1.0 / (cfg.high_rows * cfg.pixel_high_um)
+    df_cols = 1.0 / (cfg.high_cols * cfg.pixel_high_um)
+    mask = np.zeros((cfg.high_rows, cfg.high_cols), dtype=bool)
+    for off_r, off_c in illumination_offsets(cfg):
+        dr = fr - off_r * df_rows
+        dc = fc - off_c * df_cols
+        mask |= dr * dr + dc * dc < cfg.cutoff_cycles ** 2
+    return mask
+
+
+@pytest.mark.parametrize("cfg", [
+    grid_config(), grid_config(n_low=16, upsample=2, half_span=0.05, step=0.05)],
+    ids=["reference", "small"])
+def test_aperture_union_equals_the_shifted_disk_formula(cfg):
+    assert np.array_equal(synthetic_aperture_mask(cfg), shifted_disk_union(cfg))
+
+
+def test_undersampled_aperture_keeps_only_bins_some_capture_measures():
+    # 6.5 um pixels at 1x: the pupil disk (radius 0.19 cycles/um) overhangs
+    # the capture grid's band (+-0.077), so the disk formula reaches bins
+    # outside every capture window
+    steps = (-0.02, 0.0, 0.02)
+    cfg = OpticalConfig(wavelength_um=0.532, na=0.1, magnification=1.0,
+                        camera_pixel_um=6.5, low_rows=16, low_cols=16,
+                        upsample=4, illuminations=tuple(
+                            Illumination(sx, sy) for sy in steps for sx in steps))
+    measured = np.zeros((cfg.high_rows, cfg.high_cols), dtype=bool)
+    for off in illumination_offsets(cfg):
+        measured[window(measured.shape, off, cfg.low_rows, cfg.low_cols)] = True
+    mask = synthetic_aperture_mask(cfg)
+    assert np.array_equal(mask, measured)
+    assert (shifted_disk_union(cfg) & ~measured).any()
 
 
 def test_passband_error_of_a_field_with_itself_is_zero():

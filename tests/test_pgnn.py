@@ -127,6 +127,27 @@ def test_loss_at_ground_truth_is_negligible(small_instance):
     assert loss <= 1e-16 * scale
 
 
+@pytest.mark.parametrize("pcfg", [
+    PgnnConfig(), PgnnConfig(zernike_modes=None, tv_alpha1=1e-3, tv_alpha2=1e-3)],
+    ids=["zernike", "free_pupil_tv"])
+def test_dataset_loss_equals_the_per_image_forward_losses(small_instance, pcfg):
+    cfg, _, images = small_instance
+    rng = np.random.Generator(np.random.PCG64(41))
+    model = PgnnModel(images, cfg, pcfg)
+    state = model.initial_state()
+    state.object_spectrum += 1e-3 * (rng.standard_normal(model.high_shape)
+                                     + 1j * rng.standard_normal(model.high_shape))
+    if pcfg.zernike_modes is None:
+        state.pupil_free += 0.1 * rng.standard_normal(state.pupil_free.shape)
+    else:
+        state.zern_coeffs += 0.1 * rng.standard_normal(state.zern_coeffs.shape)
+    data = 0.0
+    for n in range(len(images)):
+        data += model.forward(state, n).data_loss
+    assert (model.dataset_loss(state)
+            == data + len(images) * model.tv_penalty(state))
+
+
 def test_total_loss_recomposes_from_its_three_terms(small_instance):
     cfg, _, images = small_instance
     pcfg = PgnnConfig(tv_alpha1=2e-3, tv_alpha2=3e-3)
@@ -364,6 +385,14 @@ def test_config_validation():
 def test_image_count_must_match_led_count(reference_cfg):
     with pytest.raises(DimensionMismatch):
         PgnnModel([np.ones((32, 32))] * 4, reference_cfg, PgnnConfig())
+
+
+def test_a_misshapen_capture_is_named(small_instance):
+    cfg, _, images = small_instance
+    bad = list(images)
+    bad[7] = np.ones((8, 8))
+    with pytest.raises(DimensionMismatch, match=r"image 7 is \(8, 8\)"):
+        PgnnModel(bad, cfg, PgnnConfig())
 
 
 # -- stage caching is bitwise-neutral --------------------------------------
