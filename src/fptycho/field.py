@@ -30,21 +30,22 @@ def as_grid(a, dtype=None) -> np.ndarray:
     return g
 
 
-def dft2(x: np.ndarray) -> np.ndarray:
-    """Unnormalized forward 2-D DFT."""
-    return np.fft.fft2(as_grid(x))
+def dft2(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Unnormalized forward 2-D DFT, into ``out`` when given."""
+    return np.fft.fft2(as_grid(x), out=out)
 
 
-def idft2(x: np.ndarray) -> np.ndarray:
-    """Inverse 2-D DFT with the 1/(rows*cols) factor."""
-    return np.fft.ifft2(as_grid(x))
+def idft2(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse 2-D DFT with the 1/(rows*cols) factor, into ``out`` when given."""
+    # ifft2 is ifftn over the last two axes, but numpy 2.4's drops ``out``
+    return np.fft.ifftn(as_grid(x), axes=(-2, -1), out=out)
 
 
-def _roll2(x: np.ndarray, dr: int, dc: int) -> np.ndarray:
+def _roll2(x: np.ndarray, dr: int, dc: int, out: np.ndarray | None = None) -> np.ndarray:
     """Cyclic shift of the last two axes by (dr, dc), 0 <= dr <= rows,
-    0 <= dc <= cols, as four block copies into one new array (``np.roll`` on
-    both axes, without a per-axis roll's intermediate array)."""
-    out = np.empty_like(x)
+    0 <= dc <= cols, as four block copies into one new array or ``out``
+    (``np.roll`` on both axes, without a per-axis roll's intermediate array)."""
+    out = np.empty_like(x) if out is None else out
     rows, cols = x.shape[-2:]
     kr, kc = rows - dr, cols - dc
     out[..., dr:, dc:] = x[..., :kr, :kc]
@@ -54,17 +55,18 @@ def _roll2(x: np.ndarray, dr: int, dc: int) -> np.ndarray:
     return out
 
 
-def center_shift(x: np.ndarray) -> np.ndarray:
-    """Move DC from (0, 0) to (rows // 2, cols // 2); equals np.fft.fftshift."""
+def center_shift(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Move DC from (0, 0) to (rows // 2, cols // 2); equals np.fft.fftshift.
+    ``out``, when given, receives the result and must not be ``x``."""
     g = as_grid(x)
-    return _roll2(g, g.shape[-2] // 2, g.shape[-1] // 2)
+    return _roll2(g, g.shape[-2] // 2, g.shape[-1] // 2, out)
 
 
-def inverse_center_shift(x: np.ndarray) -> np.ndarray:
+def inverse_center_shift(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Exact inverse of center_shift (distinct from it for odd sizes);
-    equals np.fft.ifftshift."""
+    equals np.fft.ifftshift. ``out`` as for center_shift."""
     g = as_grid(x)
-    return _roll2(g, (g.shape[-2] + 1) // 2, (g.shape[-1] + 1) // 2)
+    return _roll2(g, (g.shape[-2] + 1) // 2, (g.shape[-1] + 1) // 2, out)
 
 
 def window(shape: tuple[int, int], offset: tuple[int, int],
@@ -94,10 +96,11 @@ def phase_unit(z: np.ndarray) -> np.ndarray:
     return u
 
 
-def wrap_phase(p: np.ndarray) -> np.ndarray:
-    """Wrap phases into (-pi, pi]."""
-    p = np.asarray(p, dtype=np.float64)
-    out = np.remainder(p + np.pi, 2.0 * np.pi) - np.pi
+def wrap_phase(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Wrap phases into (-pi, pi], into ``out`` (which may be ``p``) when given."""
+    out = np.add(np.asarray(p, dtype=np.float64), np.pi, out=out)
+    np.remainder(out, 2.0 * np.pi, out=out)
+    out -= np.pi
     # remainder maps the branch point to -pi; the convention wants +pi
-    out = np.where(out == -np.pi, np.pi, out)
+    out[out == -np.pi] = np.pi
     return out

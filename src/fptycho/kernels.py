@@ -9,6 +9,8 @@ last argument (``pgnn.Moments`` keeps one per parameter group). It writes
 every temporary into its two rows with ``out=``, so a step over the 128x128
 complex spectrum allocates nothing, yet performs the same operations in the
 same order as the plain allocating expression and gives the same bits.
+``tv_value`` and ``tv_grad`` take an optional ``(TV_WORK_ROWS, rows, cols)``
+scratch array the same way (``pgnn.PgnnModel`` keeps one when TV is on).
 """
 
 from __future__ import annotations
@@ -21,33 +23,44 @@ BACKEND = "numpy"
 # smoothing added under the root of the TV potential, making the value
 # differentiable at zero gradient
 TV_EPS = 1e-8
+TV_WORK_ROWS = 5   # dr, dc, s2 (then its weight), a temporary, the gradient
 
 
-def _differences(img: np.ndarray):
-    """Forward differences (zero on the last row/col) and their squared norm."""
+def _differences(img: np.ndarray, work: np.ndarray | None):
+    """Forward differences (zero on the last row/col) and their squared norm,
+    in rows 0-2 of ``work`` (a new one when None), which it returns."""
     img = np.asarray(img, dtype=np.float64)
-    dr = np.zeros_like(img)
-    dc = np.zeros_like(img)
-    dr[:-1, :] = img[1:, :] - img[:-1, :]
-    dc[:, :-1] = img[:, 1:] - img[:, :-1]
-    return dr, dc, dr * dr + dc * dc
+    work = np.empty((TV_WORK_ROWS,) + img.shape) if work is None else work
+    dr, dc, s2, tmp = work[:4]
+    dr[-1, :] = 0.0
+    dc[:, -1] = 0.0
+    np.subtract(img[1:, :], img[:-1, :], out=dr[:-1, :])
+    np.subtract(img[:, 1:], img[:, :-1], out=dc[:, :-1])
+    np.multiply(dr, dr, out=s2)
+    s2 += np.multiply(dc, dc, out=tmp)
+    return work
 
 
-def tv_value(img: np.ndarray) -> float:
+def tv_value(img: np.ndarray, work: np.ndarray | None = None) -> float:
     """Smoothed isotropic total variation with forward differences and
     replicate edges: sum over pixels of sqrt(dr^2 + dc^2 + TV_EPS), where
     dr/dc are the forward differences (zero on the last row/col)."""
-    s2 = _differences(img)[2]
-    return float(np.sum((s2 + TV_EPS) ** 0.5))
+    s2 = _differences(img, work)[2]
+    s2 += TV_EPS
+    s2 **= 0.5
+    return float(np.sum(s2))
 
 
-def tv_grad(img: np.ndarray) -> np.ndarray:
-    """Exact gradient of tv_value with respect to every pixel."""
-    dr, dc, s2 = _differences(img)
-    w = (s2 + TV_EPS) ** -0.5
-    grad = -w * (dr + dc)
-    grad[1:, :] += (w * dr)[:-1, :]
-    grad[:, 1:] += (w * dc)[:, :-1]
+def tv_grad(img: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """Exact gradient of tv_value with respect to every pixel; with
+    ``work``, the result is its last row."""
+    dr, dc, w, tmp, grad = _differences(img, work)
+    w += TV_EPS
+    w **= -0.5
+    np.negative(w, out=grad)
+    grad *= np.add(dr, dc, out=tmp)
+    grad[1:, :] += np.multiply(w, dr, out=tmp)[:-1, :]
+    grad[:, 1:] += np.multiply(w, dc, out=tmp)[:, :-1]
     return grad
 
 

@@ -136,6 +136,12 @@ class PgnnModel:
         # spectrum divided by this puts every parameter on an O(1) scale
         self.area_low = cfg.low_rows * cfg.low_cols
         self.order = traversal_order(cfg)
+        # scratch grids of _tv_eval: with them a dense object step allocates
+        # no full-grid temporaries, whose cost would hang on the allocator
+        self.tv_complex = self.tv_real = None
+        if pcfg.tv_alpha1 > 0.0 or pcfg.tv_alpha2 > 0.0:
+            self.tv_complex = np.empty((3, *self.high_shape), dtype=np.complex128)
+            self.tv_real = np.empty((3 + kernels.TV_WORK_ROWS, *self.high_shape))
 
     # -- state ------------------------------------------------------------
 
@@ -188,33 +194,51 @@ class PgnnModel:
         return ForwardResult(predicted=predicted, target=target,
                              data_loss=float(np.vdot(diff, diff).real))
 
-    def spatial_object(self, state: PgnnState) -> np.ndarray:
-        """Physical-units high-res object from the mean-normalized state."""
+    def spatial_object(self, state: PgnnState, out: np.ndarray | None = None,
+                       shifted: np.ndarray | None = None) -> np.ndarray:
+        """Physical-units high-res object from the mean-normalized state;
+        ``out`` and ``shifted`` are optional grids for it and for the
+        inverse-shifted spectrum."""
         rows, cols = self.high_shape
-        return idft2(inverse_center_shift(state.object_spectrum)) * (rows * cols)
+        spatial = idft2(inverse_center_shift(state.object_spectrum, shifted), out)
+        spatial *= rows * cols
+        return spatial
 
     def _tv_eval(self, state: PgnnState):
         """TV penalty and its object-spectrum gradient (None without TV)."""
         pcfg = self.pcfg
         if pcfg.tv_alpha1 == 0.0 and pcfg.tv_alpha2 == 0.0:
             return 0.0, None
-        spatial = self.spatial_object(state)
-        amp = np.abs(spatial)
+        # every full-grid temporary lives in the scratch grids; each line
+        # keeps the operand order of the plain expression, so the bits match
+        spatial, g_spatial, term = self.tv_complex
+        amp, guarded, phase = self.tv_real[:3]
+        work = self.tv_real[3:]
+        self.spatial_object(state, out=spatial, shifted=term)
+        np.abs(spatial, out=amp)
         value = 0.0
-        g_spatial = np.zeros_like(spatial)
-        guarded = np.maximum(amp, AMP_FLOOR)
+        g_spatial.fill(0.0)
+        np.maximum(amp, AMP_FLOOR, out=guarded)
         if pcfg.tv_alpha1 > 0.0:
-            value += pcfg.tv_alpha1 * kernels.tv_value(amp)
-            ga = kernels.tv_grad(amp)
-            g_spatial += pcfg.tv_alpha1 * ga * (spatial / guarded)
+            value += pcfg.tv_alpha1 * kernels.tv_value(amp, work)
+            ga = kernels.tv_grad(amp, work)
+            # g_spatial += alpha1 * ga * (spatial / guarded)
+            ga *= pcfg.tv_alpha1
+            g_spatial += np.multiply(ga, np.divide(spatial, guarded, out=term), out=term)
         if pcfg.tv_alpha2 > 0.0:
-            phase = wrap_phase(np.angle(spatial))
-            value += pcfg.tv_alpha2 * kernels.tv_value(phase)
-            gp = kernels.tv_grad(phase)
-            g_spatial += pcfg.tv_alpha2 * gp * (1j * spatial / (guarded * guarded))
+            # np.angle(spatial), wrapped
+            wrap_phase(np.arctan2(spatial.imag, spatial.real, out=phase), out=phase)
+            value += pcfg.tv_alpha2 * kernels.tv_value(phase, work)
+            gp = kernels.tv_grad(phase, work)
+            # g_spatial += alpha2 * gp * (1j * spatial / (guarded * guarded))
+            gp *= pcfg.tv_alpha2
+            guarded *= guarded
+            np.divide(np.multiply(1j, spatial, out=term), guarded, out=term)
+            g_spatial += np.multiply(gp, term, out=term)
         # adjoint of the mean-normalized synthesis (idft2 * pixel count):
-        # the 1/N of idft2 cancels, leaving the plain forward transform
-        g_spec = center_shift(dft2(g_spatial))
+        # the 1/N of idft2 cancels, leaving the plain forward transform; the
+        # spectrum lands in ``spatial``'s grid, valid until the next call
+        g_spec = center_shift(dft2(g_spatial, out=term), out=spatial)
         return value, g_spec
 
     def tv_penalty(self, state: PgnnState) -> float:
@@ -276,7 +300,8 @@ class PgnnModel:
         g_object, _ = self._object_gradient(state, n,
                                             **self.stage_constants(state, True))
         keys = [key for key, _, _ in self.param_groups(state, False)]
-        return {"object": g_object.view(np.float64),
+        # with TV, g_object is a scratch grid the next evaluation overwrites
+        return {"object": g_object.copy().view(np.float64),
                 **dict(zip(keys, self._pupil_gradient(state, n)[0]))}
 
     # -- optimization ------------------------------------------------------

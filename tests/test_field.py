@@ -184,3 +184,30 @@ def test_grids_need_two_axes():
     for bad in (np.float64(1.0), np.ones(4)):
         with pytest.raises(DimensionMismatch):
             dft2(bad)
+
+
+# the TV step transforms into scratch grids; ``out`` must receive exactly the
+# allocating call's bits (numpy 2.4's own ifft2 drops its ``out``)
+@pytest.mark.parametrize("shape", [(8, 6), (7, 5), (1, 9), (9, 1), (2, 3, 4)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+@pytest.mark.parametrize("op, plain", [(dft2, np.fft.fft2), (idft2, np.fft.ifft2),
+                                       (center_shift, None),
+                                       (inverse_center_shift, None)],
+                         ids=lambda v: getattr(v, "__name__", ""))
+def test_out_receives_the_allocating_result(shape, op, plain):
+    rng = np.random.Generator(np.random.PCG64(sum(shape)))
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    out = np.full(shape, complex(np.nan, np.nan))
+    assert op(g, out=out) is out
+    assert out.tobytes() == (op(g) if plain is None else plain(g)).tobytes()
+
+
+def test_wrap_phase_into_its_input_matches_the_allocating_expression():
+    rng = np.random.Generator(np.random.PCG64(9))
+    p = np.concatenate([rng.uniform(-20.0, 20.0, 200),
+                        np.pi * np.array([-3.0, -1.0, 0.0, 1.0, 3.0])])
+    wrapped = np.remainder(p + np.pi, 2.0 * np.pi) - np.pi
+    expected = np.where(wrapped == -np.pi, np.pi, wrapped)
+    assert wrap_phase(p).tobytes() == expected.tobytes()
+    assert wrap_phase(p, out=p) is p
+    assert p.tobytes() == expected.tobytes()

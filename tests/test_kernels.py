@@ -1,4 +1,5 @@
-"""Scratch-buffer Adam against the allocating expression it replaced."""
+"""Scratch-buffer Adam and TV against the allocating expressions they
+replaced."""
 
 import numpy as np
 import pytest
@@ -35,3 +36,30 @@ def test_scratch_adam_is_bitwise_the_allocating_expression(n, seed):
         kernels.adam_update(new[0], g, new[1], new[2], *args, work)
         for a, b in zip(ref, new):
             assert a.tobytes() == b.tobytes(), f"step {t}"
+
+
+def allocating_tv(img):
+    """The allocating TV value and gradient that the scratch ``tv_value`` and
+    ``tv_grad`` replaced: the bitwise reference for them."""
+    dr = np.zeros_like(img)
+    dc = np.zeros_like(img)
+    dr[:-1, :] = img[1:, :] - img[:-1, :]
+    dc[:, :-1] = img[:, 1:] - img[:, :-1]
+    s2 = dr * dr + dc * dc
+    w = (s2 + kernels.TV_EPS) ** -0.5
+    grad = -w * (dr + dc)
+    grad[1:, :] += (w * dr)[:-1, :]
+    grad[:, 1:] += (w * dc)[:, :-1]
+    return float(np.sum((s2 + kernels.TV_EPS) ** 0.5)), grad
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (6, 5), (32, 32)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_scratch_tv_is_bitwise_the_allocating_expression(shape):
+    rng = np.random.Generator(np.random.PCG64(sum(shape)))
+    img = _signed_zeros(rng, shape[0] * shape[1]).reshape(shape)
+    value, grad = allocating_tv(img)
+    work = np.full((kernels.TV_WORK_ROWS, *shape), np.nan)
+    for scratch in (None, work, work):      # fresh, then reused scratch
+        assert kernels.tv_value(img, scratch) == value
+        assert kernels.tv_grad(img, scratch).tobytes() == grad.tobytes()

@@ -1,16 +1,18 @@
 """Gradient-descent solver: forward graph, gradients, Adam, stages, TV."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import allocating_adam, fd_check
+from conftest import allocating_adam, fd_check, grid_config, textured_object
 from fptycho.epie import EpieConfig, run_epie
 from fptycho.errors import DimensionMismatch, NumericalError
 from fptycho.field import center_shift, dft2, wrap_phase
 from fptycho.kernels import tv_grad, tv_value
-from fptycho.pgnn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Moments,
+from fptycho.pgnn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AMP_FLOOR, Moments,
                           PgnnConfig, PgnnModel, adam_step, run_pgnn)
 from fptycho.optics import (Illumination, defocus_phase, make_ctf,
                             pupil_support)
@@ -222,6 +224,68 @@ def test_tv_grad_matches_finite_differences():
             an = grad[r, c]
             assert (abs(fd - an) <= 1e-8
                     or abs(fd - an) / max(abs(fd), abs(an)) <= 1e-5)
+
+
+def allocating_tv_eval(model, state):
+    """The allocating TV evaluation that ``PgnnModel._tv_eval`` replaced with
+    scratch grids: the bitwise reference for it."""
+    pcfg = model.pcfg
+    spatial = model.spatial_object(state)
+    amp = np.abs(spatial)
+    value = 0.0
+    g_spatial = np.zeros_like(spatial)
+    guarded = np.maximum(amp, AMP_FLOOR)
+    if pcfg.tv_alpha1 > 0.0:
+        value += pcfg.tv_alpha1 * tv_value(amp)
+        g_spatial += pcfg.tv_alpha1 * tv_grad(amp) * (spatial / guarded)
+    if pcfg.tv_alpha2 > 0.0:
+        phase = wrap_phase(np.angle(spatial))
+        value += pcfg.tv_alpha2 * tv_value(phase)
+        g_spatial += (pcfg.tv_alpha2 * tv_grad(phase)
+                      * (1j * spatial / (guarded * guarded)))
+    return value, center_shift(dft2(g_spatial))
+
+
+@pytest.mark.parametrize("alphas", [(2e-3, 3e-3), (2e-3, 0.0), (0.0, 3e-3)])
+def test_scratch_tv_eval_is_bitwise_the_allocating_expression(small_instance, alphas):
+    cfg, _, images = small_instance
+    model = PgnnModel(images, cfg, PgnnConfig(tv_alpha1=alphas[0], tv_alpha2=alphas[1]))
+    rng = np.random.Generator(np.random.PCG64(44))
+    state = model.initial_state()
+    for trial in range(3):
+        if trial == 2:
+            state.object_spectrum[:] = 0.0        # dark object: AMP_FLOOR lanes
+        else:
+            state.object_spectrum += 0.05 * (rng.standard_normal((32, 32))
+                                             + 1j * rng.standard_normal((32, 32)))
+        value, grad = model._tv_eval(state)
+        ref_value, ref_grad = allocating_tv_eval(model, state)
+        assert value == ref_value
+        assert grad.tobytes() == ref_grad.tobytes()
+
+
+def test_tv_object_step_allocates_no_full_grid():
+    """Every full-grid temporary of a TV object step lives in the model's
+    scratch grids. Steps that allocate and free dozens of them run at a
+    speed set by the allocator's history (fresh pages or reused heap).
+    The grid is large enough that numpy's own iterator buffers (up to
+    np.getbufsize() elements per operand) stay below one grid."""
+    cfg = grid_config(n_low=16, upsample=16, half_span=0.05)
+    obj = textured_object(256, amp_seed=5, phase_seed=6, amp_beta=0.8,
+                          phase_beta=0.8, amp_floor=0.3, phase_span=1.5)
+    images = simulate_dataset(GroundTruth(obj, make_ctf(cfg)), cfg)
+    model = PgnnModel(images, cfg, PgnnConfig(tv_alpha1=1e-3, tv_alpha2=1e-3))
+    state = model.initial_state()
+    held = model.stage_constants(state, True)
+    model.step(state, 0, True, held)
+    tracemalloc.start()
+    try:
+        for n in range(len(images)):
+            model.step(state, n, True, held)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < np.empty(model.high_shape).nbytes
 
 
 # -- Adam ------------------------------------------------------------------
