@@ -31,14 +31,15 @@ def as_grid(a, dtype=None) -> np.ndarray:
 
 
 def dft2(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Unnormalized forward 2-D DFT, into ``out`` when given."""
-    return np.fft.fft2(as_grid(x), out=out)
+    """Unnormalized forward 2-D DFT into ``out`` when given: fft2's passes, in place."""
+    y = np.fft.fft(as_grid(x), axis=-1, out=out)
+    return np.fft.fft(y, axis=-2, out=y)
 
 
 def idft2(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse 2-D DFT with the 1/(rows*cols) factor, into ``out`` when given."""
-    # ifft2 is ifftn over the last two axes, but numpy 2.4's drops ``out``
-    return np.fft.ifftn(as_grid(x), axes=(-2, -1), out=out)
+    y = np.fft.ifft(as_grid(x), axis=-1, out=out)
+    return np.fft.ifft(y, axis=-2, out=y)
 
 
 def _roll2(x: np.ndarray, dr: int, dc: int, out: np.ndarray | None = None) -> np.ndarray:

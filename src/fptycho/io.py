@@ -139,6 +139,13 @@ def _finite(val, what: str) -> float:
     return val
 
 
+def _require_bare_name(fname, what: str) -> None:
+    """Reject a name that opens no capture file of its own in the dataset directory."""
+    _require(isinstance(fname, str) and fname not in ("", ".", "..", MANIFEST_NAME)
+             and not any(c in "/\\\0" or "\ud800" <= c <= "\udfff" for c in fname),
+             f"{what}: file must be a bare file name other than {MANIFEST_NAME}")
+
+
 def parse_manifest(text: str) -> tuple[OpticalConfig, list[str], float | None]:
     """Parse and validate manifest JSON; returns (optics, files, saturation)."""
     try:
@@ -179,11 +186,7 @@ def parse_manifest(text: str) -> tuple[OpticalConfig, list[str], float | None]:
         sx = _finite(entry["sx"], f"illumination {i}: sx")
         sy = _finite(entry["sy"], f"illumination {i}: sy")
         fname = entry["file"]
-        # "." and ".." are directories; NUL and lone surrogates cannot be opened
-        _require(isinstance(fname, str) and fname not in ("", ".", "..")
-                 and not any(c in "/\\\0" or "\ud800" <= c <= "\udfff"
-                             for c in fname),
-                 f"illumination {i}: file must be a bare file name")
+        _require_bare_name(fname, f"illumination {i}")
         _require(fname not in seen, f"illumination {i}: file {fname!r} is "
                  f"already used by illumination {seen.get(fname)}")
         seen[fname] = i
@@ -243,6 +246,8 @@ def manifest_text(cfg: OpticalConfig, files: list[str],
     if len(files) != len(cfg.illuminations):
         raise ManifestError(
             f"{len(files)} file names for {len(cfg.illuminations)} illuminations")
+    for i, fname in enumerate(files):
+        _require_bare_name(fname, f"illumination {i}")
     # a repeated name would make write_dataset overwrite one capture with
     # another
     if len(set(files)) != len(files):
@@ -266,18 +271,18 @@ def manifest_text(cfg: OpticalConfig, files: list[str],
 
 
 def write_dataset(ds: Dataset, out_dir: str) -> None:
-    """Write manifest plus one FPD1 file per image (float32 on disk)."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Check, then write manifest plus one FPD1 file per image (float32 on disk)."""
     if len(ds.images) != len(ds.files) or len(ds.files) != len(ds.optics.illuminations):
         raise ManifestError("images, files, and illuminations must align")
-    with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
-        fh.write(manifest_text(ds.optics, ds.files, ds.saturation))
+    shape = (ds.optics.low_rows, ds.optics.low_cols)
     for img, fname in zip(ds.images, ds.files):
-        img = np.asarray(img)
-        if img.shape != (ds.optics.low_rows, ds.optics.low_cols):
-            raise ManifestError(
-                f"{fname}: image is {img.shape}, manifest says "
-                f"{(ds.optics.low_rows, ds.optics.low_cols)}")
+        if np.shape(img) != shape:
+            raise ManifestError(f"{fname}: image is {np.shape(img)}, manifest says {shape}")
+    text = manifest_text(ds.optics, ds.files, ds.saturation)
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
+        fh.write(text)
+    for img, fname in zip(ds.images, ds.files):
         write_real_grid(os.path.join(out_dir, fname), img)
 
 

@@ -1,5 +1,5 @@
 """Numpy kernels for the per-image step: TV penalty, Zernike synthesis and
-projection, and elementwise Adam.
+projection (np.tensordot's reshapes and one ``dot``), and elementwise Adam.
 
 These run tens of thousands of times per reconstruction. Callers reach them
 as ``kernels.<name>`` attributes, so a profiler can wrap each one by name.
@@ -8,7 +8,8 @@ as ``kernels.<name>`` attributes, so a profiler can wrap each one by name.
 last argument (``pgnn.Moments`` keeps one per parameter group). It writes
 every temporary into its two rows with ``out=``, so a step over the 128x128
 complex spectrum allocates nothing, yet performs the same operations in the
-same order as the plain allocating expression and gives the same bits.
+same order as the plain allocating expression and gives the same bits; it
+steps the arrays it is given, which ``pgnn.adam_step`` slices to its ``rows``.
 ``tv_value`` and ``tv_grad`` take an optional ``(TV_WORK_ROWS, rows, cols)``
 scratch array the same way (``pgnn.PgnnModel`` keeps one when TV is on).
 """
@@ -65,15 +66,14 @@ def tv_grad(img: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
 
 
 def synth_phase(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Weighted sum of basis grids: out = sum_l coeffs[l] * basis[l]."""
-    return np.tensordot(np.asarray(coeffs, dtype=np.float64),
-                        np.asarray(basis, dtype=np.float64), axes=1)
+    """Weighted sum of float64 basis grids: out = sum_l coeffs[l] * basis[l]."""
+    return np.dot(coeffs.reshape(1, -1),
+                  basis.reshape(len(basis), -1)).reshape(basis.shape[1:])
 
 
 def project_modes(basis: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Per-mode inner products: out[l] = sum_k basis[l, k] * weight[k]."""
-    return np.tensordot(np.asarray(basis, dtype=np.float64),
-                        np.asarray(weight, dtype=np.float64), axes=2)
+    """Per-mode float64 inner products: out[l] = sum_k basis[l, k] * weight[k]."""
+    return np.dot(basis.reshape(len(basis), -1), weight.reshape(-1, 1)).reshape(-1)
 
 
 def adam_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,

@@ -20,8 +20,8 @@ Stages alternate: odd stages (1-based) update the object, even stages the
 pupil; ``param_groups`` lists the arrays each updates. Frozen groups keep
 parameters, Adam moments, and step counts bit-identical through the stage, so
 ``stage_constants`` computes what depends only on them once when the stage
-starts, and ``run_stage`` passes it to every ``step``: the pupil for an object
-stage, the TV penalty for a pupil stage.
+starts, and ``run_stage`` passes it to every ``step``: the pupil and the
+rows Adam runs on for an object stage, the TV penalty for a pupil stage.
 
 All gradients are true real-parameter gradients (for a complex array they are
 d/dRe + i*d/dIm), verified against central finite differences of the
@@ -255,18 +255,18 @@ class PgnnModel:
 
     # -- gradients ---------------------------------------------------------
 
-    def _object_gradient(self, state: PgnnState, n: int, pupil: np.ndarray,
-                         zero_grid: np.ndarray) -> tuple[np.ndarray, float]:
+    def _object_gradient(self, state: PgnnState, n: int,
+                         held: dict) -> tuple[np.ndarray, float]:
         """Object-spectrum gradient of total_loss at image n, and that loss.
 
-        Without TV the data term is added into the window of ``zero_grid``,
-        an all-zero grid the caller zeroes again after use; with TV, into the
-        window of the dense TV gradient."""
-        fw = self.forward(state, n, pupil)
-        data = 2.0 * self.area_low * np.conj(pupil) * (fw.predicted - fw.target)
+        Without TV the data term is added into the window of the all-zero
+        ``held["zero_grid"]``, which the caller zeroes again after use; with
+        TV, into the window of the dense TV gradient."""
+        fw = self.forward(state, n, held["pupil"])
+        data = 2.0 * self.area_low * np.conj(held["pupil"]) * (fw.predicted - fw.target)
         tv_val, g_object = self._tv_eval(state)
         if g_object is None:
-            g_object = zero_grid
+            g_object = held["zero_grid"]
         g_object[self.windows[n]] += data
         return g_object, fw.data_loss + tv_val
 
@@ -298,7 +298,7 @@ class PgnnModel:
         frozen-target loss are the reference the tests check against.
         """
         g_object, _ = self._object_gradient(state, n,
-                                            **self.stage_constants(state, True))
+                                            self.stage_constants(state, True))
         keys = [key for key, _, _ in self.param_groups(state, False)]
         # with TV, g_object is a scratch grid the next evaluation overwrites
         return {"object": g_object.copy().view(np.float64),
@@ -307,12 +307,21 @@ class PgnnModel:
     # -- optimization ------------------------------------------------------
 
     def stage_constants(self, state: PgnnState, update_object: bool) -> dict:
-        """What a stage holds fixed, for ``step``: the pupil and an all-zero
-        gradient grid for object steps, the TV penalty for pupil steps."""
-        if update_object:
-            return {"pupil": self.pupil(state),
-                    "zero_grid": np.zeros(self.high_shape, dtype=np.complex128)}
-        return {"tv_value": self.tv_penalty(state)}
+        """What a stage holds fixed, for ``step``: the TV penalty (pupil steps), or
+        the pupil, an all-zero gradient grid and the ``rows`` Adam runs on (object
+        steps). Without TV, rows off the windows' nonzero pupil bins get a +0.0
+        gradient (+0.0 + -0.0 is +0.0): Adam keeps them while their moments are +0.0."""
+        if not update_object:
+            return {"tv_value": self.tv_penalty(state), "rows": slice(None)}
+        pupil = self.pupil(state)
+        live = np.full(self.high_shape[0], self.tv_complex is not None)
+        for rs, _ in self.windows:
+            live[rs] |= np.any(pupil, axis=1)
+        mom = state.moments["object"]
+        live |= np.any(mom.m.view(np.uint64) | mom.v.view(np.uint64), axis=1)
+        hit = np.flatnonzero(live)
+        return {"pupil": pupil, "zero_grid": np.zeros(self.high_shape, dtype=np.complex128),
+                "rows": slice(hit[0], hit[-1] + 1) if hit.size else slice(0, 0)}
 
     def step(self, state: PgnnState, n: int, update_object: bool,
              held: dict) -> float:
@@ -320,7 +329,7 @@ class PgnnModel:
         evaluated before the update. ``held`` is the stage's
         ``stage_constants``, taken while the group it holds is frozen."""
         if update_object:
-            g_object, loss = self._object_gradient(state, n, **held)
+            g_object, loss = self._object_gradient(state, n, held)
             grads = [g_object.view(np.float64)]
             state.object_steps += 1
             t = state.object_steps
@@ -331,7 +340,7 @@ class PgnnModel:
             t = state.pupil_steps
         for (key, view, lr), grad in zip(self.param_groups(state, update_object),
                                          grads):
-            adam_step(view, grad, state.moments[key], lr, t)
+            adam_step(view, grad, state.moments[key], lr, t, rows=held["rows"])
         if update_object:
             held["zero_grid"][self.windows[n]] = 0.0
         elif self.basis is None:
@@ -369,8 +378,8 @@ def run_pgnn(images: list[np.ndarray], cfg: OpticalConfig,
 
 def adam_step(param_view: np.ndarray, grad_view: np.ndarray, moments: Moments,
               lr: float, t: int, beta1: float = ADAM_BETA1,
-              beta2: float = ADAM_BETA2, eps: float = ADAM_EPS) -> None:
-    """Standalone bias-corrected Adam step over float64 views (in place).
+              beta2: float = ADAM_BETA2, eps: float = ADAM_EPS, rows=slice(None)) -> None:
+    """Bias-corrected Adam step, in place, on the first-axis ``rows`` of float64 views.
 
     Complex parameters participate as their float views (two real scalars per
     element). ``t`` is the 1-based step count for the bias corrections.
@@ -380,11 +389,11 @@ def adam_step(param_view: np.ndarray, grad_view: np.ndarray, moments: Moments,
     arrays = (param_view, grad_view, moments.m, moments.v)
     if any(a.shape != param_view.shape for a in arrays):
         raise DimensionMismatch("param/grad/moment shapes differ")
+    arrays = [a[rows] for a in arrays]
     # ravel() copies a strided array, and an update written into that copy
     # would be lost while the moments still advanced
     if not all(a.flags.c_contiguous for a in arrays):
         raise DimensionMismatch("param/grad/moment arrays must be C-contiguous")
-    kernels.adam_update(param_view.ravel(), grad_view.ravel(),
-                        moments.m.ravel(), moments.v.ravel(), lr,
-                        beta1, beta2, 1.0 - beta1 ** t, 1.0 - beta2 ** t, eps,
-                        moments.work)
+    kernels.adam_update(*(a.ravel() for a in arrays), lr, beta1, beta2,
+                        1.0 - beta1 ** t, 1.0 - beta2 ** t, eps,
+                        moments.work[:, :arrays[0].size])

@@ -165,19 +165,21 @@ def test_wrap_phase_lands_in_half_open_interval():
 # the stacked misfit and every stacked caller rely on a stack transforming
 # slice by slice, bit for bit; a numpy whose stacked FFTs drift fails here
 @pytest.mark.parametrize("shape", [(5, 32, 32), (3, 8, 6), (4, 7, 5),
-                                   (3, 1, 9), (3, 9, 1), (2, 3, 4, 5)],
+                                   (3, 1, 9), (3, 9, 1), (2, 3, 4, 5),
+                                   (225, 32, 32), (2, 128, 128)],
                          ids=lambda shape: "x".join(map(str, shape)))
 @pytest.mark.parametrize("op", [dft2, idft2, center_shift,
                                 inverse_center_shift, phase_unit],
                          ids=lambda op: op.__name__)
 def test_stacked_grids_transform_like_each_slice(shape, op):
     rng = np.random.Generator(np.random.PCG64(sum(shape)))
-    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    stack.reshape(-1)[::7] = 0.0                 # phase_unit's zero lanes
-    got = op(stack)
-    assert got.shape == stack.shape
-    for idx in np.ndindex(shape[:-2]):
-        assert np.array_equal(got[idx], op(stack[idx]))
+    real = rng.standard_normal(shape)
+    for stack in (real + 1j * rng.standard_normal(shape), real):
+        stack.reshape(-1)[::7] = 0.0             # phase_unit's zero lanes
+        got = op(stack)
+        assert got.shape == stack.shape
+        for idx in np.ndindex(shape[:-2]):
+            assert np.array_equal(got[idx], op(stack[idx]))
 
 
 def test_grids_need_two_axes():
@@ -186,9 +188,11 @@ def test_grids_need_two_axes():
             dft2(bad)
 
 
-# the TV step transforms into scratch grids; ``out`` must receive exactly the
-# allocating call's bits (numpy 2.4's own ifft2 drops its ``out``)
-@pytest.mark.parametrize("shape", [(8, 6), (7, 5), (1, 9), (9, 1), (2, 3, 4)],
+# the transforms run numpy's per-axis passes themselves, and the TV step
+# transforms into scratch grids: with and without ``out``, the result must be
+# exactly the bits of numpy's own 2-D transform (or of the allocating shift)
+@pytest.mark.parametrize("shape", [(8, 6), (7, 5), (1, 9), (9, 1), (2, 3, 4),
+                                   (32, 32), (128, 128), (225, 32, 32)],
                          ids=lambda shape: "x".join(map(str, shape)))
 @pytest.mark.parametrize("op, plain", [(dft2, np.fft.fft2), (idft2, np.fft.ifft2),
                                        (center_shift, None),
@@ -196,10 +200,13 @@ def test_grids_need_two_axes():
                          ids=lambda v: getattr(v, "__name__", ""))
 def test_out_receives_the_allocating_result(shape, op, plain):
     rng = np.random.Generator(np.random.PCG64(sum(shape)))
-    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    out = np.full(shape, complex(np.nan, np.nan))
-    assert op(g, out=out) is out
-    assert out.tobytes() == (op(g) if plain is None else plain(g)).tobytes()
+    real = rng.standard_normal(shape)
+    for g in (real + 1j * rng.standard_normal(shape), real):
+        expected = op(g) if plain is None else plain(g)
+        assert op(g).tobytes() == expected.tobytes()
+        out = np.full_like(expected, np.nan)
+        assert op(g, out=out) is out
+        assert out.tobytes() == expected.tobytes()
 
 
 def test_wrap_phase_into_its_input_matches_the_allocating_expression():

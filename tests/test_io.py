@@ -218,6 +218,30 @@ def test_duplicate_file_names_are_not_written(tmp_path):
     assert not (tmp_path / "a.fpd1").exists()
 
 
+# the writer applies the reader's file-name rule: these names used to land
+# outside the dataset directory, fail after the manifest was written, or
+# overwrite the manifest with a capture
+@pytest.mark.parametrize("fname", ["../escaped.fpd1", "sub/a.fpd1", "..",
+                                   "manifest.json"],
+                         ids=["parent", "subdir", "dotdot", "manifest"])
+def test_names_the_reader_rejects_are_not_written(tmp_path, fname):
+    out = tmp_path / "out"
+    ds = Dataset(optics=tiny_config(), images=[np.ones((8, 8))] * 2,
+                 files=[fname, "b.fpd1"])
+    with pytest.raises(ManifestError, match="illumination 0: file must be a bare"):
+        write_dataset(ds, str(out))
+    assert list(tmp_path.rglob("*")) == []
+
+
+def test_a_misshapen_image_is_named_before_anything_is_written(tmp_path):
+    out = tmp_path / "out"
+    ds = Dataset(optics=tiny_config(), images=[np.ones((8, 8)), np.ones((8, 7))],
+                 files=default_file_names(2))
+    with pytest.raises(ManifestError, match=r"img_0001.fpd1: image is \(8, 7\)"):
+        write_dataset(ds, str(out))
+    assert not out.exists()
+
+
 def test_invalid_json_is_rejected():
     for text in ("{not json", '{"upsample": ' + "1" * 5000 + "}",
                  "[" * 100000 + "]" * 100000):

@@ -63,3 +63,23 @@ def test_scratch_tv_is_bitwise_the_allocating_expression(shape):
     for scratch in (None, work, work):      # fresh, then reused scratch
         assert kernels.tv_value(img, scratch) == value
         assert kernels.tv_grad(img, scratch).tobytes() == grad.tobytes()
+
+
+@pytest.mark.parametrize("count", [9, 1])
+def test_zernike_products_equal_tensordot(count):
+    """synth_phase and project_modes make np.tensordot's own ``dot`` call."""
+    rng = np.random.Generator(np.random.PCG64(count))
+    basis = rng.standard_normal((count, 32, 32))
+    basis[:, rng.random((32, 32)) < 0.2] = 0.0   # off-disk bins
+    coeffs = rng.standard_normal(count)
+    # the pupil step projects the imaginary part of a complex grid: a view
+    weight = (rng.standard_normal((32, 32))
+              + 1j * rng.standard_normal((32, 32))).imag
+    phase = kernels.synth_phase(basis, coeffs)
+    expected = np.tensordot(coeffs, basis, axes=1)
+    assert phase.shape == expected.shape
+    assert phase.tobytes() == expected.tobytes()
+    modes = kernels.project_modes(basis, weight)
+    expected = np.tensordot(basis, weight, axes=2)
+    assert modes.shape == expected.shape == (count,)
+    assert modes.tobytes() == expected.tobytes()

@@ -539,6 +539,50 @@ def test_run_stage_matches_a_loop_that_recomputes_every_step(small_instance,
     assert all(a != b for a, b in zip(moved, start[0]) if a is not None)
 
 
+# object Adam runs on a row span without TV; the test above checks it
+# against the full-grid allocating step only while the span is strict
+def test_object_adam_rows_span_the_rows_the_data_reaches(small_instance):
+    cfg, _, images = small_instance
+    model = PgnnModel(images, cfg, PgnnConfig())
+    assert model.stage_constants(model.initial_state(), True)["rows"] == slice(8, 25)
+    assert model.stage_constants(model.initial_state(), False)["rows"] == slice(None)
+
+
+def test_tv_object_adam_runs_on_every_row(small_instance):
+    cfg, _, images = small_instance
+    model = PgnnModel(images, cfg, PgnnConfig(tv_alpha2=1e-3))
+    state = model.initial_state()
+    rows = model.stage_constants(state, True)["rows"]
+    assert np.arange(32)[rows].tolist() == list(range(32))
+
+
+@pytest.mark.parametrize("widen", ["pupil_off_support", "moments"])
+def test_object_adam_rows_follow_the_held_pupil_and_the_moments(small_instance,
+                                                                widen):
+    """A pupil nonzero off its support, or moments left nonzero outside the
+    rows the data reaches, widen the span: the step still equals the
+    full-grid allocating one, bit for bit."""
+    cfg, _, images = small_instance
+    model = PgnnModel(images, cfg, PgnnConfig(epochs_per_stage=1,
+                                              zernike_modes=None))
+    fast, slow = model.initial_state(), model.initial_state()
+    for state in (fast, slow):
+        if widen == "pupil_off_support":
+            state.pupil_free[0, 3] = 0.5 - 0.25j
+        else:
+            state.moments["object"].m[1, 5] = 1e-3
+            state.moments["object"].v[30, 2] = 1e-6
+    rows = model.stage_constants(fast, True)["rows"]
+    assert rows.start < 8 and (widen == "pupil_off_support" or rows.stop == 31)
+    start = fast.object_spectrum.copy()
+    model.run_stage(fast, 1)
+    _reference_stage(model, slow, 1)
+    assert _state_bytes(fast) == _state_bytes(slow)
+    outside = np.ones(32, dtype=bool)
+    outside[8:25] = False
+    assert not np.array_equal(fast.object_spectrum[outside], start[outside])
+
+
 # -- end-to-end behavior on the reference problem --------------------------
 
 def test_infocus_run_collapses_the_loss(pgnn_infocus):
