@@ -98,9 +98,16 @@ def phase_unit(z: np.ndarray) -> np.ndarray:
 
 
 def wrap_phase(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Wrap phases into (-pi, pi], into ``out`` (which may be ``p``) when given."""
+    """Wrap phases into (-pi, pi], into ``out`` (which may be ``p``) when given.
+
+    Bitwise ``remainder(p + pi, 2 pi) - pi`` with -pi mapped to +pi. The
+    remainder is skipped when ``p + pi`` lies in [0, 2 pi], as it does for
+    every ``np.arctan2`` output: it is the identity there, bar 2 pi, which
+    ends at +pi either way. NaN fails that check.
+    """
     out = np.add(np.asarray(p, dtype=np.float64), np.pi, out=out)
-    np.remainder(out, 2.0 * np.pi, out=out)
+    if not (out.size and out.min() >= 0.0 and out.max() <= 2.0 * np.pi):
+        np.remainder(out, 2.0 * np.pi, out=out)
     out -= np.pi
     # remainder maps the branch point to -pi; the convention wants +pi
     out[out == -np.pi] = np.pi

@@ -99,8 +99,9 @@ def write_complex_grid(path: str, arr: np.ndarray) -> None:
 
 def read_complex_grid(path: str) -> np.ndarray:
     rows, cols, data = _read_grid(path, b"FPC1")
-    out = data[0::2].astype(np.float64) + 1j * data[1::2].astype(np.float64)
-    return out.reshape(rows, cols)
+    # the payload interleaves re, im: the complex128 view of its float64
+    # copy keeps every bit, signed zeros included (re + 1j * im does not)
+    return data.astype(np.float64).view(np.complex128).reshape(rows, cols)
 
 
 # ---------------------------------------------------------------------------

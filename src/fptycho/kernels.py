@@ -11,12 +11,17 @@ complex spectrum allocates nothing, yet performs the same operations in the
 same order as the plain allocating expression and gives the same bits; it
 steps the arrays it is given, which ``pgnn.adam_step`` slices to its ``rows``.
 ``tv_value`` and ``tv_grad`` take an optional ``(TV_WORK_ROWS, rows, cols)``
-scratch array the same way (``pgnn.PgnnModel`` keeps one when TV is on).
+C-contiguous scratch array the same way (``pgnn.PgnnModel`` keeps one when TV
+is on). They run every ufunc on contiguous views (row blocks, or the flat
+grid for the column differences): on a strided column view numpy goes
+through its buffered iterator, which allocates and copies on every call.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import DimensionMismatch
 
 # perfbench/run.py records this with every result; numpy is the only backend
 BACKEND = "numpy"
@@ -30,13 +35,21 @@ TV_WORK_ROWS = 5   # dr, dc, s2 (then its weight), a temporary, the gradient
 def _differences(img: np.ndarray, work: np.ndarray | None):
     """Forward differences (zero on the last row/col) and their squared norm,
     in rows 0-2 of ``work`` (a new one when None), which it returns."""
-    img = np.asarray(img, dtype=np.float64)
-    work = np.empty((TV_WORK_ROWS,) + img.shape) if work is None else work
+    img = np.ascontiguousarray(img, dtype=np.float64)
+    if work is None:
+        work = np.empty((TV_WORK_ROWS,) + img.shape)
+    elif not work.flags.c_contiguous:
+        # reshape(-1) copies a strided array, and the differences written
+        # into that copy would be lost
+        raise DimensionMismatch("TV scratch array must be C-contiguous")
     dr, dc, s2, tmp = work[:4]
     dr[-1, :] = 0.0
-    dc[:, -1] = 0.0
     np.subtract(img[1:, :], img[:-1, :], out=dr[:-1, :])
-    np.subtract(img[:, 1:], img[:, :-1], out=dc[:, :-1])
+    # dc on the flat grid: each row's last entry wraps into the next row,
+    # and zeroing the last column afterwards overwrites it
+    flat = img.reshape(-1)
+    np.subtract(flat[1:], flat[:-1], out=dc.reshape(-1)[:-1])
+    dc[:, -1] = 0.0
     np.multiply(dr, dr, out=s2)
     s2 += np.multiply(dc, dc, out=tmp)
     return work
@@ -61,7 +74,12 @@ def tv_grad(img: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     np.negative(w, out=grad)
     grad *= np.add(dr, dc, out=tmp)
     grad[1:, :] += np.multiply(w, dr, out=tmp)[:-1, :]
-    grad[:, 1:] += np.multiply(w, dc, out=tmp)[:, :-1]
+    # the column scatter on the flat grid: each row's last entry lands on the
+    # next row's first, so it is set to -0.0, which adds to any float
+    # (+0.0 included) without changing a bit; +0.0 would turn -0.0 into +0.0
+    np.multiply(w, dc, out=tmp)
+    tmp[:, -1] = -0.0
+    grad.reshape(-1)[1:] += tmp.reshape(-1)[:-1]
     return grad
 
 

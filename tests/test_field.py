@@ -209,12 +209,42 @@ def test_out_receives_the_allocating_result(shape, op, plain):
         assert out.tobytes() == expected.tobytes()
 
 
-def test_wrap_phase_into_its_input_matches_the_allocating_expression():
-    rng = np.random.Generator(np.random.PCG64(9))
-    p = np.concatenate([rng.uniform(-20.0, 20.0, 200),
-                        np.pi * np.array([-3.0, -1.0, 0.0, 1.0, 3.0])])
+def _check_wrap_phase(p):
+    """``wrap_phase`` equals the remainder expression bit for bit, into a new
+    array and into its input."""
     wrapped = np.remainder(p + np.pi, 2.0 * np.pi) - np.pi
     expected = np.where(wrapped == -np.pi, np.pi, wrapped)
     assert wrap_phase(p).tobytes() == expected.tobytes()
+    p = p.copy()
     assert wrap_phase(p, out=p) is p
     assert p.tobytes() == expected.tobytes()
+
+
+def test_wrap_phase_into_its_input_matches_the_allocating_expression():
+    rng = np.random.Generator(np.random.PCG64(9))
+    _check_wrap_phase(np.concatenate([rng.uniform(-20.0, 20.0, 200),
+                                      np.pi * np.array([-3.0, -1.0, 0.0, 1.0, 3.0])]))
+
+
+# phases already in [-pi, pi] skip the remainder; the + pi and - pi round
+# trip must still happen, since (p + pi) - pi is not p (0.1 -> 0.1 + 9e-17)
+@given(st.lists(st.floats(min_value=-np.pi, max_value=np.pi),
+                min_size=1, max_size=40))
+def test_wrap_phase_of_in_range_phases_matches_the_remainder(values):
+    _check_wrap_phase(np.array(values))
+
+
+_Z = np.random.Generator(np.random.PCG64(10)).standard_normal((2, 64, 64))
+
+
+# in range: arctan2 outputs (signed zeros on the branch cut) and the ends;
+# NaN must take the remainder, and a range check that NaN passes leaves 4.0
+@pytest.mark.parametrize("p", [
+    np.arctan2(_Z[0], _Z[1]),
+    np.arctan2([0.0, -0.0, 0.0, -0.0], [-1.0, -1.0, 1.0, 1.0]),
+    [np.pi, -np.pi, np.nextafter(np.pi, 0.0), np.nextafter(-np.pi, 0.0), 0.0, -0.0],
+    [0.5, np.nan, 4.0],
+    [0.5, 4.0, -1.0],
+], ids=["arctan2", "branch_cut", "ends_and_zeros", "nan", "out_of_range"])
+def test_wrap_phase_matches_the_remainder_on_pinned_phases(p):
+    _check_wrap_phase(np.array(p))

@@ -53,6 +53,42 @@ def test_complex_grid_round_trip_is_bitwise(tmp_path):
     assert np.array_equal(read_complex_grid(path), arr)
 
 
+# float32-exact values; hypothesis draws signed zeros, subnormals and the
+# ends of the float32 range often
+_F32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _f32_grid(draw, parts):
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    size = rows * cols * parts
+    values = np.array(draw(st.lists(_F32, min_size=size, max_size=size)))
+    return values.view(np.complex128 if parts == 2 else np.float64).reshape(rows, cols)
+
+
+@pytest.fixture(scope="module")
+def grid_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("grids")
+
+
+_SUBNORMAL = 2.0 ** -149          # the smallest float32 subnormal
+
+
+@given(_f32_grid(1) | _f32_grid(2))
+@example(np.array([[0.0, -0.0, _SUBNORMAL, -(2.0 ** -126 - _SUBNORMAL)]]))
+@example(np.array([[complex(-0.0, -0.0), complex(0.0, -0.0),
+                    complex(-0.0, 0.0), complex(-_SUBNORMAL, _SUBNORMAL)]]))
+def test_grid_files_round_trip_every_float32_value_bitwise(grid_dir, arr):
+    if arr.dtype == np.complex128:
+        write, read, path = write_complex_grid, read_complex_grid, grid_dir / "g.fpc1"
+    else:
+        write, read, path = write_real_grid, read_real_grid, grid_dir / "g.fpd1"
+    write(str(path), arr)
+    back = read(str(path))
+    assert back.dtype == arr.dtype and back.shape == arr.shape
+    assert back.tobytes() == arr.tobytes()
+
+
 def test_real_grid_bytes_match_hand_packed_layout(tmp_path):
     arr = np.array([[1.5, -2.25], [0.5, 3.0]])
     path = str(tmp_path / "g.fpd1")

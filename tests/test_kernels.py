@@ -6,6 +6,7 @@ import pytest
 
 from conftest import allocating_adam
 from fptycho import kernels
+from fptycho.errors import DimensionMismatch
 
 
 def _signed_zeros(rng, n):
@@ -53,16 +54,37 @@ def allocating_tv(img):
     return float(np.sum((s2 + kernels.TV_EPS) ** 0.5)), grad
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (6, 5), (32, 32)],
-                         ids=lambda shape: "x".join(map(str, shape)))
-def test_scratch_tv_is_bitwise_the_allocating_expression(shape):
+def _tv_image(shape):
     rng = np.random.Generator(np.random.PCG64(sum(shape)))
-    img = _signed_zeros(rng, shape[0] * shape[1]).reshape(shape)
+    return _signed_zeros(rng, shape[0] * shape[1]).reshape(shape)
+
+
+_TV_SHAPES = [(1, 1), (1, 7), (7, 1), (6, 5), (32, 32), (128, 128)]
+# the flat column scatter adds each row's last entry into the next row's
+# first: the reference gradient keeps a -0.0 in column 0 here, which adding
+# +0.0 there would turn into +0.0
+_SIGNED_ZERO_COLUMN = np.array([[0.0, 0.0], [-0.0, 0.0], [-0.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "img", [_tv_image(shape) for shape in _TV_SHAPES] + [_SIGNED_ZERO_COLUMN],
+    ids=["x".join(map(str, shape)) for shape in _TV_SHAPES] + ["signed_zero_column"])
+def test_scratch_tv_is_bitwise_the_allocating_expression(img):
     value, grad = allocating_tv(img)
-    work = np.full((kernels.TV_WORK_ROWS, *shape), np.nan)
+    work = np.full((kernels.TV_WORK_ROWS, *img.shape), np.nan)
     for scratch in (None, work, work):      # fresh, then reused scratch
         assert kernels.tv_value(img, scratch) == value
         assert kernels.tv_grad(img, scratch).tobytes() == grad.tobytes()
+
+
+def test_tv_rejects_a_strided_scratch_array():
+    """A reshape of a strided scratch array copies, and the differences
+    written into that copy would be lost."""
+    img = _tv_image((6, 5))
+    work = np.empty((kernels.TV_WORK_ROWS, 6, 10))[:, :, ::2]
+    for kernel in (kernels.tv_value, kernels.tv_grad):
+        with pytest.raises(DimensionMismatch, match="C-contiguous"):
+            kernel(img, work)
 
 
 @pytest.mark.parametrize("count", [9, 1])

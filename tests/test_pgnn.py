@@ -268,8 +268,10 @@ def test_tv_object_step_allocates_no_full_grid():
     """Every full-grid temporary of a TV object step lives in the model's
     scratch grids. Steps that allocate and free dozens of them run at a
     speed set by the allocator's history (fresh pages or reused heap).
-    The grid is large enough that numpy's own iterator buffers (up to
-    np.getbufsize() elements per operand) stay below one grid."""
+    The TV kernels run no ufunc on a strided view, so numpy's buffered
+    iterator (np.getbufsize() elements per operand, 192 KB for three
+    float64 operands) never runs: the peak stays under 3/8 of a 256x256
+    float64 grid (192 KB) with room to spare."""
     cfg = grid_config(n_low=16, upsample=16, half_span=0.05)
     obj = textured_object(256, amp_seed=5, phase_seed=6, amp_beta=0.8,
                           phase_beta=0.8, amp_floor=0.3, phase_span=1.5)
@@ -285,7 +287,7 @@ def test_tv_object_step_allocates_no_full_grid():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < np.empty(model.high_shape).nbytes
+    assert peak < 3 * np.empty(model.high_shape).nbytes // 8
 
 
 # -- Adam ------------------------------------------------------------------
