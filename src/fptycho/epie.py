@@ -62,15 +62,15 @@ def measured_amplitudes(images, cfg: OpticalConfig) -> np.ndarray:
 
 
 def initial_object_spectrum(amplitudes: np.ndarray, cfg: OpticalConfig) -> np.ndarray:
-    """Zero-padded spectrum embedding of the most-axial capture's amplitude.
+    """Zero-padded spectrum embedding of the amplitude of the capture both
+    engines visit first, ``traversal_order(cfg)[0]``: the most axial one.
 
     In the energy-scaled convention this is simply the centered low-res
     spectrum of sqrt(I_central) dropped into the middle of a zero high-res
     grid; spatially that is the up-sampled sqrt-intensity image with zero
     phase at the correct brightness.
     """
-    n0 = int(np.argmin([ill.sx ** 2 + ill.sy ** 2 for ill in cfg.illuminations]))
-    low_spec = center_shift(dft2(amplitudes[n0]))
+    low_spec = center_shift(dft2(amplitudes[traversal_order(cfg)[0]]))
     high = np.zeros((cfg.high_rows, cfg.high_cols), dtype=np.complex128)
     high[window(high.shape, (0, 0), cfg.low_rows, cfg.low_cols)] = low_spec
     return high

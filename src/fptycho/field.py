@@ -106,9 +106,14 @@ def wrap_phase(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     ends at +pi either way. NaN fails that check.
     """
     out = np.add(np.asarray(p, dtype=np.float64), np.pi, out=out)
-    if not (out.size and out.min() >= 0.0 and out.max() <= 2.0 * np.pi):
+    low = out.min() if out.size else np.nan
+    in_range = low >= 0.0 and out.max() <= 2.0 * np.pi
+    if not in_range:
         np.remainder(out, 2.0 * np.pi, out=out)
     out -= np.pi
-    # remainder maps the branch point to -pi; the convention wants +pi
-    out[out == -np.pi] = np.pi
+    # remainder maps the branch point to -pi; the convention wants +pi. In
+    # range, p + pi is exact for p in [-pi, -pi/2], so only p + pi == 0 can
+    # end at -pi: no mask is needed when the minimum is above 0
+    if not (in_range and low > 0.0):
+        out[out == -np.pi] = np.pi
     return out

@@ -18,7 +18,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,9 +49,12 @@ def _read_exact(fh, count: int, path: str, what: str) -> bytes:
     return data
 
 
-def _write_grid(path: str, arr: np.ndarray, magic: bytes, flat: np.ndarray) -> None:
+def _write_grid(path: str, arr: np.ndarray, magic: bytes) -> None:
+    """Write a float64 or complex128 grid as the float32 samples of its
+    float64 view: a complex grid's interleaved re, im, as the reader views them."""
     if arr.ndim != 2:
         raise FormatError(f"{path}: grids are 2-D, got ndim={arr.ndim}")
+    flat = np.ascontiguousarray(arr).view(np.float64).astype("<f4")
     with open(path, "wb") as fh:
         fh.write(magic)
         fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
@@ -80,8 +83,7 @@ def _read_grid(path: str, magic: bytes) -> tuple[int, int, np.ndarray]:
 
 
 def write_real_grid(path: str, arr: np.ndarray) -> None:
-    arr = np.asarray(arr, dtype=np.float64)
-    _write_grid(path, arr, b"FPD1", arr.astype("<f4").ravel())
+    _write_grid(path, np.asarray(arr, dtype=np.float64), b"FPD1")
 
 
 def read_real_grid(path: str) -> np.ndarray:
@@ -90,11 +92,7 @@ def read_real_grid(path: str) -> np.ndarray:
 
 
 def write_complex_grid(path: str, arr: np.ndarray) -> None:
-    arr = np.asarray(arr, dtype=np.complex128)
-    inter = np.empty(arr.size * 2, dtype="<f4")
-    inter[0::2] = arr.real.astype("<f4").ravel()
-    inter[1::2] = arr.imag.astype("<f4").ravel()
-    _write_grid(path, arr, b"FPC1", inter)
+    _write_grid(path, np.asarray(arr, dtype=np.complex128), b"FPC1")
 
 
 def read_complex_grid(path: str) -> np.ndarray:
@@ -254,14 +252,9 @@ def manifest_text(cfg: OpticalConfig, files: list[str],
     if len(set(files)) != len(files):
         raise ManifestError("illumination file names must be distinct")
     doc = {
+        # the fields, not asdict: that would also copy every LED into a dict
+        **{f.name: getattr(cfg, f.name) for f in fields(cfg)},
         "version": MANIFEST_VERSION,
-        "wavelength_um": cfg.wavelength_um,
-        "na": cfg.na,
-        "magnification": cfg.magnification,
-        "camera_pixel_um": cfg.camera_pixel_um,
-        "upsample": cfg.upsample,
-        "low_rows": cfg.low_rows,
-        "low_cols": cfg.low_cols,
         "saturation": saturation,
         "illuminations": [
             {"sx": ill.sx, "sy": ill.sy, "file": fname}

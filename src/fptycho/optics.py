@@ -148,9 +148,12 @@ class ZernikeBasis:
     rho = f / cutoff > 1 (the rim rho == 1 is kept).
     """
 
-    count: int
     grids: np.ndarray  # (count, low_rows, low_cols) float64
     disk: np.ndarray   # bool, rho <= 1
+
+    @property
+    def count(self) -> int:
+        return len(self.grids)
 
     def pupil(self, amp: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Unchecked ``pupil_from_params``, also returning the unit phase factor."""
@@ -179,7 +182,7 @@ def zernike_basis(cfg: OpticalConfig, count: int) -> ZernikeBasis:
         else:
             z = math.sqrt(2.0 * (n + 1.0)) * radial * np.sin(am * theta)
         grids[idx] = np.where(disk, z, 0.0)
-    return ZernikeBasis(count=count, grids=grids, disk=disk)
+    return ZernikeBasis(grids=grids, disk=disk)
 
 
 def pupil_from_params(ctf_amp: np.ndarray, coeffs: np.ndarray,

@@ -18,7 +18,7 @@ step on the active parameter group against
 
 Stages alternate: odd stages (1-based) update the object, even stages the
 pupil; ``param_groups`` lists the arrays each updates. Frozen groups keep
-parameters, Adam moments, and step counts bit-identical through the stage, so
+parameters and Adam state bit-identical through the stage, so
 ``stage_constants`` computes what depends only on them once when the stage
 starts, and ``run_stage`` passes it to every ``step``: the pupil and the
 rows Adam runs on for an object stage, the TV penalty for a pupil stage.
@@ -83,11 +83,13 @@ class PgnnConfig:
 
 @dataclass
 class Moments:
-    """Adam first/second moments over the float view of one parameter array,
-    plus the (2, size) scratch that ``kernels.adam_update`` works in."""
+    """Adam state of one parameter array: first/second moments over its float
+    view and the count ``t`` of steps taken, plus the (2, size) scratch that
+    ``kernels.adam_update`` works in."""
 
     m: np.ndarray
     v: np.ndarray
+    t: int = 0
     work: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -105,13 +107,11 @@ class PgnnState:
     zern_coeffs: np.ndarray | None = None  # (modes,) float64 with a Zernike pupil
     pupil_free: np.ndarray | None = None   # complex128 (low) otherwise
     moments: dict[str, Moments] = field(default_factory=dict)
-    object_steps: int = 0
-    pupil_steps: int = 0
 
 
 @dataclass(frozen=True)
 class ForwardResult:
-    predicted: np.ndarray   # modeled window spectrum (centered layout)
+    residual: np.ndarray    # modeled minus amplitude-replaced window spectrum
     target: np.ndarray      # amplitude-replaced spectrum; constant per step
     data_loss: float
 
@@ -190,9 +190,9 @@ class PgnnModel:
                 pupil: np.ndarray | None = None) -> ForwardResult:
         predicted = self.predicted_spectrum(state, n, pupil)
         target = ap_project(predicted, self.amplitudes[n])[0]
-        diff = target - predicted
-        return ForwardResult(predicted=predicted, target=target,
-                             data_loss=float(np.vdot(diff, diff).real))
+        residual = predicted - target
+        return ForwardResult(residual=residual, target=target,
+                             data_loss=float(np.vdot(residual, residual).real))
 
     def spatial_object(self, state: PgnnState, out: np.ndarray | None = None,
                        shifted: np.ndarray | None = None) -> np.ndarray:
@@ -263,7 +263,7 @@ class PgnnModel:
         ``held["zero_grid"]``, which the caller zeroes again after use; with
         TV, into the window of the dense TV gradient."""
         fw = self.forward(state, n, held["pupil"])
-        data = 2.0 * self.area_low * np.conj(held["pupil"]) * (fw.predicted - fw.target)
+        data = 2.0 * self.area_low * np.conj(held["pupil"]) * fw.residual
         tv_val, g_object = self._tv_eval(state)
         if g_object is None:
             g_object = held["zero_grid"]
@@ -279,7 +279,7 @@ class PgnnModel:
             pupil, phase_factor = self.basis.pupil(state.pupil_amp, state.zern_coeffs)
         fw = self.forward(state, n, pupil)
         patch = state.object_spectrum[self.windows[n]]
-        g_pupil = 2.0 * self.area_low * np.conj(patch) * (fw.predicted - fw.target)
+        g_pupil = 2.0 * self.area_low * np.conj(patch) * fw.residual
         if self.basis is None:
             return [g_pupil.view(np.float64)], fw.data_loss
         # .real of a complex array is a strided view; Adam wants it packed
@@ -331,16 +331,12 @@ class PgnnModel:
         if update_object:
             g_object, loss = self._object_gradient(state, n, held)
             grads = [g_object.view(np.float64)]
-            state.object_steps += 1
-            t = state.object_steps
         else:
             grads, loss = self._pupil_gradient(state, n)
             loss += held["tv_value"]
-            state.pupil_steps += 1
-            t = state.pupil_steps
         for (key, view, lr), grad in zip(self.param_groups(state, update_object),
                                          grads):
-            adam_step(view, grad, state.moments[key], lr, t, rows=held["rows"])
+            adam_step(view, grad, state.moments[key], lr, rows=held["rows"])
         if update_object:
             held["zero_grid"][self.windows[n]] = 0.0
         elif self.basis is None:
@@ -377,15 +373,12 @@ def run_pgnn(images: list[np.ndarray], cfg: OpticalConfig,
 
 
 def adam_step(param_view: np.ndarray, grad_view: np.ndarray, moments: Moments,
-              lr: float, t: int, beta1: float = ADAM_BETA1,
-              beta2: float = ADAM_BETA2, eps: float = ADAM_EPS, rows=slice(None)) -> None:
+              lr: float, rows=slice(None)) -> None:
     """Bias-corrected Adam step, in place, on the first-axis ``rows`` of float64 views.
 
     Complex parameters participate as their float views (two real scalars per
-    element). ``t`` is the 1-based step count for the bias corrections.
+    element). The step advances ``moments.t``, the count the bias corrections use.
     """
-    if t < 1:
-        raise ValueError("step count t must be >= 1")
     arrays = (param_view, grad_view, moments.m, moments.v)
     if any(a.shape != param_view.shape for a in arrays):
         raise DimensionMismatch("param/grad/moment shapes differ")
@@ -394,6 +387,7 @@ def adam_step(param_view: np.ndarray, grad_view: np.ndarray, moments: Moments,
     # would be lost while the moments still advanced
     if not all(a.flags.c_contiguous for a in arrays):
         raise DimensionMismatch("param/grad/moment arrays must be C-contiguous")
-    kernels.adam_update(*(a.ravel() for a in arrays), lr, beta1, beta2,
-                        1.0 - beta1 ** t, 1.0 - beta2 ** t, eps,
-                        moments.work[:, :arrays[0].size])
+    moments.t += 1
+    kernels.adam_update(*(a.ravel() for a in arrays), lr, ADAM_BETA1, ADAM_BETA2,
+                        1.0 - ADAM_BETA1 ** moments.t, 1.0 - ADAM_BETA2 ** moments.t,
+                        ADAM_EPS, moments.work[:, :arrays[0].size])

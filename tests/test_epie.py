@@ -1,5 +1,7 @@
 """Alternating-projection baseline solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from fptycho.field import (center_shift, dft2, idft2, inverse_center_shift,
                            window)
 from fptycho.optics import (Illumination, OpticalConfig, illumination_offsets,
                             make_ctf)
+from fptycho.pgnn import PgnnModel
 
 
 # -- amplitude projection --------------------------------------------------
@@ -267,6 +270,31 @@ def test_initialization_embeds_central_capture_spectrum(small_instance):
     outside[r0:r0 + cfg.low_rows, c0:c0 + cfg.low_cols] = 0.0
     assert np.all(outside == 0.0)
     assert np.array_equal(initial_state(amps, cfg).pupil, make_ctf(cfg))
+
+
+def test_every_start_is_the_capture_visited_first(reference_cfg):
+    """0.001 is a tenth of a spectrum bin on the reference grid, so both LEDs
+    sit on axis and the stable traversal visits the one listed first. The
+    initial spectrum, a zero-sweep ePIE run and the pgnn start all embed that
+    capture, not the one with the smaller sine."""
+    cfg = dataclasses.replace(reference_cfg, illuminations=(
+        Illumination(sx=0.001, sy=0.0), Illumination(sx=0.0, sy=0.0)))
+    assert illumination_offsets(cfg) == [(0, 0), (0, 0)]
+    first = traversal_order(cfg)[0]
+    assert first == 0
+    rng = np.random.Generator(np.random.PCG64(34))
+    images = [rng.uniform(0.5, 1.5, (32, 32)), rng.uniform(2.0, 3.0, (32, 32))]
+    expected = np.zeros((cfg.high_rows, cfg.high_cols), dtype=np.complex128)
+    expected[window(expected.shape, (0, 0), 32, 32)] = center_shift(
+        dft2(np.sqrt(images[first])))
+    spec = initial_object_spectrum(measured_amplitudes(images, cfg), cfg)
+    assert np.array_equal(spec, expected)
+    spatial = run_epie(images, cfg, EpieConfig(iterations=0))[0]
+    assert np.array_equal(spatial, idft2(inverse_center_shift(expected))
+                          / cfg.spectrum_scale)
+    model = PgnnModel(images, cfg)
+    assert np.array_equal(model.initial_state().object_spectrum,
+                          expected / model.area_low)
 
 
 # -- full runs -------------------------------------------------------------

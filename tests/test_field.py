@@ -1,8 +1,10 @@
 """Grid transforms, windowing, and phase helpers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fptycho.errors import DimensionMismatch, WindowOutOfBounds
@@ -145,6 +147,25 @@ def test_crop_embed_round_trip_over_random_windows():
                     window((rows, cols), moved, wr, wc)
 
 
+# odd and even grid and window sizes, offsets reaching past either edge
+@settings(max_examples=300)
+@example((5, 4), (3, 0), 1, 2)   # odd rows: one bin past the far edge
+@given(st.tuples(st.integers(1, 12), st.integers(1, 12)),
+       st.tuples(st.integers(-7, 7), st.integers(-7, 7)),
+       st.integers(1, 12), st.integers(1, 12))
+def test_window_covers_the_centered_range_or_raises(shape, offset, rows, cols):
+    """The window of size S centered at c = DC + offset covers
+    [c - S // 2, c - S // 2 + S) on each axis, and raises WindowOutOfBounds
+    exactly when that range leaves the grid."""
+    spans = [(n // 2 + off - size // 2, n // 2 + off - size // 2 + size)
+             for n, off, size in zip(shape, offset, (rows, cols))]
+    if all(0 <= lo and hi <= n for (lo, hi), n in zip(spans, shape)):
+        assert window(shape, offset, rows, cols) == tuple(slice(*s) for s in spans)
+    else:
+        with pytest.raises(WindowOutOfBounds):
+            window(shape, offset, rows, cols)
+
+
 def test_phase_unit_zero_maps_to_one():
     out = phase_unit(np.array([[0 + 0j, 2j]]))
     assert out[0, 0] == 1 + 0j
@@ -248,3 +269,18 @@ _Z = np.random.Generator(np.random.PCG64(10)).standard_normal((2, 64, 64))
 ], ids=["arctan2", "branch_cut", "ends_and_zeros", "nan", "out_of_range"])
 def test_wrap_phase_matches_the_remainder_on_pinned_phases(p):
     _check_wrap_phase(np.array(p))
+
+
+def test_wrap_phase_of_in_range_phases_allocates_no_mask():
+    """Only p == -pi can end at -pi on the in-range path, so a grid whose
+    p + pi is above 0 takes no full-grid mask for the -pi -> +pi fix (a
+    256x256 one is 65,536 B)."""
+    phase = np.arctan2(*np.random.Generator(np.random.PCG64(11)).standard_normal((2, 256, 256)))
+    assert phase.min() > -np.pi
+    tracemalloc.start()
+    try:
+        wrap_phase(phase, out=phase)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096

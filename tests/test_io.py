@@ -208,6 +208,41 @@ def test_manifest_null_saturation_round_trips():
     assert sat is None
 
 
+@st.composite
+def _manifest_fields(draw):
+    """A valid (optics, files, saturation): every LED within half a spectrum
+    bin of the axis, so each window fits the grid at any upsampling."""
+    wavelength = draw(st.floats(min_value=0.2, max_value=2.0))
+    magnification = draw(st.floats(min_value=0.5, max_value=50.0))
+    camera_pixel = draw(st.floats(min_value=0.5, max_value=20.0))
+    low_rows, low_cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    # sine s shifts the spectrum by s / (wavelength * pitch) bins
+    pitch = magnification / (max(low_rows, low_cols) * camera_pixel)
+    half_bin = min(0.49 * wavelength * pitch, 0.7)
+    sine = st.floats(min_value=-half_bin, max_value=half_bin)
+    leds = draw(st.lists(st.builds(Illumination, sine, sine), min_size=1, max_size=5))
+    cfg = OpticalConfig(
+        wavelength_um=wavelength, na=draw(st.floats(min_value=0.01, max_value=0.95)),
+        magnification=magnification, camera_pixel_um=camera_pixel,
+        upsample=draw(st.integers(1, 8)), low_rows=low_rows, low_cols=low_cols,
+        illuminations=tuple(leds))
+    name = st.text("abcxyz019_-.", min_size=1, max_size=8).filter(
+        lambda f: f not in (".", ".."))
+    files = draw(st.lists(name, min_size=len(leds), max_size=len(leds), unique=True))
+    return cfg, files, draw(st.none() | st.floats(min_value=1e-3, max_value=1e3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_manifest_fields())
+def test_manifest_text_and_parse_are_inverse(fields):
+    """Parsing a written manifest returns what was written, and writing
+    that again gives the same text byte for byte."""
+    text = manifest_text(*fields)
+    parsed = parse_manifest(text)
+    assert parsed == fields
+    assert manifest_text(*parsed) == text
+
+
 def _doc(**edits):
     doc = json.loads(manifest_text(tiny_config(), default_file_names(2), None))
     doc.update(edits)

@@ -109,10 +109,12 @@ def test_data_loss_matches_scalar_loop(small_instance):
     state.object_spectrum += 0.1 * (rng.standard_normal((32, 32))
                                     + 1j * rng.standard_normal((32, 32)))
     fw = model.forward(state, 5)
+    predicted = model.predicted_spectrum(state, 5)
+    assert np.array_equal(fw.residual, predicted - fw.target)
     acc = 0.0
     for r in range(16):
         for c in range(16):
-            d = fw.predicted[r, c] - fw.target[r, c]
+            d = predicted[r, c] - fw.target[r, c]
             acc += d.real * d.real + d.imag * d.imag
     assert fw.data_loss == pytest.approx(acc, rel=1e-12)
 
@@ -270,8 +272,10 @@ def test_tv_object_step_allocates_no_full_grid():
     speed set by the allocator's history (fresh pages or reused heap).
     The TV kernels run no ufunc on a strided view, so numpy's buffered
     iterator (np.getbufsize() elements per operand, 192 KB for three
-    float64 operands) never runs: the peak stays under 3/8 of a 256x256
-    float64 grid (192 KB) with room to spare."""
+    float64 operands) never runs, and ``wrap_phase`` takes no full-grid
+    mask for in-range phases. What remains is numpy's casting buffer for
+    the complex-by-real ufuncs (8192 complex128 values, 128 KB): the peak
+    was 146,536 B, under 9/32 of a 256x256 float64 grid (147,456 B)."""
     cfg = grid_config(n_low=16, upsample=16, half_span=0.05)
     obj = textured_object(256, amp_seed=5, phase_seed=6, amp_beta=0.8,
                           phase_beta=0.8, amp_floor=0.3, phase_span=1.5)
@@ -287,7 +291,7 @@ def test_tv_object_step_allocates_no_full_grid():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * np.empty(model.high_shape).nbytes // 8
+    assert peak < 9 * np.empty(model.high_shape).nbytes // 32
 
 
 # -- Adam ------------------------------------------------------------------
@@ -295,31 +299,36 @@ def test_tv_object_step_allocates_no_full_grid():
 def test_adam_first_step_matches_hand_value():
     p = np.array([0.0])
     mom = Moments.like(p)
-    adam_step(p, np.array([1.0]), mom, lr=0.01, t=1)
+    adam_step(p, np.array([1.0]), mom, lr=0.01)
     assert p[0] == pytest.approx(-0.01 / (1 + 1e-8), rel=1e-12)
+    assert mom.t == 1
 
 
 def test_adam_zero_gradient_changes_nothing():
     p = np.array([1.5, -2.5])
     mom = Moments.like(p)
-    adam_step(p, np.zeros(2), mom, lr=0.1, t=1)
+    adam_step(p, np.zeros(2), mom, lr=0.1)
     assert np.array_equal(p, np.array([1.5, -2.5]))
 
 
 def test_adam_equal_gradients_give_equal_updates():
     p = np.array([1.0, 1.0])
     mom = Moments.like(p)
-    adam_step(p, np.array([0.3, 0.3]), mom, lr=0.05, t=1)
+    adam_step(p, np.array([0.3, 0.3]), mom, lr=0.05)
     assert p[0] == p[1]
     assert p[0] != 1.0
 
 
 def test_adam_validates_step_count_and_shapes():
+    # a rejected step leaves the count where it was; each taken step adds one
     p = np.array([0.0])
-    with pytest.raises(ValueError):
-        adam_step(p, np.array([1.0]), Moments.like(p), lr=0.1, t=0)
+    mom = Moments.like(p)
     with pytest.raises(DimensionMismatch):
-        adam_step(p, np.array([1.0, 2.0]), Moments.like(p), lr=0.1, t=1)
+        adam_step(p, np.array([1.0, 2.0]), mom, lr=0.1)
+    assert mom.t == 0 and p[0] == 0.0
+    for t in (1, 2, 3):
+        adam_step(p, np.array([1.0]), mom, lr=0.1)
+        assert mom.t == t
 
 
 def test_adam_rejects_strided_arrays_instead_of_losing_the_update():
@@ -328,16 +337,16 @@ def test_adam_rejects_strided_arrays_instead_of_losing_the_update():
     p = np.ones((4, 4))[:, ::2]
     mom = Moments.like(p)
     with pytest.raises(DimensionMismatch, match="contiguous"):
-        adam_step(p, np.ones((4, 2)), mom, lr=0.1, t=1)
+        adam_step(p, np.ones((4, 2)), mom, lr=0.1)
     assert np.all(p == 1.0) and np.all(mom.m == 0.0) and np.all(mom.v == 0.0)
+    assert mom.t == 0
     packed = np.ones((4, 2))
     with pytest.raises(DimensionMismatch, match="contiguous"):
-        adam_step(packed, np.ones((4, 4))[:, ::2], Moments.like(packed),
-                  lr=0.1, t=1)
+        adam_step(packed, np.ones((4, 4))[:, ::2], Moments.like(packed), lr=0.1)
     strided = Moments(m=np.zeros((4, 4))[:, ::2], v=np.zeros((4, 2)))
     with pytest.raises(DimensionMismatch, match="contiguous"):
-        adam_step(packed, np.ones((4, 2)), strided, lr=0.1, t=1)
-    adam_step(packed, np.ones((4, 2)), Moments.like(packed), lr=0.1, t=1)
+        adam_step(packed, np.ones((4, 2)), strided, lr=0.1)
+    adam_step(packed, np.ones((4, 2)), Moments.like(packed), lr=0.1)
     assert np.all(packed < 1.0)
 
 
@@ -354,7 +363,8 @@ def test_object_stage_freezes_pupil_parameters(small_instance):
     assert np.array_equal(state.pupil_amp, amp0)
     assert np.array_equal(state.zern_coeffs, zern0)
     assert not np.array_equal(state.object_spectrum, spec0)
-    assert state.pupil_steps == 0
+    assert state.moments["pupil_amp"].t == 0 and state.moments["zern"].t == 0
+    assert state.moments["object"].t == len(images)
 
 
 def test_pupil_stage_freezes_object_spectrum(small_instance):
@@ -363,10 +373,10 @@ def test_pupil_stage_freezes_object_spectrum(small_instance):
     state = model.initial_state()
     model.run_stage(state, 1)
     spec1 = state.object_spectrum.copy()
-    steps1 = state.object_steps
+    steps1 = state.moments["object"].t
     model.run_stage(state, 2)
     assert np.array_equal(state.object_spectrum, spec1)
-    assert state.object_steps == steps1
+    assert state.moments["object"].t == steps1
     assert np.all(state.pupil_amp[~pupil_support(cfg)] == 0.0)
 
 
@@ -399,7 +409,7 @@ def test_zero_stages_returns_the_initialization(small_instance):
     assert history == []
     assert np.array_equal(spatial, model.spatial_object(fresh))
     assert np.array_equal(pupil, model.pupil(fresh))
-    assert state.object_steps == 0 and state.pupil_steps == 0
+    assert all(mom.t == 0 for mom in state.moments.values())
 
 
 def test_runs_are_bitwise_deterministic(small_instance):
@@ -463,9 +473,11 @@ def test_a_misshapen_capture_is_named(small_instance):
 
 # -- stage caching is bitwise-neutral --------------------------------------
 
-def _reference_adam(param, grad, mom, lr, t):
+def _reference_adam(param, grad, mom, lr):
     """The allocating Adam step through the same flat views."""
     b1, b2 = ADAM_BETA1, ADAM_BETA2
+    mom.t += 1
+    t = mom.t
     allocating_adam(param.ravel(), grad.ravel(), mom.m.ravel(), mom.v.ravel(),
                     lr, b1, b2, 1.0 - b1 ** t, 1.0 - b2 ** t, ADAM_EPS)
 
@@ -483,26 +495,19 @@ def _reference_stage(model, state, stage_index):
             loss = model.total_loss(state, n)
             g = model.gradients(state, n)
             if update_object:
-                state.object_steps += 1
                 _reference_adam(state.object_spectrum.view(np.float64),
                                 g["object"],
-                                state.moments["object"], pcfg.lr_object,
-                                state.object_steps)
+                                state.moments["object"], pcfg.lr_object)
             elif model.basis is not None:
-                state.pupil_steps += 1
-                t = state.pupil_steps
                 _reference_adam(state.pupil_amp, g["pupil_amp"],
-                                state.moments["pupil_amp"], pcfg.lr_pupil_amp,
-                                t)
+                                state.moments["pupil_amp"], pcfg.lr_pupil_amp)
                 _reference_adam(state.zern_coeffs, g["zern"],
-                                state.moments["zern"], pcfg.lr_zern, t)
+                                state.moments["zern"], pcfg.lr_zern)
                 state.pupil_amp *= model.support
             else:
-                state.pupil_steps += 1
                 _reference_adam(state.pupil_free.view(np.float64),
                                 g["pupil_free"],
-                                state.moments["pupil_free"], pcfg.lr_pupil_amp,
-                                state.pupil_steps)
+                                state.moments["pupil_free"], pcfg.lr_pupil_amp)
                 state.pupil_free *= model.support
             acc += loss
         losses.append(acc)
@@ -515,7 +520,7 @@ def _state_bytes(state):
     for name in sorted(state.moments):
         arrays += [state.moments[name].m, state.moments[name].v]
     return ([None if a is None else a.tobytes() for a in arrays],
-            state.object_steps, state.pupil_steps)
+            [state.moments[name].t for name in sorted(state.moments)])
 
 
 @pytest.mark.parametrize("pcfg", [
