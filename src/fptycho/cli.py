@@ -17,9 +17,9 @@ import numpy as np
 from .epie import EpieConfig, run_epie
 from .errors import FormatError, FptychoError, ManifestError, NumericalError
 from .evaluate import metrics as compute_metrics
-from .io import (Dataset, export_image, read_complex_grid, read_dataset,
-                 read_manifest, read_real_grid, write_complex_grid,
-                 write_dataset)
+from .io import (OPTICS_FIELDS, Dataset, export_image, read_complex_grid,
+                 read_dataset, read_manifest, read_real_grid,
+                 write_complex_grid, write_dataset)
 from .optics import defocus_phase, make_ctf
 from .pgnn import PgnnConfig, run_pgnn
 from .simulate import GroundTruth, SimOptions, simulate_dataset
@@ -57,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", required=True, help="manifest JSON with optics and LEDs")
     sim.add_argument("--defocus-um", type=float, default=0.0)
     sim.add_argument("--noise-sigma", type=float, default=0.0)
-    sim.add_argument("--saturation", type=float, default=None)
+    sim.add_argument("--saturation", type=float, default=None,
+                     help="clipping level (default: the config's saturation)")
     sim.add_argument("--seed", type=_parse_seed, default=0)
     sim.add_argument("--out", required=True)
 
@@ -87,7 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args) -> int:
-    cfg, files, _ = read_manifest(args.config)
+    cfg, files, saturation = read_manifest(args.config)
+    if args.saturation is not None:
+        saturation = args.saturation
     amp = read_real_grid(args.truth_amp)
     phase = read_real_grid(args.truth_phase)
     want = (cfg.high_rows, cfg.high_cols)
@@ -98,12 +101,12 @@ def cmd_simulate(args) -> int:
     pupil = make_ctf(cfg)
     if args.defocus_um != 0.0:
         pupil = pupil * np.exp(1j * defocus_phase(cfg, args.defocus_um))
-    opts = SimOptions(noise_sigma=args.noise_sigma, saturation=args.saturation,
+    opts = SimOptions(noise_sigma=args.noise_sigma, saturation=saturation,
                       seed=args.seed)
     images = simulate_dataset(GroundTruth(object_spatial=obj, pupil=pupil),
                               cfg, opts)
     write_dataset(Dataset(optics=cfg, images=images, files=files,
-                          saturation=args.saturation), args.out)
+                          saturation=saturation), args.out)
     print(f"wrote {len(images)} captures to {args.out}")
     return 0
 
@@ -150,9 +153,8 @@ def cmd_inspect(args) -> int:
     cfg = ds.optics
     print(f"images: {len(ds.images)}  capture: {cfg.low_rows}x{cfg.low_cols}  "
           f"recovered: {cfg.high_rows}x{cfg.high_cols} (upsample {cfg.upsample})")
-    print(f"wavelength_um: {_fmt(cfg.wavelength_um)}  na: {_fmt(cfg.na)}  "
-          f"magnification: {_fmt(cfg.magnification)}  "
-          f"camera_pixel_um: {_fmt(cfg.camera_pixel_um)}")
+    print("  ".join(f"{name}: {_fmt(getattr(cfg, name))}"
+                    for name, typ in OPTICS_FIELDS.items() if typ is float))
     sat = "none" if ds.saturation is None else _fmt(ds.saturation)
     print(f"saturation: {sat}")
     for n, (ill, fname, img) in enumerate(

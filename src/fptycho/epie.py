@@ -6,10 +6,12 @@ the modeled low-res field with the measured one, then writes scaled
 corrections back into the object window and (unless ``pupil_update`` is
 ``"fixed"``) the pupil.
 
-The pupil update defaults to the literally published form, which weights the
-residual by conj(corrected window spectrum) over its squared max; the
-conventional ePIE weighting (conj of the pre-update object window) is
-available as ``pupil_update="conventional"``.
+The pupil update defaults to ``"literal"``, which weights the residual by
+conj(corrected window spectrum) over its squared max; on the test suite's
+reference problem defocused by 50 um it diverges (pupil peak 50 after 10
+sweeps, 250 after 50; passband amplitude error 0.999). The conventional ePIE
+weighting (conj of the pre-update object window), ``"conventional"``,
+converges there (peak 1.27, error 0.211 after 50 sweeps).
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ def measured_amplitudes(images, cfg: OpticalConfig) -> np.ndarray:
     if len(images) != len(cfg.illuminations):
         raise DimensionMismatch(
             f"{len(images)} images for {len(cfg.illuminations)} illuminations")
-    want = (cfg.low_rows, cfg.low_cols)
+    want = cfg.low_shape
     for n, img in enumerate(images):
         if np.shape(img) != want:
             raise DimensionMismatch(f"image {n} is {np.shape(img)}, config wants {want}")

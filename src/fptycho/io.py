@@ -18,7 +18,8 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import get_type_hints
 
 import numpy as np
 
@@ -29,11 +30,13 @@ from .optics import Illumination, OpticalConfig, illumination_offsets
 MANIFEST_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 
-_MANIFEST_KEYS = {
-    "version", "wavelength_um", "na", "magnification", "camera_pixel_um",
-    "upsample", "low_rows", "low_cols", "saturation", "illuminations",
-}
-_ILLUMINATION_KEYS = {"sx", "sy", "file"}
+# the dataclasses are the manifest schema, as field name -> annotated type in
+# field order: the root's keys are the optics fields, an LED object's the
+# illumination fields plus its capture file
+OPTICS_FIELDS = get_type_hints(OpticalConfig)
+ILLUMINATION_FIELDS = get_type_hints(Illumination)
+_MANIFEST_KEYS = frozenset(OPTICS_FIELDS) | {"version", "saturation"}
+_ILLUMINATION_KEYS = frozenset(ILLUMINATION_FIELDS) | {"file"}
 # largest high-res grid a manifest may ask for, in pixels: 1 GiB as complex128
 MAX_GRID_PIXELS = 2 ** 26
 
@@ -111,7 +114,7 @@ class Dataset:
     """A manifest-described capture set, fully loaded into memory."""
 
     optics: OpticalConfig
-    images: list[np.ndarray]       # float64 (low_rows, low_cols) intensities
+    images: list[np.ndarray]       # float64 intensities, each optics.low_shape
     files: list[str]               # image file names, manifest order
     saturation: float | None = None
 
@@ -123,6 +126,13 @@ def default_file_names(count: int) -> list[str]:
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ManifestError(msg)
+
+
+def _integer(val, what: str) -> int:
+    # bool is an int subclass and True == 1: check the type first
+    _require(isinstance(val, int) and not isinstance(val, bool),
+             f"{what} must be an integer")
+    return val
 
 
 def _finite(val, what: str) -> float:
@@ -138,11 +148,36 @@ def _finite(val, what: str) -> float:
     return val
 
 
+def _require_keys(obj, keys: frozenset, what: str) -> None:
+    """Reject anything but a JSON object with exactly ``keys``."""
+    _require(isinstance(obj, dict), f"{what} must be an object")
+    if obj.keys() != keys:
+        for word, diff in (("unknown", obj.keys() - keys), ("missing", keys - obj.keys())):
+            _require(not diff, f"{what}: {word} fields {sorted(diff)}")
+
+
+def _numbers(obj: dict, types: dict[str, type], prefix: str) -> dict:
+    """The int and float fields of ``types``, read from ``obj`` and checked."""
+    return {name: (_integer if typ is int else _finite)(obj[name], prefix + name)
+            for name, typ in types.items() if typ in (int, float)}
+
+
 def _require_bare_name(fname, what: str) -> None:
     """Reject a name that opens no capture file of its own in the dataset directory."""
     _require(isinstance(fname, str) and fname not in ("", ".", "..", MANIFEST_NAME)
              and not any(c in "/\\\0" or "\ud800" <= c <= "\udfff" for c in fname),
              f"{what}: file must be a bare file name other than {MANIFEST_NAME}")
+
+
+def _require_files(files: list) -> None:
+    """Every LED's capture file has a bare name of its own: a repeated name
+    would make write_dataset overwrite one capture with another."""
+    seen: dict[str, int] = {}   # file name -> first illumination using it
+    for i, fname in enumerate(files):
+        _require_bare_name(fname, f"illumination {i}")
+        _require(fname not in seen, f"illumination {i}: file {fname!r} is already "
+                 f"used by illumination {seen.get(fname)}; names must be distinct")
+        seen[fname] = i
 
 
 def parse_manifest(text: str) -> tuple[OpticalConfig, list[str], float | None]:
@@ -153,16 +188,9 @@ def parse_manifest(text: str) -> tuple[OpticalConfig, list[str], float | None]:
     # int() accepts; nesting too deep for the parser raises RecursionError
     except (ValueError, RecursionError) as exc:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
-    _require(isinstance(doc, dict), "manifest root must be an object")
-    unknown = set(doc) - _MANIFEST_KEYS
-    _require(not unknown, f"unknown manifest fields: {sorted(unknown)}")
-    missing = _MANIFEST_KEYS - set(doc)
-    _require(not missing, f"missing manifest fields: {sorted(missing)}")
-    version = doc["version"]
-    # bool is an int subclass and True == 1: check the type first
-    _require(isinstance(version, int) and not isinstance(version, bool)
-             and version == MANIFEST_VERSION,
-             f"unsupported manifest version {version!r}")
+    _require_keys(doc, _MANIFEST_KEYS, "manifest root")
+    version = _integer(doc["version"], "version")
+    _require(version == MANIFEST_VERSION, f"unsupported manifest version {version!r}")
 
     sat = doc["saturation"]
     if sat is not None:
@@ -172,58 +200,27 @@ def parse_manifest(text: str) -> tuple[OpticalConfig, list[str], float | None]:
     _require(isinstance(ills, list) and len(ills) > 0,
              "illuminations must be a non-empty list")
     parsed = []
-    files = []
-    seen: dict[str, int] = {}   # file name -> first illumination using it
     for i, entry in enumerate(ills):
-        _require(isinstance(entry, dict), f"illumination {i} must be an object")
-        unknown = set(entry) - _ILLUMINATION_KEYS
-        _require(not unknown,
-                 f"illumination {i}: unknown fields {sorted(unknown)}")
-        missing = _ILLUMINATION_KEYS - set(entry)
-        _require(not missing,
-                 f"illumination {i}: missing fields {sorted(missing)}")
-        sx = _finite(entry["sx"], f"illumination {i}: sx")
-        sy = _finite(entry["sy"], f"illumination {i}: sy")
-        fname = entry["file"]
-        _require_bare_name(fname, f"illumination {i}")
-        _require(fname not in seen, f"illumination {i}: file {fname!r} is "
-                 f"already used by illumination {seen.get(fname)}")
-        seen[fname] = i
+        _require_keys(entry, _ILLUMINATION_KEYS, f"illumination {i}")
         try:
-            parsed.append(Illumination(sx=sx, sy=sy))
+            parsed.append(Illumination(**_numbers(entry, ILLUMINATION_FIELDS,
+                                                  f"illumination {i}: ")))
         except ValueError as exc:
             raise ManifestError(f"illumination {i}: {exc}") from exc
-        files.append(fname)
+    files = [entry["file"] for entry in ills]
+    _require_files(files)
 
+    optics = _numbers(doc, OPTICS_FIELDS, "")
+    # before OpticalConfig, so an oversized grid is reported as one
+    upsample = optics["upsample"]
+    high_rows, high_cols = optics["low_rows"] * upsample, optics["low_cols"] * upsample
+    _require(high_rows * high_cols <= MAX_GRID_PIXELS,
+             f"a {high_rows}x{high_cols} high-res grid exceeds {MAX_GRID_PIXELS} pixels")
     try:
-        upsample = doc["upsample"]
-        _require(isinstance(upsample, int) and not isinstance(upsample, bool),
-                 "upsample must be an integer")
-        low_rows, low_cols = doc["low_rows"], doc["low_cols"]
-        _require(isinstance(low_rows, int) and isinstance(low_cols, int)
-                 and not isinstance(low_rows, bool) and not isinstance(low_cols, bool),
-                 "low_rows/low_cols must be integers")
-        # before OpticalConfig, so an oversized grid is reported as one
-        high_rows, high_cols = low_rows * upsample, low_cols * upsample
-        _require(high_rows * high_cols <= MAX_GRID_PIXELS,
-                 f"a {high_rows}x{high_cols} high-res grid exceeds "
-                 f"{MAX_GRID_PIXELS} pixels")
-        cfg = OpticalConfig(
-            wavelength_um=_finite(doc["wavelength_um"], "wavelength_um"),
-            na=_finite(doc["na"], "na"),
-            magnification=_finite(doc["magnification"], "magnification"),
-            camera_pixel_um=_finite(doc["camera_pixel_um"], "camera_pixel_um"),
-            upsample=upsample,
-            low_rows=low_rows,
-            low_cols=low_cols,
-            illuminations=tuple(parsed),
-        )
-    except ValueError as exc:
-        raise ManifestError(str(exc)) from exc
-    # geometry must close: every shifted window inside the high-res grid
-    try:
+        cfg = OpticalConfig(**optics, illuminations=tuple(parsed))
+        # geometry must close: every shifted window inside the high-res grid
         illumination_offsets(cfg)
-    except WindowOutOfBounds as exc:
+    except (ValueError, WindowOutOfBounds) as exc:
         raise ManifestError(str(exc)) from exc
     return cfg, files, sat
 
@@ -245,19 +242,14 @@ def manifest_text(cfg: OpticalConfig, files: list[str],
     if len(files) != len(cfg.illuminations):
         raise ManifestError(
             f"{len(files)} file names for {len(cfg.illuminations)} illuminations")
-    for i, fname in enumerate(files):
-        _require_bare_name(fname, f"illumination {i}")
-    # a repeated name would make write_dataset overwrite one capture with
-    # another
-    if len(set(files)) != len(files):
-        raise ManifestError("illumination file names must be distinct")
+    _require_files(files)
     doc = {
         # the fields, not asdict: that would also copy every LED into a dict
-        **{f.name: getattr(cfg, f.name) for f in fields(cfg)},
+        **{name: getattr(cfg, name) for name in OPTICS_FIELDS},
         "version": MANIFEST_VERSION,
         "saturation": saturation,
         "illuminations": [
-            {"sx": ill.sx, "sy": ill.sy, "file": fname}
+            {**{name: getattr(ill, name) for name in ILLUMINATION_FIELDS}, "file": fname}
             for ill, fname in zip(cfg.illuminations, files)
         ],
     }
@@ -268,7 +260,7 @@ def write_dataset(ds: Dataset, out_dir: str) -> None:
     """Check, then write manifest plus one FPD1 file per image (float32 on disk)."""
     if len(ds.images) != len(ds.files) or len(ds.files) != len(ds.optics.illuminations):
         raise ManifestError("images, files, and illuminations must align")
-    shape = (ds.optics.low_rows, ds.optics.low_cols)
+    shape = ds.optics.low_shape
     for img, fname in zip(ds.images, ds.files):
         if np.shape(img) != shape:
             raise ManifestError(f"{fname}: image is {np.shape(img)}, manifest says {shape}")
@@ -287,10 +279,8 @@ def read_dataset(in_dir: str) -> Dataset:
     for fname in files:
         path = os.path.join(in_dir, fname)
         img = read_real_grid(path)
-        if img.shape != (cfg.low_rows, cfg.low_cols):
-            raise FormatError(
-                f"{path}: grid is {img.shape}, manifest says "
-                f"{(cfg.low_rows, cfg.low_cols)}")
+        if img.shape != cfg.low_shape:
+            raise FormatError(f"{path}: grid is {img.shape}, manifest says {cfg.low_shape}")
         if np.any(~np.isfinite(img)):
             raise NumericalError(f"{path}: non-finite intensity sample")
         if np.any(img < 0):

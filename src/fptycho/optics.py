@@ -68,6 +68,10 @@ class OpticalConfig:
         return self.pixel_low_um / self.upsample
 
     @property
+    def low_shape(self) -> tuple[int, int]:
+        return self.low_rows, self.low_cols
+
+    @property
     def high_rows(self) -> int:
         return self.low_rows * self.upsample
 

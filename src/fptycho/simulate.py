@@ -56,10 +56,9 @@ def check_ground_truth(gt: GroundTruth, cfg: OpticalConfig) -> None:
         raise DimensionMismatch(
             f"object is {gt.object_spatial.shape}, config wants "
             f"{(cfg.high_rows, cfg.high_cols)}")
-    if gt.pupil.shape != (cfg.low_rows, cfg.low_cols):
+    if gt.pupil.shape != cfg.low_shape:
         raise DimensionMismatch(
-            f"pupil is {gt.pupil.shape}, config wants "
-            f"{(cfg.low_rows, cfg.low_cols)}")
+            f"pupil is {gt.pupil.shape}, config wants {cfg.low_shape}")
 
 
 def forward_capture(spectrum: np.ndarray, pupil: np.ndarray,

@@ -75,6 +75,24 @@ def test_simulate_noise_respects_the_seed(cli_inputs, tmp_path):
     assert _dir_bytes(tmp_path / "a") != _dir_bytes(tmp_path / "c")
 
 
+@pytest.mark.parametrize("flag, level", [((), 0.5), (("--saturation", "0.25"), 0.25)],
+                         ids=["config", "flag"])
+def test_simulate_clips_at_the_config_saturation_unless_the_flag_is_given(
+        cli_inputs, tmp_path, capsys, flag, level):
+    config = tmp_path / "config.json"
+    config.write_text(manifest_text(_cli_config(), default_file_names(9), 0.5))
+    out = tmp_path / "sim"
+    assert main(["simulate", "--truth-amp", str(cli_inputs / "amp.fpd1"),
+                 "--truth-phase", str(cli_inputs / "phase.fpd1"),
+                 "--config", str(config), "--out", str(out), *flag]) == 0
+    ds = read_dataset(str(out))
+    assert ds.saturation == level
+    assert max(img.max() for img in ds.images) == level
+    capsys.readouterr()
+    assert main(["inspect", "--dataset", str(out)]) == 0
+    assert f"saturation: {level}\n" in capsys.readouterr().out
+
+
 def _reconstruct(cli_dataset, out_dir, method, *extra):
     return main(["reconstruct", "--dataset", str(cli_dataset),
                  "--method", method, "--out", str(out_dir), *extra])

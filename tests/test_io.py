@@ -5,6 +5,8 @@ import os
 import struct
 import tempfile
 import tracemalloc
+from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -14,10 +16,11 @@ from hypothesis import strategies as st
 from fptycho.cli import main
 from fptycho.errors import FormatError, ManifestError, NumericalError
 from fptycho.field import wrap_phase
-from fptycho.io import (MAX_GRID_PIXELS, Dataset, default_file_names,
-                        export_image, manifest_text, parse_manifest,
-                        read_complex_grid, read_dataset, read_real_grid,
-                        write_complex_grid, write_dataset, write_real_grid)
+from fptycho.io import (ILLUMINATION_FIELDS, MAX_GRID_PIXELS, OPTICS_FIELDS,
+                        Dataset, default_file_names, export_image,
+                        manifest_text, parse_manifest, read_complex_grid,
+                        read_dataset, read_real_grid, write_complex_grid,
+                        write_dataset, write_real_grid)
 from fptycho.optics import Illumination, OpticalConfig
 
 
@@ -451,12 +454,20 @@ _JSON = st.recursive(
 _DIM = st.integers(min_value=-2, max_value=40) | _JSON
 _SINE = st.floats(min_value=-0.2, max_value=0.2) | _JSON
 _FILE = st.text(max_size=6) | st.sampled_from([".", "..", "a\x00b", "\ud800"]) | _JSON
-_LED = _JSON | st.fixed_dictionaries({"sx": _SINE, "sy": _SINE, "file": _FILE},
-                                     optional={"power": _JSON})
+_LED = _JSON | st.fixed_dictionaries(
+    {**{f.name: _SINE for f in fields(Illumination)}, "file": _FILE},
+    optional={"power": _JSON})
+# every int and float field of OpticalConfig, taken from the dataclass as
+# the parser takes them, so a field added there is drawn here too
+_OPTICS_HINTS = get_type_hints(OpticalConfig)
+_OPTICS = {f.name: _DIM if _OPTICS_HINTS[f.name] is int
+           else st.floats(min_value=0.0, max_value=10.0) | _JSON
+           for f in fields(OpticalConfig) if _OPTICS_HINTS[f.name] in (int, float)}
 _EDITS = st.fixed_dictionaries({}, optional={
+    **_OPTICS,
+    "version": st.integers(min_value=0, max_value=2) | _JSON,
     "files": st.lists(_FILE, min_size=2, max_size=2),
     "saturation": st.floats(min_value=0.0) | _JSON,
-    "upsample": _DIM, "low_rows": _DIM, "low_cols": _DIM,
     "illuminations": st.lists(_LED, max_size=4) | _JSON})
 
 
@@ -472,6 +483,9 @@ def names_a_file_in_the_directory(fname: str) -> bool:
 
 @settings(max_examples=500, deadline=None)
 @given(_EDITS)
+@example({"camera_pixel_um": 10 ** 400})
+@example({"version": True})
+@example({"low_rows": 2.0})
 def test_any_manifest_fields_parse_or_raise_manifest_error(edits):
     doc = _doc()
     for entry, fname in zip(doc["illuminations"], edits.pop("files", [])):
@@ -482,6 +496,19 @@ def test_any_manifest_fields_parse_or_raise_manifest_error(edits):
     except (ManifestError, FormatError):
         return
     assert all(names_a_file_in_the_directory(f) for f in files)
+
+
+def test_the_manifest_schema_is_the_dataclass_fields():
+    """The parser's and writer's key lists are the dataclasses' fields, in
+    field order, each with its resolved annotation."""
+    for cls, schema in ((OpticalConfig, OPTICS_FIELDS),
+                        (Illumination, ILLUMINATION_FIELDS)):
+        assert list(schema) == [f.name for f in fields(cls)]
+        assert schema == get_type_hints(cls)
+    assert set(OPTICS_FIELDS.values()) >= {int, float}
+    doc = _doc()
+    assert set(doc) == set(OPTICS_FIELDS) | {"version", "saturation"}
+    assert set(doc["illuminations"][0]) == set(ILLUMINATION_FIELDS) | {"file"}
 
 
 def test_grid_bound_admits_exactly_the_largest_grid():

@@ -260,10 +260,24 @@ def test_scratch_tv_eval_is_bitwise_the_allocating_expression(small_instance, al
         else:
             state.object_spectrum += 0.05 * (rng.standard_normal((32, 32))
                                              + 1j * rng.standard_normal((32, 32)))
-        value, grad = model._tv_eval(state)
+        value, grad = model._tv_eval(state), model.g_object
         ref_value, ref_grad = allocating_tv_eval(model, state)
         assert value == ref_value
         assert grad.tobytes() == ref_grad.tobytes()
+
+
+@pytest.mark.parametrize("alphas", [(0.0, 0.0), (2e-3, 3e-3)], ids=["no_tv", "tv"])
+def test_gradients_leave_the_object_gradient_grid_clean(small_instance, alphas):
+    """The model reuses one object-gradient grid: a call for another image
+    sees none of the previous call's window."""
+    cfg, _, images = small_instance
+    pcfg = PgnnConfig(tv_alpha1=alphas[0], tv_alpha2=alphas[1])
+    model = PgnnModel(images, cfg, pcfg)
+    state = model.initial_state()
+    model.gradients(state, 3)
+    again = model.gradients(state, 5)
+    fresh = PgnnModel(images, cfg, pcfg).gradients(state, 5)
+    assert all(again[key].tobytes() == fresh[key].tobytes() for key in fresh)
 
 
 def test_tv_object_step_allocates_no_full_grid():
