@@ -20,8 +20,7 @@ from .errors import (DegenerateField, DegeneratePupil, DegenerateReference,
 from .evaluate import Metrics, global_phase_align, metrics, passband_rel_err_amp
 from .io import Dataset, read_dataset, write_dataset
 from .optics import (Illumination, OpticalConfig, ZernikeBasis, defocus_phase,
-                     illumination_offsets, make_ctf, pupil_from_params,
-                     zernike_basis)
+                     illumination_offsets, make_ctf, zernike_basis)
 from .pgnn import PgnnConfig, PgnnModel, run_pgnn
 from .simulate import GroundTruth, SimOptions, forward_capture, simulate_dataset
 
@@ -35,6 +34,6 @@ __all__ = [
     "SimOptions", "WindowOutOfBounds", "ZernikeBasis", "ap_project",
     "defocus_phase", "epie_step", "forward_capture", "global_phase_align",
     "illumination_offsets", "make_ctf", "measured_amplitudes", "metrics",
-    "passband_rel_err_amp", "pupil_from_params", "read_dataset", "run_epie",
-    "run_pgnn", "simulate_dataset", "write_dataset", "zernike_basis",
+    "passband_rel_err_amp", "read_dataset", "run_epie", "run_pgnn",
+    "simulate_dataset", "write_dataset", "zernike_basis",
 ]

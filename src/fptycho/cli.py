@@ -26,8 +26,6 @@ from .simulate import GroundTruth, SimOptions, simulate_dataset
 
 
 def _fmt(x: float) -> str:
-    if np.isinf(x):
-        return "inf" if x > 0 else "-inf"
     return format(float(x), ".12g")
 
 
@@ -48,10 +46,15 @@ def _parse_zernike(text: str) -> int | None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="fptycho")
+    top = argparse.ArgumentParser(prog="fptycho", allow_abbrev=False)
     sub = top.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="render a capture set from a truth object")
+    def command(name: str, handler, text: str) -> argparse.ArgumentParser:
+        parser = sub.add_parser(name, help=text, allow_abbrev=False)
+        parser.set_defaults(handler=handler)
+        return parser
+
+    sim = command("simulate", cmd_simulate, "render a capture set from a truth object")
     sim.add_argument("--truth-amp", required=True, help="FPD1 amplitude grid (high-res)")
     sim.add_argument("--truth-phase", required=True, help="FPD1 phase grid (high-res)")
     sim.add_argument("--config", required=True, help="manifest JSON with optics and LEDs")
@@ -62,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=_parse_seed, default=0)
     sim.add_argument("--out", required=True)
 
-    rec = sub.add_parser("reconstruct", help="recover object and pupil from a dataset")
+    rec = command("reconstruct", cmd_reconstruct, "recover object and pupil from a dataset")
     rec.add_argument("--dataset", required=True)
     rec.add_argument("--method", required=True, choices=("pgnn", "epie"))
     pdef = PgnnConfig()
@@ -78,11 +81,11 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--lr-zern", type=float, default=pdef.lr_zern)
     rec.add_argument("--out", required=True)
 
-    met = sub.add_parser("metrics", help="compare a reconstruction with truth")
+    met = command("metrics", cmd_metrics, "compare a reconstruction with truth")
     met.add_argument("--recon", required=True, help="FPC1 complex grid")
     met.add_argument("--truth", required=True, help="FPC1 complex grid")
 
-    ins = sub.add_parser("inspect", help="summarize a dataset directory")
+    ins = command("inspect", cmd_inspect, "summarize a dataset directory")
     ins.add_argument("--dataset", required=True)
     return top
 
@@ -123,8 +126,7 @@ def cmd_reconstruct(args) -> int:
                           tv_alpha2=args.tv_alpha2,
                           zernike_modes=args.zernike)
         obj, pupil, history, _ = run_pgnn(ds.images, ds.optics, pcfg)
-    if not (np.all(np.isfinite(obj.view(np.float64)))
-            and np.all(np.isfinite(pupil.view(np.float64)))):
+    if not (np.all(np.isfinite(obj)) and np.all(np.isfinite(pupil))):
         raise NumericalError("reconstruction produced non-finite values")
     os.makedirs(args.out, exist_ok=True)
     write_complex_grid(os.path.join(args.out, "object.fpc1"), obj)
@@ -143,6 +145,9 @@ def cmd_reconstruct(args) -> int:
 def cmd_metrics(args) -> int:
     recon = read_complex_grid(args.recon)
     truth = read_complex_grid(args.truth)
+    for path, grid in ((args.recon, recon), (args.truth, truth)):
+        if not np.all(np.isfinite(grid)):
+            raise NumericalError(f"{path}: non-finite sample")
     m = compute_metrics(recon, truth)
     print(f"{_fmt(m.rel_err_complex)},{_fmt(m.rel_err_amp)},{_fmt(m.psnr_amp)}")
     return 0
@@ -166,14 +171,8 @@ def cmd_inspect(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "simulate": cmd_simulate,
-        "reconstruct": cmd_reconstruct,
-        "metrics": cmd_metrics,
-        "inspect": cmd_inspect,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (FormatError, ManifestError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

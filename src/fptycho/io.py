@@ -29,6 +29,8 @@ from .optics import Illumination, OpticalConfig, illumination_offsets
 
 MANIFEST_VERSION = 1
 MANIFEST_NAME = "manifest.json"
+# no capture file name holds these: path separators, NUL, lone surrogates
+_BANNED_CHARS = frozenset("/\\\0" + "".join(map(chr, range(0xD800, 0xE000))))
 
 # the dataclasses are the manifest schema, as field name -> annotated type in
 # field order: the root's keys are the optics fields, an LED object's the
@@ -165,7 +167,7 @@ def _numbers(obj: dict, types: dict[str, type], prefix: str) -> dict:
 def _require_bare_name(fname, what: str) -> None:
     """Reject a name that opens no capture file of its own in the dataset directory."""
     _require(isinstance(fname, str) and fname not in ("", ".", "..", MANIFEST_NAME)
-             and not any(c in "/\\\0" or "\ud800" <= c <= "\udfff" for c in fname),
+             and _BANNED_CHARS.isdisjoint(fname),
              f"{what}: file must be a bare file name other than {MANIFEST_NAME}")
 
 

@@ -160,7 +160,16 @@ class ZernikeBasis:
         return len(self.grids)
 
     def pupil(self, amp: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Unchecked ``pupil_from_params``, also returning the unit phase factor."""
+        """Complex pupil amp * exp(i * sum_l coeffs[l] * Z_l), exactly 0 where the
+        real amplitude ``amp`` is 0, and its unit phase factor."""
+        amp = np.asarray(amp, dtype=np.float64)
+        coeffs = np.asarray(coeffs, dtype=np.float64)
+        if amp.shape != self.grids.shape[1:]:
+            raise DimensionMismatch(
+                f"pupil amplitude {amp.shape} vs basis {self.grids.shape[1:]}")
+        if coeffs.shape != (self.count,):
+            raise DimensionMismatch(
+                f"coefficients {coeffs.shape} vs a {self.count}-mode basis")
         phase_factor = np.exp(1j * kernels.synth_phase(self.grids, coeffs))
         return amp * phase_factor, phase_factor
 
@@ -187,25 +196,6 @@ def zernike_basis(cfg: OpticalConfig, count: int) -> ZernikeBasis:
             z = math.sqrt(2.0 * (n + 1.0)) * radial * np.sin(am * theta)
         grids[idx] = np.where(disk, z, 0.0)
     return ZernikeBasis(grids=grids, disk=disk)
-
-
-def pupil_from_params(ctf_amp: np.ndarray, coeffs: np.ndarray,
-                      basis: ZernikeBasis) -> np.ndarray:
-    """Complex pupil |C| * exp(i * sum_l coeffs[l] * Z_l).
-
-    ctf_amp is the (real) pupil amplitude on the capture grid; bins where it
-    is zero stay exactly zero regardless of the phase.
-    """
-    ctf_amp = np.asarray(ctf_amp, dtype=np.float64)
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if ctf_amp.shape != basis.grids.shape[1:]:
-        raise DimensionMismatch(
-            f"pupil amplitude {ctf_amp.shape} vs basis {basis.grids.shape[1:]}")
-    if coeffs.shape != (basis.count,):
-        raise DimensionMismatch(
-            f"got {coeffs.shape[0] if coeffs.ndim == 1 else coeffs.shape} coefficients "
-            f"for a {basis.count}-mode basis")
-    return basis.pupil(ctf_amp, coeffs)[0]
 
 
 # ---------------------------------------------------------------------------

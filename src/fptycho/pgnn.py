@@ -141,7 +141,7 @@ class PgnnModel:
         # the object-spectrum gradient of a step; see _object_gradient
         self.g_object = np.zeros(self.high_shape, dtype=np.complex128)
         self.tv = pcfg.tv_alpha1 > 0.0 or pcfg.tv_alpha2 > 0.0
-        # scratch grids of _tv_eval: with them a dense object step allocates
+        # scratch grids of tv_penalty: with them a dense object step allocates
         # no full-grid temporaries, whose cost would hang on the allocator
         if self.tv:
             self.tv_complex = np.empty((2, *self.high_shape), dtype=np.complex128)
@@ -208,7 +208,7 @@ class PgnnModel:
         spatial *= rows * cols
         return spatial
 
-    def _tv_eval(self, state: PgnnState) -> float:
+    def tv_penalty(self, state: PgnnState) -> float:
         """TV penalty; with TV on, its object-spectrum gradient fills ``g_object``."""
         if not self.tv:
             return 0.0
@@ -245,9 +245,6 @@ class PgnnModel:
         center_shift(dft2(g_spatial, out=term), out=self.g_object)
         return value
 
-    def tv_penalty(self, state: PgnnState) -> float:
-        return self._tv_eval(state)
-
     def total_loss(self, state: PgnnState, n: int) -> float:
         return self.forward(state, n).data_loss + self.tv_penalty(state)
 
@@ -266,7 +263,7 @@ class PgnnModel:
         or of zeros without TV: the caller zeroes that window after use."""
         fw = self.forward(state, n, held["pupil"])
         data = 2.0 * self.area_low * np.conj(held["pupil"]) * fw.residual
-        tv_val = self._tv_eval(state)
+        tv_val = self.tv_penalty(state)
         self.g_object[self.windows[n]] += data
         return self.g_object, fw.data_loss + tv_val
 
@@ -315,8 +312,9 @@ class PgnnModel:
             return {"tv_value": self.tv_penalty(state), "rows": slice(None)}
         pupil = self.pupil(state)
         live = np.full(self.high_shape[0], self.tv)
+        reach = np.any(pupil, axis=1)
         for rs, _ in self.windows:
-            live[rs] |= np.any(pupil, axis=1)
+            live[rs] |= reach
         mom = state.moments["object"]
         live |= np.any(mom.m.view(np.uint64) | mom.v.view(np.uint64), axis=1)
         hit = np.flatnonzero(live)

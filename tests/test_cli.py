@@ -281,6 +281,42 @@ def test_non_finite_data_exits_3(cli_dataset, tmp_path, capsys):
     assert "numerical failure:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad_file, value", [("recon", np.nan), ("recon", np.inf),
+                                             ("truth", complex(0.0, np.nan))],
+                         ids=["nan_recon", "inf_recon", "nan_truth"])
+def test_metrics_of_non_finite_grids_exit_3(tmp_path, capsys, bad_file, value):
+    rng = np.random.Generator(np.random.PCG64(98))
+    z = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    for name in ("recon", "truth"):
+        write_complex_grid(str(tmp_path / f"{name}.fpc1"), z)
+    z[3, 5] = value
+    write_complex_grid(str(tmp_path / f"{bad_file}.fpc1"), z)
+    code = main(["metrics", "--recon", str(tmp_path / "recon.fpc1"),
+                 "--truth", str(tmp_path / "truth.fpc1")])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "numerical failure:" in err and f"{bad_file}.fpc1" in err
+
+
+@pytest.mark.parametrize("line, flag, short", [
+    ("reconstruct --dataset d --method pgnn --out o --epochs 3", "--epochs", "--epoch"),
+    ("reconstruct --dataset d --method pgnn --out o --lr-object 0.1", "--lr-object",
+     "--lr-o"),
+    ("reconstruct --dataset d --method epie --out o", "--dataset", "--data"),
+    ("simulate --truth-amp a --truth-phase p --config c --out o --defocus-um 3",
+     "--defocus-um", "--defocus"),
+    ("metrics --recon r --truth t", "--recon", "--rec"),
+    ("inspect --dataset d", "--dataset", "--d"),
+], ids=["epoch", "lr-o", "data", "defocus", "rec", "d"])
+def test_abbreviated_flags_exit_2(line, flag, short, capsys):
+    build_parser().parse_args(line.split())    # spelled in full, it parses
+    with pytest.raises(SystemExit) as exc:
+        main(line.replace(flag, short).split())
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_missing_files_exit_1(tmp_path, capsys):
     code = main(["metrics", "--recon", str(tmp_path / "nope.fpc1"),
                  "--truth", str(tmp_path / "nope.fpc1")])

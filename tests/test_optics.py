@@ -8,8 +8,8 @@ import pytest
 from fptycho.errors import (DimensionMismatch, InvalidModeCount,
                             WindowOutOfBounds)
 from fptycho.optics import (Illumination, OpticalConfig, defocus_phase,
-                            illumination_offsets, make_ctf, pupil_from_params,
-                            pupil_support, zernike_basis)
+                            illumination_offsets, make_ctf, pupil_support,
+                            zernike_basis)
 
 from conftest import grid_config
 
@@ -177,7 +177,7 @@ def test_pupil_with_zero_coeffs_is_the_plain_ctf():
     cfg = single_led_config()
     ctf = make_ctf(cfg)
     basis = zernike_basis(cfg, 6)
-    pupil = pupil_from_params(ctf.real, np.zeros(6), basis)
+    pupil = basis.pupil(ctf.real, np.zeros(6))[0]
     assert np.array_equal(pupil, ctf)
 
 
@@ -186,7 +186,7 @@ def test_pupil_bias_pi_negates_the_passband():
     ctf_amp = make_ctf(cfg).real
     basis = zernike_basis(cfg, 6)
     coeffs = np.array([math.pi, 0, 0, 0, 0, 0])
-    pupil = pupil_from_params(ctf_amp, coeffs, basis)
+    pupil = basis.pupil(ctf_amp, coeffs)[0]
     assert np.allclose(pupil, -ctf_amp, atol=1e-12)
 
 
@@ -195,26 +195,40 @@ def test_pupil_defocus_coefficient_sets_dc_phase():
     ctf_amp = make_ctf(cfg).real
     basis = zernike_basis(cfg, 6)
     coeffs = np.array([0, 0, 0, 2.0, 0, 0])
-    pupil = pupil_from_params(ctf_amp, coeffs, basis)
+    pupil = basis.pupil(ctf_amp, coeffs)[0]
     expected_dc = np.exp(1j * (2.0 * -math.sqrt(3.0)))
     assert pupil[16, 16] == pytest.approx(expected_dc, abs=1e-12)
 
 
-def test_pupil_from_params_preserves_amplitude():
+def test_basis_pupil_preserves_amplitude():
     cfg = single_led_config()
     ctf_amp = make_ctf(cfg).real
     basis = zernike_basis(cfg, 6)
     rng = np.random.Generator(np.random.PCG64(7))
-    pupil = pupil_from_params(ctf_amp, rng.standard_normal(6), basis)
+    pupil = basis.pupil(ctf_amp, rng.standard_normal(6))[0]
     assert np.allclose(np.abs(pupil), ctf_amp, atol=1e-12)
     assert np.all(pupil[ctf_amp == 0.0] == 0.0)
 
 
-def test_pupil_from_params_rejects_mismatched_dims():
+def test_basis_pupil_rejects_mismatched_dims():
     cfg = single_led_config()
     basis = zernike_basis(cfg, 6)
-    with pytest.raises(DimensionMismatch):
-        pupil_from_params(np.ones((8, 8)), np.zeros(6), basis)
+    amp = make_ctf(cfg).real
+    with pytest.raises(DimensionMismatch, match="amplitude"):
+        basis.pupil(np.ones((8, 8)), np.zeros(6))
+    for coeffs in (np.zeros(5), np.zeros(7), np.zeros((1, 6)), np.float64(0.0)):
+        with pytest.raises(DimensionMismatch, match="6-mode basis"):
+            basis.pupil(amp, coeffs)
+
+
+def test_basis_pupil_takes_any_real_dtype_and_returns_its_phase_factor():
+    cfg = single_led_config()
+    basis = zernike_basis(cfg, 6)
+    amp = make_ctf(cfg).real
+    coeffs = np.array([0.0, 0.1, -0.2, 0.3, 0.0, 0.05])
+    pupil, phase_factor = basis.pupil(amp.astype(np.float32), coeffs.tolist())
+    assert np.array_equal(pupil, amp * phase_factor)
+    assert np.allclose(np.abs(phase_factor), 1.0, atol=1e-15)
 
 
 # -- illumination offsets --------------------------------------------------

@@ -229,7 +229,7 @@ def test_tv_grad_matches_finite_differences():
 
 
 def allocating_tv_eval(model, state):
-    """The allocating TV evaluation that ``PgnnModel._tv_eval`` replaced with
+    """The allocating TV evaluation that ``PgnnModel.tv_penalty`` replaced with
     scratch grids: the bitwise reference for it."""
     pcfg = model.pcfg
     spatial = model.spatial_object(state)
@@ -260,7 +260,7 @@ def test_scratch_tv_eval_is_bitwise_the_allocating_expression(small_instance, al
         else:
             state.object_spectrum += 0.05 * (rng.standard_normal((32, 32))
                                              + 1j * rng.standard_normal((32, 32)))
-        value, grad = model._tv_eval(state), model.g_object
+        value, grad = model.tv_penalty(state), model.g_object
         ref_value, ref_grad = allocating_tv_eval(model, state)
         assert value == ref_value
         assert grad.tobytes() == ref_grad.tobytes()
