@@ -7,9 +7,10 @@ as ``kernels.<name>`` attributes, so a profiler can wrap each one by name.
 ``adam_update`` takes a caller-owned ``(2, n)`` float64 scratch array as its
 last argument (``pgnn.Moments`` keeps one per parameter group). It writes
 every temporary into its two rows with ``out=``, so a step over the 128x128
-complex spectrum allocates nothing, yet performs the same operations in the
-same order as the plain allocating expression and gives the same bits; it
-steps the arrays it is given, which ``pgnn.adam_step`` slices to its ``rows``.
+complex spectrum allocates nothing, yet gives the bits of the plain
+allocating expression. It decays the moments and steps the arrays it is
+given (``pgnn.adam_step`` slices them to its ``rows``), but adds gradient
+terms only on the block ``support`` the gradient covers.
 ``tv_value`` and ``tv_grad`` take an optional ``(TV_WORK_ROWS, rows, cols)``
 C-contiguous scratch array the same way (``pgnn.PgnnModel`` keeps one when TV
 is on). They run every ufunc on contiguous views (row blocks, or the flat
@@ -95,26 +96,32 @@ def project_modes(basis: np.ndarray, weight: np.ndarray) -> np.ndarray:
 
 
 def adam_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
-                lr: float, beta1: float, beta2: float,
+                support, lr: float, beta1: float, beta2: float,
                 bc1: float, bc2: float, eps: float,
                 work: np.ndarray) -> None:
-    """One in-place Adam step over flat float64 arrays.
+    """One in-place Adam step over float64 arrays of one shape.
 
-    bc1/bc2 are the bias corrections (1 - beta^t) for the current step count;
-    moments are updated in place alongside the parameters. ``work`` is a
-    (2, p.size) float64 scratch array; every temporary lives in its two rows,
-    so the step allocates nothing. The operations and their order are those
-    of ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`` after the moment
-    updates, so results are bit-identical to that expression.
+    ``g`` is the gradient on ``p[support]`` (``...`` for all of ``p``), zero
+    elsewhere. bc1/bc2 are the bias corrections (1 - beta^t) for the current
+    step count; moments are updated in place alongside the parameters.
+    ``work`` is a (2, n >= p.size) float64 scratch array. The operations and
+    their order are those of ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``
+    after the moment updates with ``g`` zero-filled to ``p``'s shape, so the
+    bits are that expression's. Outside ``support`` it would add +0.0 to
+    ``m * beta1`` and ``v * beta2``, which changes no bit unless the product
+    is -0.0, and it never is from +0.0 starts: a nonzero moment times a beta
+    above 1/2 stays nonzero, and a sum is -0.0 only when both terms are.
     """
-    a, b = work[0], work[1]
+    a, b = work[:, :p.size].reshape((2,) + p.shape)
     np.multiply(m, beta1, out=m)
-    np.multiply(g, 1.0 - beta1, out=a)
-    m += a
     np.multiply(v, beta2, out=v)
-    np.multiply(g, g, out=a)
-    a *= 1.0 - beta2
-    v += a
+    # the gradient terms, in a packed block of the scratch
+    term = work[0, :g.size].reshape(g.shape)
+    np.multiply(g, 1.0 - beta1, out=term)
+    m[support] += term
+    np.multiply(g, g, out=term)
+    term *= 1.0 - beta2
+    v[support] += term
     np.divide(m, bc1, out=a)
     a *= lr
     np.divide(v, bc2, out=b)

@@ -22,6 +22,8 @@ parameters and Adam state bit-identical through the stage, so
 ``stage_constants`` computes what depends only on them once when the stage
 starts, and ``run_stage`` passes it to every ``step``: the pupil and the
 rows Adam runs on for an object stage, the TV penalty for a pupil stage.
+Without TV an object step hands Adam only the data gradient on its window's
+rows that the pupil reaches, so no full-grid gradient exists.
 
 All gradients are true real-parameter gradients (for a complex array they are
 d/dRe + i*d/dIm), verified against central finite differences of the
@@ -138,12 +140,13 @@ class PgnnModel:
         # spectrum divided by this puts every parameter on an O(1) scale
         self.area_low = cfg.low_rows * cfg.low_cols
         self.order = traversal_order(cfg)
-        # the object-spectrum gradient of a step; see _object_gradient
-        self.g_object = np.zeros(self.high_shape, dtype=np.complex128)
         self.tv = pcfg.tv_alpha1 > 0.0 or pcfg.tv_alpha2 > 0.0
-        # scratch grids of tv_penalty: with them a dense object step allocates
-        # no full-grid temporaries, whose cost would hang on the allocator
+        # the dense object-spectrum gradient of a TV step (see
+        # _object_gradient), and the scratch grids of tv_penalty: with them a
+        # dense object step allocates no full-grid temporaries, whose cost
+        # would hang on the allocator
         if self.tv:
+            self.g_object = np.empty(self.high_shape, dtype=np.complex128)
             self.tv_complex = np.empty((2, *self.high_shape), dtype=np.complex128)
             self.tv_real = np.empty((3 + kernels.TV_WORK_ROWS, *self.high_shape))
 
@@ -257,15 +260,22 @@ class PgnnModel:
     # -- gradients ---------------------------------------------------------
 
     def _object_gradient(self, state: PgnnState, n: int,
-                         held: dict) -> tuple[np.ndarray, float]:
-        """Object-spectrum gradient of total_loss at image n, in ``g_object``,
-        and that loss. The data term lands in the window of the TV gradient,
-        or of zeros without TV: the caller zeroes that window after use."""
+                         held: dict) -> tuple[np.ndarray, object, float]:
+        """Object-spectrum gradient of total_loss at image n as float64, the
+        ``support`` of the spectrum's float view it covers, and that loss.
+        The data term is taken on the rows of window n that the held pupil
+        reaches (off them it is +-0.0, which Adam may skip); with TV it is
+        added onto the dense TV gradient in ``g_object``."""
         fw = self.forward(state, n, held["pupil"])
-        data = 2.0 * self.area_low * np.conj(held["pupil"]) * fw.residual
-        tv_val = self.tv_penalty(state)
-        self.g_object[self.windows[n]] += data
-        return self.g_object, fw.data_loss + tv_val
+        reach = held["reach"]
+        data = 2.0 * self.area_low * np.conj(held["pupil"][reach]) * fw.residual[reach]
+        loss = fw.data_loss + self.tv_penalty(state)
+        rs, cs = self.windows[n]
+        rows = slice(rs.start + reach.start, rs.start + reach.stop)
+        if self.tv:
+            self.g_object[rows, cs] += data
+            return self.g_object.view(np.float64), ..., loss
+        return data.view(np.float64), (rows, slice(2 * cs.start, 2 * cs.stop)), loss
 
     def _pupil_gradient(self, state: PgnnState, n: int) -> tuple[list, float]:
         """Pupil-parameter gradients of the data term at image n, as float64
@@ -294,20 +304,23 @@ class PgnnModel:
         loss the solver actually descends); finite differences of that
         frozen-target loss are the reference the tests check against.
         """
-        g_object = self._object_gradient(
-            state, n, self.stage_constants(state, True))[0].copy()
-        self.g_object[self.windows[n]] = 0.0
+        grad, support, _ = self._object_gradient(
+            state, n, self.stage_constants(state, True))
+        g_object = np.zeros_like(state.object_spectrum).view(np.float64)
+        g_object[support] = grad
         keys = [key for key, _, _ in self.param_groups(state, False)]
-        return {"object": g_object.view(np.float64),
+        return {"object": g_object,
                 **dict(zip(keys, self._pupil_gradient(state, n)[0]))}
 
     # -- optimization ------------------------------------------------------
 
     def stage_constants(self, state: PgnnState, update_object: bool) -> dict:
         """What a stage holds fixed, for ``step``: the TV penalty (pupil steps), or
-        the pupil and the ``rows`` Adam runs on (object steps). Without TV, rows
-        off the windows' nonzero pupil bins get a +0.0 gradient (+0.0 + -0.0 is
-        +0.0): Adam keeps them while their moments are +0.0."""
+        the pupil, the span ``reach`` of its nonzero rows and the ``rows`` Adam
+        runs on (object steps). Without TV, Adam's update off the reached rows
+        is pure decay, which keeps +0.0 moments and parameters as they are
+        (and no step makes a -0.0 moment; see ``kernels.adam_update``), so
+        ``rows`` spans the reached rows and those with nonzero moments."""
         if not update_object:
             return {"tv_value": self.tv_penalty(state), "rows": slice(None)}
         pupil = self.pupil(state)
@@ -317,9 +330,7 @@ class PgnnModel:
             live[rs] |= reach
         mom = state.moments["object"]
         live |= np.any(mom.m.view(np.uint64) | mom.v.view(np.uint64), axis=1)
-        hit = np.flatnonzero(live)
-        return {"pupil": pupil,
-                "rows": slice(hit[0], hit[-1] + 1) if hit.size else slice(0, 0)}
+        return {"pupil": pupil, "reach": _span(reach), "rows": _span(live)}
 
     def step(self, state: PgnnState, n: int, update_object: bool,
              held: dict) -> float:
@@ -327,20 +338,18 @@ class PgnnModel:
         evaluated before the update. ``held`` is the stage's
         ``stage_constants``, taken while the group it holds is frozen."""
         if update_object:
-            g_object, loss = self._object_gradient(state, n, held)
-            grads = [g_object.view(np.float64)]
+            grad, support, loss = self._object_gradient(state, n, held)
+            grads = [grad]
         else:
             grads, loss = self._pupil_gradient(state, n)
             loss += held["tv_value"]
+            support = ...
         for (key, view, lr), grad in zip(self.param_groups(state, update_object),
                                          grads):
-            adam_step(view, grad, state.moments[key], lr, rows=held["rows"])
-        if update_object:
-            self.g_object[self.windows[n]] = 0.0
-        elif self.basis is None:
-            state.pupil_free *= self.support
-        else:
-            state.pupil_amp *= self.support
+            adam_step(view, grad, state.moments[key], lr, held["rows"], support)
+        if not update_object:
+            pupil = state.pupil_free if self.basis is None else state.pupil_amp
+            pupil *= self.support
         return loss
 
     def run_stage(self, state: PgnnState, stage_index: int) -> list[float]:
@@ -370,22 +379,39 @@ def run_pgnn(images: list[np.ndarray], cfg: OpticalConfig,
     return PgnnModel(images, cfg, pcfg).run()
 
 
+def _span(mask: np.ndarray) -> slice:
+    """The slice from the first to the last True entry of ``mask``."""
+    hit = np.flatnonzero(mask)
+    return slice(hit[0], hit[-1] + 1) if hit.size else slice(0, 0)
+
+
 def adam_step(param_view: np.ndarray, grad_view: np.ndarray, moments: Moments,
-              lr: float, rows=slice(None)) -> None:
+              lr: float, rows=slice(None), support=...) -> None:
     """Bias-corrected Adam step, in place, on the first-axis ``rows`` of float64 views.
 
-    Complex parameters participate as their float views (two real scalars per
-    element). The step advances ``moments.t``, the count the bias corrections use.
+    ``grad_view`` is the gradient on ``param_view[support]``, zero elsewhere:
+    all of ``param_view`` by default, or a (row slice, column slice) block
+    within ``rows``. Complex parameters participate as their float views (two
+    real scalars per element). The step advances ``moments.t``, the count the
+    bias corrections use.
     """
-    arrays = (param_view, grad_view, moments.m, moments.v)
-    if any(a.shape != param_view.shape for a in arrays):
+    if not (param_view.shape == moments.m.shape == moments.v.shape
+            and grad_view.shape == param_view[support].shape):
         raise DimensionMismatch("param/grad/moment shapes differ")
-    arrays = [a[rows] for a in arrays]
-    # ravel() copies a strided array, and an update written into that copy
-    # would be lost while the moments still advanced
-    if not all(a.flags.c_contiguous for a in arrays):
+    if support is ...:
+        grad_view = grad_view[rows]
+    else:
+        start, stop, _ = rows.indices(len(param_view))
+        rs, cs = support
+        if rs.start < rs.stop and (rs.start < start or rs.stop > stop):
+            raise DimensionMismatch("gradient support reaches outside the rows")
+        support = slice(rs.start - start, rs.stop - start), cs
+    p, m, v = param_view[rows], moments.m[rows], moments.v[rows]
+    # packed arrays only (``_pupil_gradient`` packs ``.real`` for this): on a
+    # strided view every ufunc of the step would leave numpy's packed loops
+    if not all(a.flags.c_contiguous for a in (p, grad_view, m, v)):
         raise DimensionMismatch("param/grad/moment arrays must be C-contiguous")
     moments.t += 1
-    kernels.adam_update(*(a.ravel() for a in arrays), lr, ADAM_BETA1, ADAM_BETA2,
+    kernels.adam_update(p, grad_view, m, v, support, lr, ADAM_BETA1, ADAM_BETA2,
                         1.0 - ADAM_BETA1 ** moments.t, 1.0 - ADAM_BETA2 ** moments.t,
-                        ADAM_EPS, moments.work[:, :arrays[0].size])
+                        ADAM_EPS, moments.work)

@@ -3,6 +3,8 @@ replaced."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import allocating_adam
 from fptycho import kernels
@@ -34,9 +36,59 @@ def test_scratch_adam_is_bitwise_the_allocating_expression(n, seed):
         lr = float(rng.choice([1e-5, 1e-3, 0.3]))
         args = (lr, b1, b2, 1.0 - b1 ** t, 1.0 - b2 ** t, eps)
         allocating_adam(ref[0], g, ref[1], ref[2], *args)
-        kernels.adam_update(new[0], g, new[1], new[2], *args, work)
+        kernels.adam_update(new[0], g, new[1], new[2], ..., *args, work)
         for a, b in zip(ref, new):
             assert a.tobytes() == b.tobytes(), f"step {t}"
+
+
+# finite values that keep g * g finite; hypothesis draws signed zeros and
+# subnormals among them, and the explicit ones make sure each kind appears
+_ADAM_VALUES = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_window_support_adam_is_bitwise_the_full_grid_expression(data):
+    """The kernel adds the gradient terms only on its support: outside it,
+    the full-grid expression adds +0.0 terms, which change no bit because no
+    Adam step makes a -0.0 moment from +0.0 starts (kernels.adam_update)."""
+    def grid(shape):
+        return np.array(data.draw(st.lists(_ADAM_VALUES, min_size=shape[0] * shape[1],
+                                           max_size=shape[0] * shape[1])),
+                        dtype=np.float64).reshape(shape)
+
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))
+    ref = [grid((rows, cols)), np.zeros((rows, cols)), np.zeros((rows, cols))]
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    t = 0
+
+    def args():
+        lr = data.draw(st.sampled_from([1e-5, 1e-3, 0.3]))
+        return lr, b1, b2, 1.0 - b1 ** t, 1.0 - b2 ** t, eps
+
+    # moments after k full-grid steps (k = 0: the +0.0 starts)
+    for _ in range(data.draw(st.integers(0, 3))):
+        t += 1
+        allocating_adam(ref[0], grid((rows, cols)), ref[1], ref[2], *args())
+    new = [a.copy() for a in ref]
+    work = np.full((2, rows * cols + 3), np.nan)
+    for _ in range(data.draw(st.integers(1, 3))):
+        t += 1
+        r0 = data.draw(st.integers(0, rows))
+        r1 = data.draw(st.integers(r0, rows))
+        c0 = data.draw(st.integers(0, cols))
+        c1 = data.draw(st.integers(c0, cols))
+        support = slice(r0, r1), slice(c0, c1)
+        g = grid((r1 - r0, c1 - c0))
+        full = np.zeros((rows, cols))
+        full[support] = g
+        step = args()
+        allocating_adam(ref[0], full, ref[1], ref[2], *step)
+        kernels.adam_update(new[0], g, new[1], new[2], support, *step, work)
+        for a, b in zip(ref, new):
+            assert a.tobytes() == b.tobytes(), f"step {t}, support {support}"
 
 
 def allocating_tv(img):

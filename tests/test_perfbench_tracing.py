@@ -74,6 +74,14 @@ def test_traced_solvers_reach_every_step_entry_point(small_instance):
     assert counts["kernels.tv_grad.calls"] > 0
     assert counts["kernels.project_modes.calls"] == len(images)
 
+    # without TV the object step hands Adam its window gradient directly;
+    # it still goes through the traced forward and Adam
+    pcfg = fptycho.pgnn.PgnnConfig(stages=2, epochs_per_stage=1)
+    counts = _traced(tracing, lambda: fptycho.pgnn.run_pgnn(images, cfg, pcfg))
+    assert counts["pgnn.step.calls"] == steps
+    assert counts["pgnn.forward.calls"] == steps
+    assert counts["kernels.adam_update.calls"] == 3 * len(images)
+
     ecfg = fptycho.epie.EpieConfig(iterations=2)
     counts = _traced(tracing, lambda: fptycho.epie.run_epie(images, cfg, ecfg))
     assert counts["epie.run_epie.calls"] == 1

@@ -308,6 +308,28 @@ def test_tv_object_step_allocates_no_full_grid():
     assert peak < 9 * np.empty(model.high_shape).nbytes // 32
 
 
+def test_object_step_without_tv_allocates_no_full_grid():
+    """Without TV the object step hands Adam the data gradient on its window
+    alone: no full-grid gradient exists, and Adam's temporaries live in its
+    scratch, so what a step allocates is a few window-sized arrays."""
+    cfg = grid_config(n_low=16, upsample=16, half_span=0.05)
+    obj = textured_object(256, amp_seed=5, phase_seed=6, amp_beta=0.8,
+                          phase_beta=0.8, amp_floor=0.3, phase_span=1.5)
+    images = simulate_dataset(GroundTruth(obj, make_ctf(cfg)), cfg)
+    model = PgnnModel(images, cfg, PgnnConfig())
+    state = model.initial_state()
+    held = model.stage_constants(state, True)
+    model.step(state, 0, True, held)
+    tracemalloc.start()
+    try:
+        for n in range(len(images)):
+            model.step(state, n, True, held)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < np.empty(model.high_shape).nbytes // 8
+
+
 # -- Adam ------------------------------------------------------------------
 
 def test_adam_first_step_matches_hand_value():
@@ -343,6 +365,35 @@ def test_adam_validates_step_count_and_shapes():
     for t in (1, 2, 3):
         adam_step(p, np.array([1.0]), mom, lr=0.1)
         assert mom.t == t
+
+
+def test_adam_rows_and_support_give_the_full_grid_step():
+    """A step on ``rows`` with a full-grid gradient, or with the gradient's
+    nonzero block as ``support``, equals the allocating full-grid step when
+    the gradient and the moments are zero off that block."""
+    rng = np.random.Generator(np.random.PCG64(46))
+    start = rng.standard_normal((8, 6))
+    block = slice(3, 5), slice(1, 4)
+    grads = []
+    for _ in range(3):
+        g = np.zeros((8, 6))
+        g[block] = rng.standard_normal((2, 3))
+        grads.append(g)
+    ref, ref_mom = start.copy(), Moments.like(start)
+    for g in grads:
+        _reference_adam(ref, g, ref_mom, 0.1)
+    for use_support in (False, True):
+        p, mom = start.copy(), Moments.like(start)
+        for g in grads:
+            if use_support:
+                adam_step(p, g[block].copy(), mom, 0.1, slice(2, 6), block)
+            else:
+                adam_step(p, g, mom, 0.1, slice(2, 6))
+        assert p.tobytes() == ref.tobytes()
+        assert mom.m.tobytes() == ref_mom.m.tobytes()
+        assert mom.v.tobytes() == ref_mom.v.tobytes()
+    with pytest.raises(DimensionMismatch, match="outside the rows"):
+        adam_step(p, grads[0][block].copy(), mom, 0.1, slice(4, 6), block)
 
 
 def test_adam_rejects_strided_arrays_instead_of_losing_the_update():
