@@ -16,6 +16,7 @@ converges there (peak 1.27, error 0.211 after 50 sweeps).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -112,30 +113,30 @@ def ap_project(phi_low: np.ndarray, amplitude: np.ndarray) -> tuple[np.ndarray, 
     replaced spectrum and the modeled capture-plane field it was built from.
     Layout-consistent: the input and output spectra are both DC-centered.
 
-    No centre shift runs: the transform of the centered spectrum is the
-    field times a unit ramp (``_centring_ramp``), which the forward transform
-    turns back into the shift, so a zero pixel takes the ramp's value. The
-    returned field carries the ramp. Against the shifted form, the result is
-    bitwise at power-of-two sizes (bar zero pixels) and within 2.3e-15 of the
-    largest magnitude elsewhere (measured on square grids of 3 to 128).
+    No centre shift runs: the transform of the centered spectrum is the field
+    times a unit ramp (``_centring_ramp``), which the forward transform turns
+    back into the shift, so a zero pixel takes the ramp's value, passed as
+    ``phase_unit``'s fill (its zero test is the only one). The returned field
+    carries the ramp. Against the shifted form, the result is bitwise at
+    power-of-two sizes (bar zero pixels) and within 2.3e-15 of the largest
+    magnitude elsewhere (measured on square grids of 3 to 128).
     """
     if phi_low.shape != amplitude.shape:
         raise DimensionMismatch(
             f"spectrum {phi_low.shape} vs amplitude {amplitude.shape}")
     field = idft2(phi_low)
-    unit = phase_unit(field)
-    if np.count_nonzero(field) < field.size:
-        zero = field == 0.0
-        unit[zero] = np.broadcast_to(_centring_ramp(*field.shape[-2:]), field.shape)[zero]
-    return dft2(amplitude * unit), field
+    return dft2(amplitude * phase_unit(field, _centring_ramp(*field.shape[-2:]))), field
 
 
+@functools.lru_cache
 def _centring_ramp(rows: int, cols: int) -> np.ndarray:
     """exp(2 pi i (r (rows // 2) / rows + c (cols // 2) / cols)): the
     capture-plane factor that moving DC from the centre to (0, 0) removes."""
     r = np.arange(rows)[:, None] * (rows // 2) / rows
     c = np.arange(cols)[None, :] * (cols // 2) / cols
-    return np.exp(2j * np.pi * (r + c))
+    ramp = np.exp(2j * np.pi * (r + c))
+    ramp.flags.writeable = False
+    return ramp
 
 
 def _update(weight: np.ndarray, residual: np.ndarray, error: type,

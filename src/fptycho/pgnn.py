@@ -17,7 +17,7 @@ step on the active parameter group against
     + tv_alpha2 * TV(wrapped phase of the spatial object).
 
 Stages alternate: odd stages (1-based) update the object, even stages the
-pupil; ``param_groups`` lists the arrays each updates. Frozen groups keep
+pupil; ``param_group`` names the one array each updates. Frozen groups keep
 parameters and Adam state bit-identical through the stage, so
 ``stage_constants`` computes what depends only on them once when the stage
 starts, and ``run_stage`` passes it to every ``step``: the pupil and the
@@ -107,10 +107,16 @@ class Moments:
 @dataclass
 class PgnnState:
     object_spectrum: np.ndarray          # complex128 (high), centered, mean-normalized
-    pupil_amp: np.ndarray | None = None    # float64 (low) with a Zernike pupil
-    zern_coeffs: np.ndarray | None = None  # (modes,) float64 with a Zernike pupil
+    pupil_params: np.ndarray | None = None  # Zernike: amplitude (pupil_shape), coefficients
+    pupil_shape: tuple[int, int] | None = None
     pupil_free: np.ndarray | None = None   # complex128 (low) otherwise
     moments: dict[str, Moments] = field(default_factory=dict)
+
+    # views of pupil_params, its one stored copy, so a copied state stays whole
+    pupil_amp = property(lambda self: None if self.pupil_params is None else
+                         self.pupil_params[:math.prod(self.pupil_shape)].reshape(self.pupil_shape))
+    zern_coeffs = property(lambda self: None if self.pupil_params is None else
+                           self.pupil_params[math.prod(self.pupil_shape):])
 
 
 @dataclass(frozen=True)
@@ -140,6 +146,8 @@ class PgnnModel:
         # spectrum divided by this puts every parameter on an O(1) scale
         self.area_low = cfg.low_rows * cfg.low_cols
         self.order = traversal_order(cfg)
+        self.lr_pupil = pcfg.lr_pupil_amp if self.basis is None else np.repeat(
+            [pcfg.lr_pupil_amp, pcfg.lr_zern], [self.area_low, self.basis.count])
         self.tv = pcfg.tv_alpha1 > 0.0 or pcfg.tv_alpha2 > 0.0
         # the dense object-spectrum gradient of a TV step (see
         # _object_gradient), and the scratch grids of tv_penalty: with them a
@@ -147,7 +155,7 @@ class PgnnModel:
         # would hang on the allocator
         if self.tv:
             self.g_object = np.empty(self.high_shape, dtype=np.complex128)
-            self.tv_complex = np.empty((2, *self.high_shape), dtype=np.complex128)
+            self.tv_complex = np.empty((3, *self.high_shape), dtype=np.complex128)
             self.tv_real = np.empty((3 + kernels.TV_WORK_ROWS, *self.high_shape))
 
     # -- state ------------------------------------------------------------
@@ -159,25 +167,21 @@ class PgnnModel:
         if self.basis is None:
             state = PgnnState(spectrum, pupil_free=make_ctf(self.cfg))
         else:
-            state = PgnnState(spectrum, pupil_amp=make_ctf(self.cfg).real.copy(),
-                              zern_coeffs=np.zeros(self.basis.count))
+            state = PgnnState(spectrum, pupil_shape=self.cfg.low_shape, pupil_params=np.append(
+                make_ctf(self.cfg).real, np.zeros(self.basis.count)))
         state.moments = {key: Moments.like(view)
-                         for update_object in (True, False)
-                         for key, view, _ in self.param_groups(state, update_object)}
+                         for key, view, _ in (self.param_group(state, True),
+                                              self.param_group(state, False))}
         return state
 
-    def param_groups(self, state: PgnnState, update_object: bool) -> list:
-        """(moment key, float64 view, learning rate) of each array an object
-        step or a pupil step updates; complex arrays are viewed interleaved."""
-        pcfg = self.pcfg
+    def param_group(self, state: PgnnState, update_object: bool) -> tuple:
+        """(moment key, float64 view, learning rate) of the one array an object or
+        pupil step updates, complex arrays viewed interleaved; a Zernike pupil's
+        rate is per entry (Adam is elementwise: the bits of separate steps)."""
         if update_object:
-            return [("object", state.object_spectrum.view(np.float64),
-                     pcfg.lr_object)]
-        if self.basis is None:
-            return [("pupil_free", state.pupil_free.view(np.float64),
-                     pcfg.lr_pupil_amp)]
-        return [("pupil_amp", state.pupil_amp, pcfg.lr_pupil_amp),
-                ("zern", state.zern_coeffs, pcfg.lr_zern)]
+            return "object", state.object_spectrum.view(np.float64), self.pcfg.lr_object
+        return "pupil", (state.pupil_params if self.basis is not None else
+                         state.pupil_free.view(np.float64)), self.lr_pupil
 
     def pupil(self, state: PgnnState) -> np.ndarray:
         if self.basis is None:
@@ -217,8 +221,9 @@ class PgnnModel:
             return 0.0
         pcfg = self.pcfg
         # every full-grid temporary lives in the scratch grids; each line
-        # keeps the operand order of the plain expression, so the bits match
-        spatial, term = self.tv_complex
+        # keeps the operand order of the plain expression, so the bits match;
+        # real operands are cast into ``real``, not a numpy casting buffer
+        spatial, term, real = self.tv_complex
         g_spatial = self.g_object
         amp, guarded, phase = self.tv_real[:3]
         work = self.tv_real[3:]
@@ -232,7 +237,10 @@ class PgnnModel:
             ga = kernels.tv_grad(amp, work)
             # g_spatial += alpha1 * ga * (spatial / guarded)
             ga *= pcfg.tv_alpha1
-            g_spatial += np.multiply(ga, np.divide(spatial, guarded, out=term), out=term)
+            real[...] = guarded
+            np.divide(spatial, real, out=term)
+            real[...] = ga
+            g_spatial += np.multiply(real, term, out=term)
         if pcfg.tv_alpha2 > 0.0:
             # np.angle(spatial), wrapped
             wrap_phase(np.arctan2(spatial.imag, spatial.real, out=phase), out=phase)
@@ -241,8 +249,10 @@ class PgnnModel:
             # g_spatial += alpha2 * gp * (1j * spatial / (guarded * guarded))
             gp *= pcfg.tv_alpha2
             guarded *= guarded
-            np.divide(np.multiply(1j, spatial, out=term), guarded, out=term)
-            g_spatial += np.multiply(gp, term, out=term)
+            real[...] = guarded
+            np.divide(np.multiply(1j, spatial, out=term), real, out=term)
+            real[...] = gp
+            g_spatial += np.multiply(real, term, out=term)
         # adjoint of the mean-normalized synthesis (idft2 * pixel count):
         # the 1/N of idft2 cancels, leaving the plain forward transform
         center_shift(dft2(g_spatial, out=term), out=self.g_object)
@@ -268,7 +278,7 @@ class PgnnModel:
         added onto the dense TV gradient in ``g_object``."""
         fw = self.forward(state, n, held["pupil"])
         reach = held["reach"]
-        data = 2.0 * self.area_low * np.conj(held["pupil"][reach]) * fw.residual[reach]
+        data = held["weight"][reach] * fw.residual[reach]
         loss = fw.data_loss + self.tv_penalty(state)
         rs, cs = self.windows[n]
         rows = slice(rs.start + reach.start, rs.start + reach.stop)
@@ -277,9 +287,9 @@ class PgnnModel:
             return self.g_object.view(np.float64), ..., loss
         return data.view(np.float64), (rows, slice(2 * cs.start, 2 * cs.stop)), loss
 
-    def _pupil_gradient(self, state: PgnnState, n: int) -> tuple[list, float]:
-        """Pupil-parameter gradients of the data term at image n, as float64
-        arrays in ``param_groups`` order, and that term."""
+    def _pupil_gradient(self, state: PgnnState, n: int) -> tuple[np.ndarray, float]:
+        """Pupil-parameter gradient of the data term at image n, as a float64
+        array laid out like ``param_group``'s view, and that term."""
         if self.basis is None:
             pupil = state.pupil_free
         else:
@@ -288,12 +298,10 @@ class PgnnModel:
         patch = state.object_spectrum[self.windows[n]]
         g_pupil = 2.0 * self.area_low * np.conj(patch) * fw.residual
         if self.basis is None:
-            return [g_pupil.view(np.float64)], fw.data_loss
-        # .real of a complex array is a strided view; Adam wants it packed
-        g_amp = np.ascontiguousarray((np.conj(phase_factor) * g_pupil).real)
+            return g_pupil.view(np.float64), fw.data_loss
         weight = (g_pupil * np.conj(pupil)).imag
-        g_zern = kernels.project_modes(self.basis.grids, weight)
-        return [g_amp, g_zern], fw.data_loss
+        return np.append((np.conj(phase_factor) * g_pupil).real,
+                         kernels.project_modes(self.basis.grids, weight)), fw.data_loss
 
     def gradients(self, state: PgnnState, n: int) -> dict[str, np.ndarray]:
         """Real-parameter gradients of total_loss at image n, as float64
@@ -308,16 +316,15 @@ class PgnnModel:
             state, n, self.stage_constants(state, True))
         g_object = np.zeros_like(state.object_spectrum).view(np.float64)
         g_object[support] = grad
-        keys = [key for key, _, _ in self.param_groups(state, False)]
-        return {"object": g_object,
-                **dict(zip(keys, self._pupil_gradient(state, n)[0]))}
+        return {"object": g_object, "pupil": self._pupil_gradient(state, n)[0]}
 
     # -- optimization ------------------------------------------------------
 
     def stage_constants(self, state: PgnnState, update_object: bool) -> dict:
         """What a stage holds fixed, for ``step``: the TV penalty (pupil steps), or
-        the pupil, the span ``reach`` of its nonzero rows and the ``rows`` Adam
-        runs on (object steps). Without TV, Adam's update off the reached rows
+        the pupil, its data-gradient ``weight`` 2 * area * conj(pupil), the span
+        ``reach`` of its nonzero rows and the ``rows`` Adam runs on (object
+        steps). Without TV, Adam's update off the reached rows
         is pure decay, which keeps +0.0 moments and parameters as they are
         (and no step makes a -0.0 moment; see ``kernels.adam_update``), so
         ``rows`` spans the reached rows and those with nonzero moments."""
@@ -330,7 +337,8 @@ class PgnnModel:
             live[rs] |= reach
         mom = state.moments["object"]
         live |= np.any(mom.m.view(np.uint64) | mom.v.view(np.uint64), axis=1)
-        return {"pupil": pupil, "reach": _span(reach), "rows": _span(live)}
+        return {"pupil": pupil, "weight": 2.0 * self.area_low * np.conj(pupil),
+                "reach": _span(reach), "rows": _span(live)}
 
     def step(self, state: PgnnState, n: int, update_object: bool,
              held: dict) -> float:
@@ -339,14 +347,12 @@ class PgnnModel:
         ``stage_constants``, taken while the group it holds is frozen."""
         if update_object:
             grad, support, loss = self._object_gradient(state, n, held)
-            grads = [grad]
         else:
-            grads, loss = self._pupil_gradient(state, n)
+            grad, loss = self._pupil_gradient(state, n)
             loss += held["tv_value"]
             support = ...
-        for (key, view, lr), grad in zip(self.param_groups(state, update_object),
-                                         grads):
-            adam_step(view, grad, state.moments[key], lr, held["rows"], support)
+        key, view, lr = self.param_group(state, update_object)
+        adam_step(view, grad, state.moments[key], lr, held["rows"], support)
         if not update_object:
             pupil = state.pupil_free if self.basis is None else state.pupil_amp
             pupil *= self.support
@@ -386,14 +392,15 @@ def _span(mask: np.ndarray) -> slice:
 
 
 def adam_step(param_view: np.ndarray, grad_view: np.ndarray, moments: Moments,
-              lr: float, rows=slice(None), support=...) -> None:
+              lr: float | np.ndarray, rows=slice(None), support=...) -> None:
     """Bias-corrected Adam step, in place, on the first-axis ``rows`` of float64 views.
 
     ``grad_view`` is the gradient on ``param_view[support]``, zero elsewhere:
     all of ``param_view`` by default, or a (row slice, column slice) block
     within ``rows``. Complex parameters participate as their float views (two
-    real scalars per element). The step advances ``moments.t``, the count the
-    bias corrections use.
+    real scalars per element). ``lr`` is a scalar or a rate per entry of
+    ``param_view[rows]``. The step advances ``moments.t``, the count the bias
+    corrections use.
     """
     if not (param_view.shape == moments.m.shape == moments.v.shape
             and grad_view.shape == param_view[support].shape):
@@ -407,8 +414,7 @@ def adam_step(param_view: np.ndarray, grad_view: np.ndarray, moments: Moments,
             raise DimensionMismatch("gradient support reaches outside the rows")
         support = slice(rs.start - start, rs.stop - start), cs
     p, m, v = param_view[rows], moments.m[rows], moments.v[rows]
-    # packed arrays only (``_pupil_gradient`` packs ``.real`` for this): on a
-    # strided view every ufunc of the step would leave numpy's packed loops
+    # packed arrays only: on a strided view every ufunc would leave numpy's packed loops
     if not all(a.flags.c_contiguous for a in (p, grad_view, m, v)):
         raise DimensionMismatch("param/grad/moment arrays must be C-contiguous")
     moments.t += 1

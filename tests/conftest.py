@@ -111,8 +111,8 @@ def fd_check(seed: int, use_zernike: bool, alpha: float,
     state.object_spectrum += 0.2 * (rng.standard_normal(high)
                                     + 1j * rng.standard_normal(high))
     if use_zernike:
-        state.pupil_amp += 0.15 * rng.random(low) * model.support
-        state.zern_coeffs += 0.1 * rng.standard_normal(6)
+        state.pupil_amp[...] += 0.15 * rng.random(low) * model.support
+        state.zern_coeffs[...] += 0.1 * rng.standard_normal(6)
     else:
         state.pupil_free += 0.15 * (rng.standard_normal(low)
                                     + 1j * rng.standard_normal(low)) * model.support
@@ -129,12 +129,9 @@ def fd_check(seed: int, use_zernike: bool, alpha: float,
     assert grads.keys() == state.moments.keys()
     h = 1e-6
     worst = 0.0
-    blocks = [(state.object_spectrum, grads["object"])]
-    if use_zernike:
-        blocks += [(state.pupil_amp, grads["pupil_amp"]),
-                   (state.zern_coeffs, grads["zern"])]
-    else:
-        blocks += [(state.pupil_free, grads["pupil_free"])]
+    blocks = [(state.object_spectrum, grads["object"]),
+              (state.pupil_params if use_zernike else state.pupil_free,
+               grads["pupil"])]
     for arr, grad in blocks:
         flat = arr.view(np.float64).ravel() if np.iscomplexobj(arr) else arr.ravel()
         gflat = grad.ravel()

@@ -1,6 +1,7 @@
 """Grid transforms, windowing, and phase helpers."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,52 @@ def test_phase_unit_zero_maps_to_one():
     out = phase_unit(np.array([[0 + 0j, 2j]]))
     assert out[0, 0] == 1 + 0j
     assert out[0, 1] == pytest.approx(1j)
+
+
+# parts of field pixels, signed zeros among them. Moduli stay above 1e-300:
+# below about 5.6e-309 numpy's complex division overflows computing 1 / |z|
+# and gives NaN, on either path
+_PART_VALUES = st.one_of(st.floats(min_value=1e-300, max_value=1e150),
+                         st.floats(min_value=-1e150, max_value=-1e-300),
+                         st.sampled_from([0.0, -0.0, 1e-300, -1e-300]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_phase_unit_direct_and_masked_paths_agree_bit_for_bit(data):
+    """phase_unit tests once for zero pixels: without one it divides
+    directly; a zero or a NaN pixel sends it down the masked path. Every
+    other pixel gets the same bits either way, a zero pixel takes the fill
+    (a scalar, or a grid broadcast over a stack), and a NaN stays NaN
+    without a RuntimeWarning."""
+    shape = data.draw(st.sampled_from([(1, 1), (1, 5), (4, 1), (3, 4), (2, 3, 4),
+                                       (3, 1, 2), (2, 2, 2, 3)]))
+    n = int(np.prod(shape))
+    parts = st.lists(_PART_VALUES, min_size=n, max_size=n)
+    z = (np.array(data.draw(parts)) + 1j * np.array(data.draw(parts))).reshape(shape)
+    z[z == 0.0] = 1.0          # no zero pixel: the direct path
+    kind = data.draw(st.sampled_from(["default", "scalar", "grid"]))
+    fill = {"default": 1.0 + 0.0j, "scalar": 0.6 - 0.8j,
+            "grid": np.exp(1j * np.arange(shape[-2] * shape[-1])).reshape(shape[-2:])}[kind]
+    args = () if kind == "default" else (fill,)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        direct = phase_unit(z, *args)
+        assert direct.tobytes() == (z / np.abs(z)).tobytes()
+        k = data.draw(st.integers(0, n - 1))
+        special = data.draw(st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                                             complex(np.nan, 0.0), complex(1.0, np.nan)]))
+        hit = z.copy()
+        hit.reshape(-1)[k] = special
+        masked = phase_unit(hit, *args)
+    others = np.arange(n) != k
+    assert (masked.reshape(-1)[others].tobytes()
+            == direct.reshape(-1)[others].tobytes())
+    got = masked.reshape(-1)[k]
+    if special == 0.0:
+        assert got == np.broadcast_to(fill, shape).reshape(-1)[k]
+    else:
+        assert np.isnan(got.real) or np.isnan(got.imag)
 
 
 def test_wrap_phase_lands_in_half_open_interval():

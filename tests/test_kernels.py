@@ -91,6 +91,39 @@ def test_window_support_adam_is_bitwise_the_full_grid_expression(data):
             assert a.tobytes() == b.tobytes(), f"step {t}, support {support}"
 
 
+@pytest.mark.parametrize("t", [355, 356, 357, 37411, 37412])
+@pytest.mark.parametrize("block", [False, True], ids=["whole", "block"])
+@pytest.mark.parametrize("per_entry_rate", [False, True], ids=["scalar_lr", "entry_lr"])
+def test_adam_skips_a_rounded_bias_correction_at_the_same_bits(t, block,
+                                                               per_entry_rate):
+    """From t = 356 the first bias correction 1 - 0.9**t is 1.0 (the second
+    from t = 37,412), and the kernel skips dividing by it: on either side of
+    the switch its bits are the allocating expression's. A rate per entry
+    gives the bits of a separate allocating step per rate."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    assert 1.0 - b1 ** 355 < 1.0 == 1.0 - b1 ** 356
+    assert 1.0 - b2 ** 37411 < 1.0 == 1.0 - b2 ** 37412
+    rng = np.random.Generator(np.random.PCG64(t))
+    shape = (6, 8)
+    start = [_signed_zeros(rng, 48).reshape(shape),
+             rng.standard_normal(shape) * 1e-3, rng.random(shape) * 1e-6 + 1e-12]
+    support = (slice(1, 4), slice(2, 7)) if block else ...
+    full = np.zeros(shape)
+    full[support] = _signed_zeros(rng, full[support].size).reshape(full[support].shape)
+    bcs = 1.0 - b1 ** t, 1.0 - b2 ** t
+    rates = (1e-3, 0.3) if per_entry_rate else (1e-3, 1e-3)
+    ref = [a.copy() for a in start]
+    for half, lr in zip((slice(0, 3), slice(3, 6)), rates):
+        allocating_adam(ref[0][half], full[half], ref[1][half], ref[2][half],
+                        lr, b1, b2, *bcs, eps)
+    new = [a.copy() for a in start]
+    lr = np.repeat(rates, 24).reshape(shape) if per_entry_rate else rates[0]
+    kernels.adam_update(new[0], full[support].copy(), new[1], new[2], support,
+                        lr, b1, b2, *bcs, eps, np.full((2, 48), np.nan))
+    for a, b in zip(ref, new):
+        assert a.tobytes() == b.tobytes()
+
+
 def allocating_tv(img):
     """The allocating TV value and gradient that the scratch ``tv_value`` and
     ``tv_grad`` replaced: the bitwise reference for them."""
