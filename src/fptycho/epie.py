@@ -125,7 +125,8 @@ def ap_project(phi_low: np.ndarray, amplitude: np.ndarray) -> tuple[np.ndarray, 
         raise DimensionMismatch(
             f"spectrum {phi_low.shape} vs amplitude {amplitude.shape}")
     field = idft2(phi_low)
-    return dft2(amplitude * phase_unit(field, _centring_ramp(*field.shape[-2:]))), field
+    unit = phase_unit(field, _centring_ramp(*field.shape[-2:]))
+    return dft2(amplitude * unit), field
 
 
 @functools.lru_cache

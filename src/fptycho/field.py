@@ -87,15 +87,16 @@ def window(shape: tuple[int, int], offset: tuple[int, int],
 
 
 def phase_unit(z: np.ndarray, fill=1.0 + 0.0j) -> np.ndarray:
-    """z / |z|; a zero pixel takes ``fill`` (broadcast to z), by default 1 + 0j. One
-    zero test: no mask unless min |z| > 0 fails (NaN fails it); same bits."""
+    """z / |z|; a zero pixel takes ``fill`` (broadcast to z), by default 1 + 0j.
+    One zero test (min |z| > 0, which NaN fails); both paths give the same bits,
+    and a NaN or infinite pixel warns "invalid value" on either."""
     z = as_grid(z, dtype=np.complex128)
     a = np.abs(z)
     if a.min(initial=np.inf) > 0.0:
         return z / a
     zero = a == 0.0
-    with np.errstate(invalid="ignore"):  # 0/0 lanes are filled below; NaN stays NaN
-        u = z / a
+    # avoid 0/0 warnings; the masked lanes are overwritten below
+    u = z / np.where(zero, 1.0, a)
     u[zero] = np.broadcast_to(fill, u.shape)[zero]
     return u
 

@@ -103,9 +103,9 @@ def adam_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
 
     ``g`` is the gradient on ``p[support]`` (``...`` for all of ``p``), zero
     elsewhere. bc1/bc2 are the bias corrections (1 - beta^t) for the current
-    step count; once one has rounded to 1.0 (t >= 356 for beta 0.9, 37,412
-    for 0.999) its exact division is skipped. ``lr`` is a scalar or a rate
-    per entry of ``p``. Moments are updated in place alongside the parameters.
+    step count; once bc1 has rounded to 1.0 (t >= 356 for beta1 0.9) its
+    exact division is skipped. ``lr`` is a scalar or a rate per entry of
+    ``p``. Moments are updated in place alongside the parameters.
     ``work`` is a (2, n >= p.size) float64 scratch array. The operations and
     their order are those of ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``
     after the moment updates with ``g`` zero-filled to ``p``'s shape, so the
@@ -124,8 +124,13 @@ def adam_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
     np.multiply(g, g, out=term)
     term *= 1.0 - beta2
     v[support] += term
-    np.multiply(m if bc1 == 1.0 else np.divide(m, bc1, out=a), lr, out=a)
-    np.sqrt(v if bc2 == 1.0 else np.divide(v, bc2, out=b), out=b)
+    if bc1 == 1.0:
+        np.multiply(m, lr, out=a)
+    else:
+        np.divide(m, bc1, out=a)
+        a *= lr
+    np.divide(v, bc2, out=b)
+    np.sqrt(b, out=b)
     b += eps
     a /= b
     p -= a

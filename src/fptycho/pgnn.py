@@ -113,10 +113,18 @@ class PgnnState:
     moments: dict[str, Moments] = field(default_factory=dict)
 
     # views of pupil_params, its one stored copy, so a copied state stays whole
-    pupil_amp = property(lambda self: None if self.pupil_params is None else
-                         self.pupil_params[:math.prod(self.pupil_shape)].reshape(self.pupil_shape))
-    zern_coeffs = property(lambda self: None if self.pupil_params is None else
-                           self.pupil_params[math.prod(self.pupil_shape):])
+    @property
+    def pupil_amp(self) -> np.ndarray | None:
+        if self.pupil_params is None:
+            return None
+        area = math.prod(self.pupil_shape)
+        return self.pupil_params[:area].reshape(self.pupil_shape)
+
+    @property
+    def zern_coeffs(self) -> np.ndarray | None:
+        if self.pupil_params is None:
+            return None
+        return self.pupil_params[math.prod(self.pupil_shape):]
 
 
 @dataclass(frozen=True)
@@ -155,7 +163,7 @@ class PgnnModel:
         # would hang on the allocator
         if self.tv:
             self.g_object = np.empty(self.high_shape, dtype=np.complex128)
-            self.tv_complex = np.empty((3, *self.high_shape), dtype=np.complex128)
+            self.tv_complex = np.empty((2, *self.high_shape), dtype=np.complex128)
             self.tv_real = np.empty((3 + kernels.TV_WORK_ROWS, *self.high_shape))
 
     # -- state ------------------------------------------------------------
@@ -167,8 +175,8 @@ class PgnnModel:
         if self.basis is None:
             state = PgnnState(spectrum, pupil_free=make_ctf(self.cfg))
         else:
-            state = PgnnState(spectrum, pupil_shape=self.cfg.low_shape, pupil_params=np.append(
-                make_ctf(self.cfg).real, np.zeros(self.basis.count)))
+            params = np.append(make_ctf(self.cfg).real, np.zeros(self.basis.count))
+            state = PgnnState(spectrum, pupil_params=params, pupil_shape=self.cfg.low_shape)
         state.moments = {key: Moments.like(view)
                          for key, view, _ in (self.param_group(state, True),
                                               self.param_group(state, False))}
@@ -180,8 +188,9 @@ class PgnnModel:
         rate is per entry (Adam is elementwise: the bits of separate steps)."""
         if update_object:
             return "object", state.object_spectrum.view(np.float64), self.pcfg.lr_object
-        return "pupil", (state.pupil_params if self.basis is not None else
-                         state.pupil_free.view(np.float64)), self.lr_pupil
+        if self.basis is None:
+            return "pupil", state.pupil_free.view(np.float64), self.lr_pupil
+        return "pupil", state.pupil_params, self.lr_pupil
 
     def pupil(self, state: PgnnState) -> np.ndarray:
         if self.basis is None:
@@ -221,9 +230,8 @@ class PgnnModel:
             return 0.0
         pcfg = self.pcfg
         # every full-grid temporary lives in the scratch grids; each line
-        # keeps the operand order of the plain expression, so the bits match;
-        # real operands are cast into ``real``, not a numpy casting buffer
-        spatial, term, real = self.tv_complex
+        # keeps the operand order of the plain expression, so the bits match
+        spatial, term = self.tv_complex
         g_spatial = self.g_object
         amp, guarded, phase = self.tv_real[:3]
         work = self.tv_real[3:]
@@ -237,10 +245,7 @@ class PgnnModel:
             ga = kernels.tv_grad(amp, work)
             # g_spatial += alpha1 * ga * (spatial / guarded)
             ga *= pcfg.tv_alpha1
-            real[...] = guarded
-            np.divide(spatial, real, out=term)
-            real[...] = ga
-            g_spatial += np.multiply(real, term, out=term)
+            g_spatial += np.multiply(ga, np.divide(spatial, guarded, out=term), out=term)
         if pcfg.tv_alpha2 > 0.0:
             # np.angle(spatial), wrapped
             wrap_phase(np.arctan2(spatial.imag, spatial.real, out=phase), out=phase)
@@ -249,10 +254,8 @@ class PgnnModel:
             # g_spatial += alpha2 * gp * (1j * spatial / (guarded * guarded))
             gp *= pcfg.tv_alpha2
             guarded *= guarded
-            real[...] = guarded
-            np.divide(np.multiply(1j, spatial, out=term), real, out=term)
-            real[...] = gp
-            g_spatial += np.multiply(real, term, out=term)
+            np.divide(np.multiply(1j, spatial, out=term), guarded, out=term)
+            g_spatial += np.multiply(gp, term, out=term)
         # adjoint of the mean-normalized synthesis (idft2 * pixel count):
         # the 1/N of idft2 cancels, leaving the plain forward transform
         center_shift(dft2(g_spatial, out=term), out=self.g_object)
@@ -323,9 +326,9 @@ class PgnnModel:
     def stage_constants(self, state: PgnnState, update_object: bool) -> dict:
         """What a stage holds fixed, for ``step``: the TV penalty (pupil steps), or
         the pupil, its data-gradient ``weight`` 2 * area * conj(pupil), the span
-        ``reach`` of its nonzero rows and the ``rows`` Adam runs on (object
-        steps). Without TV, Adam's update off the reached rows
-        is pure decay, which keeps +0.0 moments and parameters as they are
+        ``reach`` of its nonzero rows and the ``rows`` Adam runs on (object steps).
+        Without TV, Adam's update off the reached rows is pure decay, which
+        keeps +0.0 moments and parameters as they are
         (and no step makes a -0.0 moment; see ``kernels.adam_update``), so
         ``rows`` spans the reached rows and those with nonzero moments."""
         if not update_object:

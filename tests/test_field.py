@@ -186,9 +186,10 @@ _PART_VALUES = st.one_of(st.floats(min_value=1e-300, max_value=1e150),
 def test_phase_unit_direct_and_masked_paths_agree_bit_for_bit(data):
     """phase_unit tests once for zero pixels: without one it divides
     directly; a zero or a NaN pixel sends it down the masked path. Every
-    other pixel gets the same bits either way, a zero pixel takes the fill
-    (a scalar, or a grid broadcast over a stack), and a NaN stays NaN
-    without a RuntimeWarning."""
+    other pixel gets the same bits either way, and a zero pixel takes the
+    fill (a scalar, or a grid broadcast over a stack). A NaN or infinite
+    pixel gives NaN and warns "invalid value" on either path: whether it is
+    reported does not hang on a zero pixel elsewhere."""
     shape = data.draw(st.sampled_from([(1, 1), (1, 5), (4, 1), (3, 4), (2, 3, 4),
                                        (3, 1, 2), (2, 2, 2, 3)]))
     n = int(np.prod(shape))
@@ -202,20 +203,34 @@ def test_phase_unit_direct_and_masked_paths_agree_bit_for_bit(data):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         direct = phase_unit(z, *args)
-        assert direct.tobytes() == (z / np.abs(z)).tobytes()
-        k = data.draw(st.integers(0, n - 1))
-        special = data.draw(st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0),
-                                             complex(np.nan, 0.0), complex(1.0, np.nan)]))
-        hit = z.copy()
-        hit.reshape(-1)[k] = special
+    assert direct.tobytes() == (z / np.abs(z)).tobytes()
+    k = data.draw(st.integers(0, n - 1))
+    special = data.draw(st.sampled_from([
+        0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(np.nan, 0.0),
+        complex(1.0, np.nan), complex(np.inf, 0.0), complex(1.0, -np.inf)]))
+    hit = z.copy()
+    hit.reshape(-1)[k] = special
+    # a second, zero pixel sends a non-finite one down the masked path too
+    zeros = [k] if special == 0.0 else []
+    if n > 1 and data.draw(st.booleans()):
+        j = data.draw(st.integers(0, n - 1).filter(lambda i: i != k))
+        hit.reshape(-1)[j] = 0.0
+        zeros.append(j)
+    finite = np.isfinite(special)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         masked = phase_unit(hit, *args)
-    others = np.arange(n) != k
+    invalid = [w for w in caught if issubclass(w.category, RuntimeWarning)
+               and "invalid value" in str(w.message)]
+    assert bool(invalid) != finite, caught
+    others = np.isin(np.arange(n), [k, *zeros], invert=True)
     assert (masked.reshape(-1)[others].tobytes()
             == direct.reshape(-1)[others].tobytes())
-    got = masked.reshape(-1)[k]
-    if special == 0.0:
-        assert got == np.broadcast_to(fill, shape).reshape(-1)[k]
-    else:
+    fills = np.broadcast_to(fill, shape).reshape(-1)
+    for i in zeros:
+        assert masked.reshape(-1)[i] == fills[i]
+    if not finite:
+        got = masked.reshape(-1)[k]
         assert np.isnan(got.real) or np.isnan(got.imag)
 
 

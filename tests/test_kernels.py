@@ -91,18 +91,17 @@ def test_window_support_adam_is_bitwise_the_full_grid_expression(data):
             assert a.tobytes() == b.tobytes(), f"step {t}, support {support}"
 
 
-@pytest.mark.parametrize("t", [355, 356, 357, 37411, 37412])
+@pytest.mark.parametrize("t", [355, 356, 357])
 @pytest.mark.parametrize("block", [False, True], ids=["whole", "block"])
 @pytest.mark.parametrize("per_entry_rate", [False, True], ids=["scalar_lr", "entry_lr"])
 def test_adam_skips_a_rounded_bias_correction_at_the_same_bits(t, block,
                                                                per_entry_rate):
-    """From t = 356 the first bias correction 1 - 0.9**t is 1.0 (the second
-    from t = 37,412), and the kernel skips dividing by it: on either side of
-    the switch its bits are the allocating expression's. A rate per entry
-    gives the bits of a separate allocating step per rate."""
+    """From t = 356 the first bias correction 1 - 0.9**t is 1.0, and the
+    kernel skips dividing by it: on either side of the switch its bits are
+    the allocating expression's. A rate per entry gives the bits of a
+    separate allocating step per rate."""
     b1, b2, eps = 0.9, 0.999, 1e-8
     assert 1.0 - b1 ** 355 < 1.0 == 1.0 - b1 ** 356
-    assert 1.0 - b2 ** 37411 < 1.0 == 1.0 - b2 ** 37412
     rng = np.random.Generator(np.random.PCG64(t))
     shape = (6, 8)
     start = [_signed_zeros(rng, 48).reshape(shape),
