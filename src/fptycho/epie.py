@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateField, DegeneratePupil, DimensionMismatch, NumericalError
 from .field import (dft2, center_shift, idft2, inverse_center_shift,
-                    phase_unit, window)
+                    phase_unit, window, window_stacks)
 from .optics import OpticalConfig, illumination_offsets, make_ctf
 
 
@@ -182,12 +182,18 @@ def spectral_misfit(spectrum: np.ndarray, pupil: np.ndarray,
                     amplitudes: np.ndarray, cfg: OpticalConfig) -> float:
     """Frozen-state misfit sum_n ||P_n(phi_n) - phi_n||^2, phi_n the window of
     the centered ``spectrum`` at LED n times ``pupil``, P_n ``ap_project``
-    against capture n. One stacked projection; the terms add in manifest
-    order, so the sum equals a per-LED loop bit for bit."""
-    phi = np.stack([spectrum[window(spectrum.shape, off, cfg.low_rows, cfg.low_cols)]
-                    for off in illumination_offsets(cfg)]) * pupil
-    diff = ap_project(phi, amplitudes)[0] - phi
-    return sum(float(np.vdot(d, d).real) for d in diff)
+    against capture n. One stacked projection per chunk of
+    ``field.WINDOW_CHUNK`` LEDs; the terms add in manifest order, so the sum
+    equals a per-LED loop bit for bit."""
+    total = 0.0
+    for start, phi in window_stacks(spectrum, illumination_offsets(cfg),
+                                    cfg.low_rows, cfg.low_cols):
+        phi *= pupil
+        diff = ap_project(phi, amplitudes[start:start + len(phi)])[0]
+        diff -= phi
+        for d in diff:
+            total += float(np.vdot(d, d).real)
+    return total
 
 
 def run_epie(images: list[np.ndarray], cfg: OpticalConfig,

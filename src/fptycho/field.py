@@ -11,11 +11,14 @@ Conventions, fixed once here and never re-decided elsewhere:
   exactly, including odd sizes;
 * a window of size S centered at index c covers ``[c - S // 2, c - S // 2 + S)``
   on each axis; ``window`` places c at an offset from the DC bin and is the
-  only place that does this arithmetic. Windows never wrap: out-of-range
-  raises WindowOutOfBounds.
+  only place that does this arithmetic (``window_stacks`` gathers many
+  windows through it, in chunks). Windows never wrap: out-of-range raises
+  WindowOutOfBounds.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -84,6 +87,23 @@ def window(shape: tuple[int, int], offset: tuple[int, int],
             f"{rows}x{cols} window at offset {tuple(offset)} exceeds "
             f"{shape[0]}x{shape[1]} grid (corner ({r0}, {c0}))")
     return slice(r0, r0 + rows), slice(c0, c0 + cols)
+
+
+# windows per stack: 32 complex128 32x32 windows are 512 KB
+WINDOW_CHUNK = 32
+
+
+def window_stacks(grid: np.ndarray, offsets: list[tuple[int, int]], rows: int,
+                  cols: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(start, stack)`` over ``offsets`` in order: ``stack`` is a new
+    (k, rows, cols) array holding the windows of ``grid`` at
+    ``offsets[start:start + k]``, k = WINDOW_CHUNK but for the last chunk."""
+    for start in range(0, len(offsets), WINDOW_CHUNK):
+        chunk = offsets[start:start + WINDOW_CHUNK]
+        stack = np.empty((len(chunk), rows, cols), dtype=grid.dtype)
+        for k, off in enumerate(chunk):
+            stack[k] = grid[window(grid.shape, off, rows, cols)]
+        yield start, stack
 
 
 def phase_unit(z: np.ndarray, fill=1.0 + 0.0j) -> np.ndarray:

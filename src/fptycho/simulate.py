@@ -4,8 +4,10 @@ Each LED tilts the illumination, which slides the objective passband across
 the object spectrum. A capture is the intensity of the field obtained by
 cropping the (centered) high-res object spectrum around the LED's offset,
 multiplying by the pupil, and inverse-transforming at capture resolution.
-``simulate_dataset`` transforms the object once and crops that spectrum for
-every LED.
+``simulate_dataset`` transforms the object once and renders the LEDs in
+chunked stacks of ``field.WINDOW_CHUNK``: one gather, pupil multiply, inverse
+transform and squared modulus per chunk. Numpy transforms a stack slice by
+slice, so each capture has the bits ``forward_capture`` gives it alone.
 
 Energy convention: a field rebuilt from the low-res spectrum window carries
 the factor s = (low area) / (high area), so a unit-amplitude object with a
@@ -22,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalError
-from .field import center_shift, dft2, idft2, inverse_center_shift, window
+from .field import (center_shift, dft2, idft2, inverse_center_shift, window,
+                    window_stacks)
 from .optics import OpticalConfig, illumination_offsets
 
 
@@ -61,6 +64,15 @@ def check_ground_truth(gt: GroundTruth, cfg: OpticalConfig) -> None:
             f"pupil is {gt.pupil.shape}, config wants {cfg.low_shape}")
 
 
+def _capture(phi: np.ndarray, cfg: OpticalConfig) -> np.ndarray:
+    """Intensity |s * idft2(inverse_center_shift(phi))|^2 of a window spectrum
+    times the pupil, or of a stack of them; s is ``cfg.spectrum_scale``."""
+    field = inverse_center_shift(phi)
+    idft2(field, out=field)
+    field *= cfg.spectrum_scale
+    return np.abs(field) ** 2
+
+
 def forward_capture(spectrum: np.ndarray, pupil: np.ndarray,
                     cfg: OpticalConfig, offset: tuple[int, int]) -> np.ndarray:
     """Ideal (noiseless) intensity for one LED given its spectrum-bin offset.
@@ -68,8 +80,7 @@ def forward_capture(spectrum: np.ndarray, pupil: np.ndarray,
     ``spectrum`` is the centered object spectrum, ``center_shift(dft2(obj))``.
     """
     win = window(spectrum.shape, offset, cfg.low_rows, cfg.low_cols)
-    field = cfg.spectrum_scale * idft2(inverse_center_shift(spectrum[win] * pupil))
-    return np.abs(field) ** 2
+    return _capture(spectrum[win] * pupil, cfg)
 
 
 def simulate_dataset(gt: GroundTruth, cfg: OpticalConfig,
@@ -79,20 +90,30 @@ def simulate_dataset(gt: GroundTruth, cfg: OpticalConfig,
     Noise is Gaussian on intensity, clamped at zero, then clipped at the
     saturation level when one is set. Image n draws from
     PCG64(seed XOR n), so single images are reproducible in isolation;
-    a noiseless run never touches the generator.
+    a noiseless run never touches the generator. The captures are views
+    into per-chunk stacks; a non-finite one raises NumericalError naming the
+    first such image.
     """
     check_ground_truth(gt, cfg)
     spectrum = center_shift(dft2(gt.object_spatial))
     images = []
-    for n, off in enumerate(illumination_offsets(cfg)):
-        img = forward_capture(spectrum, gt.pupil, cfg, off)
+    for start, phi in window_stacks(spectrum, illumination_offsets(cfg),
+                                    cfg.low_rows, cfg.low_cols):
+        phi *= gt.pupil
+        stack = _capture(phi, cfg)
         if opts.noise_sigma > 0.0:
-            rng = np.random.Generator(np.random.PCG64(opts.seed ^ n))
-            img = img + opts.noise_sigma * rng.standard_normal(img.shape)
-            img = np.maximum(img, 0.0)
+            noise = np.empty_like(stack)
+            for n, draw in enumerate(noise, start):
+                rng = np.random.Generator(np.random.PCG64(opts.seed ^ n))
+                rng.standard_normal(out=draw)
+            noise *= opts.noise_sigma
+            stack += noise
+            np.maximum(stack, 0.0, out=stack)
         if opts.saturation is not None:
-            img = np.minimum(img, opts.saturation)
-        if not np.all(np.isfinite(img)):
+            np.minimum(stack, opts.saturation, out=stack)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            n = start + int(np.argmin(finite))
             raise NumericalError(f"non-finite intensity in simulated image {n}")
-        images.append(img)
+        images.extend(stack)
     return images

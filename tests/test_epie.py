@@ -1,6 +1,7 @@
 """Alternating-projection baseline solver."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -299,6 +300,22 @@ def test_spectral_misfit_equals_a_per_led_loop(small_instance):
             assert (spectral_misfit(spectrum, pupil, amps, cfg)
                     == per_led_misfit(spectrum, pupil, images, cfg))
 
+
+
+def test_spectral_misfit_peak_memory_stays_bounded(reference_cfg,
+                                                   defocus_images):
+    """The misfit projects chunks of LEDs: one stack of all 225 windows
+    peaked at 19.6 MB on the reference problem."""
+    amps = measured_amplitudes(defocus_images, reference_cfg)
+    state = initial_state(amps, reference_cfg)
+    spectral_misfit(state.object_spectrum, state.pupil, amps, reference_cfg)
+    tracemalloc.start()
+    try:
+        spectral_misfit(state.object_spectrum, state.pupil, amps, reference_cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
 
 # -- configuration and traversal -------------------------------------------
 

@@ -1,11 +1,14 @@
 """Synthetic capture generation: forward model, noise, and clipping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fptycho.errors import DimensionMismatch
-from fptycho.field import center_shift, dft2
-from fptycho.optics import Illumination, OpticalConfig, illumination_offsets, make_ctf
+from fptycho.errors import DimensionMismatch, NumericalError
+from fptycho.field import WINDOW_CHUNK, center_shift, dft2
+from fptycho.optics import (Illumination, OpticalConfig, defocus_phase,
+                            illumination_offsets, make_ctf)
 from fptycho.simulate import (GroundTruth, SimOptions, forward_capture,
                               simulate_dataset)
 
@@ -140,3 +143,79 @@ def test_textured_truth_keeps_energy_in_offaxis_captures(reference_cfg,
     # captures; make sure the corner capture is not numerically empty
     assert float(infocus_images[0].max()) > 1e-6
     assert 0.0 <= fractal(11, 16, 0.65).min() <= fractal(11, 16, 0.65).max() == 1.0
+
+
+def per_led_dataset(gt, cfg, opts):
+    """The per-LED loop the chunked ``simulate_dataset`` replaced: one
+    ``forward_capture`` per LED, then its own noise, clamp and clip."""
+    spectrum = center_shift(dft2(gt.object_spatial))
+    images = []
+    for n, off in enumerate(illumination_offsets(cfg)):
+        img = forward_capture(spectrum, gt.pupil, cfg, off)
+        if opts.noise_sigma > 0.0:
+            rng = np.random.Generator(np.random.PCG64(opts.seed ^ n))
+            img = img + opts.noise_sigma * rng.standard_normal(img.shape)
+            img = np.maximum(img, 0.0)
+        if opts.saturation is not None:
+            img = np.minimum(img, opts.saturation)
+        images.append(img)
+    return images
+
+
+@pytest.mark.parametrize("count", [1, WINDOW_CHUNK, WINDOW_CHUNK + 1])
+@pytest.mark.parametrize("low", [(16, 16), (12, 10)])
+@pytest.mark.parametrize("noisy", [False, True])
+def test_dataset_equals_a_per_led_loop_byte_for_byte(count, low, noisy):
+    steps = (-0.05, -0.03, -0.01, 0.01, 0.03, 0.05)
+    leds = tuple(Illumination(sx, sy) for sy in steps for sx in steps)[:count]
+    cfg = OpticalConfig(wavelength_um=0.532, na=0.1, magnification=2.0,
+                        camera_pixel_um=3.45, low_rows=low[0], low_cols=low[1],
+                        upsample=3, illuminations=leds)
+    rng = np.random.Generator(np.random.PCG64(60))
+    high = (cfg.high_rows, cfg.high_cols)
+    obj = (0.5 + rng.random(high)) * np.exp(1j * rng.standard_normal(high))
+    gt = GroundTruth(obj, make_ctf(cfg) * np.exp(1j * defocus_phase(cfg, 20.0)))
+    opts = SimOptions()
+    if noisy:
+        clean = np.concatenate([img.ravel() for img in simulate_dataset(gt, cfg)])
+        opts = SimOptions(noise_sigma=float(np.median(clean)), seed=9,
+                          saturation=float(np.quantile(clean, 0.9)))
+    got = simulate_dataset(gt, cfg, opts)
+    want = per_led_dataset(gt, cfg, opts)
+    assert len(got) == len(want) == count
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape == low
+        assert a.tobytes() == b.tobytes()
+    if noisy:
+        # the clamp and the clip both bite, so both are compared
+        pixels = np.concatenate([img.ravel() for img in got])
+        assert np.any(pixels == 0.0) and np.any(pixels == opts.saturation)
+
+
+def test_a_non_finite_capture_is_named(reference_cfg):
+    # a plane wave of modulus 1e155 puts all its energy in one spectrum bin;
+    # the 12 LEDs whose windows pass it overflow |field|^2, the first of them
+    # image 147, in the middle of its chunk
+    r = np.arange(128)[:, None]
+    c = np.arange(128)[None, :]
+    obj = 1e155 * np.exp(2j * np.pi * (20 * r + 25 * c) / 128)
+    gt = GroundTruth(obj, make_ctf(reference_cfg))
+    assert 147 % WINDOW_CHUNK not in (0, WINDOW_CHUNK - 1)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalError, match=r"simulated image 147$"):
+            simulate_dataset(gt, reference_cfg)
+
+
+def test_dataset_peak_memory_stays_bounded(reference_cfg, truth_object,
+                                           defocus_pupil):
+    """Chunks bound what rendering holds beyond the 1.8 MB of captures it
+    returns: one stack of all 225 windows would pass 6 MB."""
+    gt = GroundTruth(truth_object, defocus_pupil)
+    simulate_dataset(gt, reference_cfg)
+    tracemalloc.start()
+    try:
+        simulate_dataset(gt, reference_cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
