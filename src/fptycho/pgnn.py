@@ -23,7 +23,9 @@ parameters and Adam state bit-identical through the stage, so
 starts, and ``run_stage`` passes it to every ``step``: the pupil and the
 rows Adam runs on for an object stage, the TV penalty for a pupil stage.
 Without TV an object step hands Adam only the data gradient on its window's
-rows that the pupil reaches, so no full-grid gradient exists.
+rows that the pupil reaches, so no full-grid gradient exists. With TV an object
+stage holds the penalty and its dense gradient across ``TV_REFRESH`` steps (lazy
+regularization, Karras et al., CVPR 2020); ``gradients`` and ``total_loss`` do not.
 
 All gradients are true real-parameter gradients (for a complex array they are
 d/dRe + i*d/dIm), verified against central finite differences of the
@@ -47,6 +49,7 @@ from .optics import (OpticalConfig, ZernikeBasis, illumination_offsets,
                      make_ctf, pupil_support, zernike_basis)
 
 AMP_FLOOR = 1e-12  # guards divisions by |object| in the TV chain
+TV_REFRESH = 4  # object steps per TV evaluation; the held penalty serves the rest
 
 # Adam decay rates and denominator guard (Kingma & Ba's defaults)
 ADAM_BETA1 = 0.9
@@ -274,18 +277,25 @@ class PgnnModel:
 
     def _object_gradient(self, state: PgnnState, n: int,
                          held: dict) -> tuple[np.ndarray, object, float]:
-        """Object-spectrum gradient of total_loss at image n as float64, the
-        ``support`` of the spectrum's float view it covers, and that loss.
+        """Object-spectrum gradient of the step's loss at image n as float64, the
+        ``support`` of the spectrum's float view it covers, and the data term.
         The data term is taken on the rows of window n that the held pupil
-        reaches (off them it is +-0.0, which Adam may skip); with TV it is
-        added onto the dense TV gradient in ``g_object``."""
+        reaches (off them it is +-0.0, which Adam may skip); with TV it is added
+        onto a copy of the stage's held TV gradient (refreshed every
+        ``TV_REFRESH`` calls) in ``g_object``."""
         fw = self.forward(state, n, held["pupil"])
         reach = held["reach"]
         data = held["weight"][reach] * fw.residual[reach]
-        loss = fw.data_loss + self.tv_penalty(state)
+        loss = fw.data_loss
         rs, cs = self.windows[n]
         rows = slice(rs.start + reach.start, rs.start + reach.stop)
         if self.tv:
+            if held["steps"] % TV_REFRESH == 0:
+                held["tv_value"] = self.tv_penalty(state)
+                np.copyto(held["tv_gradient"], self.g_object)
+            else:
+                np.copyto(self.g_object, held["tv_gradient"])
+            held["steps"] += 1
             self.g_object[rows, cs] += data
             return self.g_object.view(np.float64), ..., loss
         return data.view(np.float64), (rows, slice(2 * cs.start, 2 * cs.stop)), loss
@@ -326,7 +336,8 @@ class PgnnModel:
     def stage_constants(self, state: PgnnState, update_object: bool) -> dict:
         """What a stage holds fixed, for ``step``: the TV penalty (pupil steps), or
         the pupil, its data-gradient ``weight`` 2 * area * conj(pupil), the span
-        ``reach`` of its nonzero rows and the ``rows`` Adam runs on (object steps).
+        ``reach`` of its nonzero rows and the ``rows`` Adam runs on (object steps),
+        with TV also the held ``tv_value``, ``tv_gradient`` and count of ``steps``.
         Without TV, Adam's update off the reached rows is pure decay, which
         keeps +0.0 moments and parameters as they are
         (and no step makes a -0.0 moment; see ``kernels.adam_update``), so
@@ -340,20 +351,23 @@ class PgnnModel:
             live[rs] |= reach
         mom = state.moments["object"]
         live |= np.any(mom.m.view(np.uint64) | mom.v.view(np.uint64), axis=1)
-        return {"pupil": pupil, "weight": 2.0 * self.area_low * np.conj(pupil),
-                "reach": _span(reach), "rows": _span(live)}
+        held = {"pupil": pupil, "weight": 2.0 * self.area_low * np.conj(pupil),
+                "reach": _span(reach), "rows": _span(live), "tv_value": 0.0}
+        if self.tv:
+            held.update(steps=0, tv_gradient=np.empty_like(self.g_object))
+        return held
 
     def step(self, state: PgnnState, n: int, update_object: bool,
              held: dict) -> float:
-        """One per-image Adam step on the active group; returns total_loss
-        evaluated before the update. ``held`` is the stage's
+        """One per-image Adam step on the active group; returns the data term
+        before the update plus the held TV penalty. ``held`` is the stage's
         ``stage_constants``, taken while the group it holds is frozen."""
         if update_object:
             grad, support, loss = self._object_gradient(state, n, held)
         else:
             grad, loss = self._pupil_gradient(state, n)
-            loss += held["tv_value"]
             support = ...
+        loss += held["tv_value"]
         key, view, lr = self.param_group(state, update_object)
         adam_step(view, grad, state.moments[key], lr, held["rows"], support)
         if not update_object:
@@ -363,7 +377,7 @@ class PgnnModel:
 
     def run_stage(self, state: PgnnState, stage_index: int) -> list[float]:
         """One stage (1-based index): odd updates the object, even the pupil.
-        Returns the per-epoch accumulated pre-update losses; the first
+        Returns the per-epoch accumulated pre-update losses of ``step``; the first
         non-finite loss raises NumericalError naming the group, stage, epoch
         and image."""
         update_object = stage_index % 2 == 1

@@ -91,8 +91,8 @@ def simulate_dataset(gt: GroundTruth, cfg: OpticalConfig,
     saturation level when one is set. Image n draws from
     PCG64(seed XOR n), so single images are reproducible in isolation;
     a noiseless run never touches the generator. The captures are views
-    into per-chunk stacks; a non-finite one raises NumericalError naming the
-    first such image.
+    into per-chunk stacks; a non-finite one, checked for before the clamp and
+    clip could hide it, raises NumericalError naming the first such image.
     """
     check_ground_truth(gt, cfg)
     spectrum = center_shift(dft2(gt.object_spatial))
@@ -108,12 +108,13 @@ def simulate_dataset(gt: GroundTruth, cfg: OpticalConfig,
                 rng.standard_normal(out=draw)
             noise *= opts.noise_sigma
             stack += noise
-            np.maximum(stack, 0.0, out=stack)
-        if opts.saturation is not None:
-            np.minimum(stack, opts.saturation, out=stack)
         finite = np.isfinite(stack).all(axis=(1, 2))
         if not finite.all():
             n = start + int(np.argmin(finite))
             raise NumericalError(f"non-finite intensity in simulated image {n}")
+        if opts.noise_sigma > 0.0:
+            np.maximum(stack, 0.0, out=stack)
+        if opts.saturation is not None:
+            np.minimum(stack, opts.saturation, out=stack)
         images.extend(stack)
     return images

@@ -12,8 +12,8 @@ from fptycho.epie import EpieConfig, run_epie
 from fptycho.errors import DimensionMismatch, NumericalError
 from fptycho.field import center_shift, dft2, wrap_phase
 from fptycho.kernels import tv_grad, tv_value
-from fptycho.pgnn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AMP_FLOOR, Moments,
-                          PgnnConfig, PgnnModel, adam_step, run_pgnn)
+from fptycho.pgnn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AMP_FLOOR, TV_REFRESH,
+                          Moments, PgnnConfig, PgnnModel, adam_step, run_pgnn)
 from fptycho.optics import (Illumination, defocus_phase, make_ctf,
                             pupil_support)
 from fptycho.simulate import GroundTruth, simulate_dataset
@@ -279,6 +279,33 @@ def test_gradients_leave_the_object_gradient_grid_clean(small_instance, alphas):
     assert all(again[key].tobytes() == fresh[key].tobytes() for key in fresh)
 
 
+def test_gradients_and_total_loss_stay_exact_between_tv_refreshes(small_instance):
+    """An object stage holds its TV penalty between refreshes, but
+    ``gradients`` and ``total_loss``, the references of the finite-difference
+    checks, still evaluate it at the state they are given, bit for bit; and
+    calling them mid-stage leaves the stage's held penalty alone."""
+    cfg, _, images = small_instance
+    model = PgnnModel(images, cfg, PgnnConfig(tv_alpha1=2e-3, tv_alpha2=3e-3))
+    probed, plain = model.initial_state(), model.initial_state()
+    held_probed = model.stage_constants(probed, True)
+    held_plain = model.stage_constants(plain, True)
+    stale = 0
+    for n in model.order[:2 * TV_REFRESH + 1]:
+        loss = model.step(probed, n, True, held_probed)
+        assert loss == model.step(plain, n, True, held_plain)
+        value, tv_gradient = allocating_tv_eval(model, probed)
+        stale += value != held_probed["tv_value"]
+        fw = model.forward(probed, n)
+        assert model.total_loss(probed, n) == fw.data_loss + value
+        want = tv_gradient.copy()
+        want[model.windows[n]] += (2.0 * model.area_low * np.conj(model.pupil(probed))
+                                   * fw.residual)
+        assert model.gradients(probed, n)["object"].tobytes() == want.tobytes()
+    assert held_probed["steps"] == 2 * TV_REFRESH + 1
+    assert stale == 2 * TV_REFRESH + 1
+    assert _state_bytes(probed) == _state_bytes(plain)
+
+
 def test_tv_object_step_allocates_no_full_grid():
     """Every full-grid temporary of a TV object step lives in the model's
     scratch grids. Steps that allocate and free dozens of them run at a
@@ -288,7 +315,9 @@ def test_tv_object_step_allocates_no_full_grid():
     float64 operands) never runs, and ``wrap_phase`` takes no full-grid
     mask for in-range phases. What remains is numpy's casting buffer for
     the complex-by-real ufuncs (8192 complex128 values, 128 KB): the peak
-    was 146,536 B, under 9/32 of a 256x256 float64 grid (147,456 B)."""
+    was 146,536 B, under 9/32 of a 256x256 float64 grid (147,456 B). The
+    loop crosses steps that refresh the held TV penalty and steps that copy
+    its held gradient."""
     cfg = grid_config(n_low=16, upsample=16, half_span=0.05)
     obj = textured_object(256, amp_seed=5, phase_seed=6, amp_beta=0.8,
                           phase_beta=0.8, amp_floor=0.3, phase_span=1.5)
@@ -304,6 +333,7 @@ def test_tv_object_step_allocates_no_full_grid():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert held["steps"] > 2 * TV_REFRESH
     assert peak < 9 * np.empty(model.high_shape).nbytes // 32
 
 
@@ -570,17 +600,34 @@ def _reference_adam(param, grad, mom, lr):
 
 
 def _reference_stage(model, state, stage_index):
-    """run_stage without anything held per stage: every step recomputes the
-    pupil, its phase factor and the TV penalty, allocates a fresh gradient
-    grid (inside ``gradients``) and takes the allocating Adam step."""
+    """run_stage holding nothing per stage but an object stage's TV penalty:
+    every step recomputes the pupil and its phase factor, allocates a fresh
+    gradient grid and takes the allocating Adam step. With TV an object step
+    holds the value and gradient ``allocating_tv_eval`` gave at the stage's
+    last refresh (steps 0, TV_REFRESH, 2 TV_REFRESH, ... across its epochs)
+    and adds its data gradient onto a copy of that gradient on its window;
+    other steps take ``total_loss`` and ``gradients``."""
     pcfg = model.pcfg
     update_object = stage_index % 2 == 1
     losses = []
+    steps = 0
     for _ in range(pcfg.epochs_per_stage):
         acc = 0.0
         for n in model.order:
-            loss = model.total_loss(state, n)
-            g = model.gradients(state, n)
+            if update_object and model.tv:
+                if steps % TV_REFRESH == 0:
+                    tv_value, tv_gradient = allocating_tv_eval(model, state)
+                steps += 1
+                fw = model.forward(state, n)
+                loss = fw.data_loss + tv_value
+                g_object = tv_gradient.copy()
+                g_object[model.windows[n]] += (2.0 * model.area_low
+                                               * np.conj(model.pupil(state))
+                                               * fw.residual)
+                g = {"object": g_object.view(np.float64)}
+            else:
+                loss = model.total_loss(state, n)
+                g = model.gradients(state, n)
             if update_object:
                 _reference_adam(state.object_spectrum.view(np.float64),
                                 g["object"],

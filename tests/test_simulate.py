@@ -195,15 +195,18 @@ def test_dataset_equals_a_per_led_loop_byte_for_byte(count, low, noisy):
 def test_a_non_finite_capture_is_named(reference_cfg):
     # a plane wave of modulus 1e155 puts all its energy in one spectrum bin;
     # the 12 LEDs whose windows pass it overflow |field|^2, the first of them
-    # image 147, in the middle of its chunk
+    # image 147, in the middle of its chunk. Clipping at a saturation level
+    # would turn the overflow into a saturated capture, so it must not hide it
     r = np.arange(128)[:, None]
     c = np.arange(128)[None, :]
     obj = 1e155 * np.exp(2j * np.pi * (20 * r + 25 * c) / 128)
     gt = GroundTruth(obj, make_ctf(reference_cfg))
     assert 147 % WINDOW_CHUNK not in (0, WINDOW_CHUNK - 1)
-    with np.errstate(over="ignore"):
-        with pytest.raises(NumericalError, match=r"simulated image 147$"):
-            simulate_dataset(gt, reference_cfg)
+    for opts in (SimOptions(), SimOptions(saturation=1.0),
+                 SimOptions(noise_sigma=0.01, saturation=1.0, seed=3)):
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericalError, match=r"simulated image 147$"):
+                simulate_dataset(gt, reference_cfg, opts)
 
 
 def test_dataset_peak_memory_stays_bounded(reference_cfg, truth_object,
