@@ -110,14 +110,14 @@ def ap_project(phi_low: np.ndarray, amplitude: np.ndarray) -> tuple[np.ndarray, 
     Transforms the modeled window spectrum (or a stack of them) to the
     capture plane, swaps its amplitude for ``amplitude`` keeping the phase
     (zero-amplitude pixels get phase 0), and transforms back. Returns the
-    replaced spectrum and the modeled capture-plane field it was built from.
-    Layout-consistent: the input and output spectra are both DC-centered.
+    replaced spectrum and the modeled capture-plane modulus (taken once, for
+    ``phase_unit`` too). Input and output spectra are both DC-centered.
 
     No centre shift runs: the transform of the centered spectrum is the field
     times a unit ramp (``_centring_ramp``), which the forward transform turns
     back into the shift, so a zero pixel takes the ramp's value, passed as
-    ``phase_unit``'s fill (its zero test is the only one). The returned field
-    carries the ramp. Against the shifted form, the result is bitwise at
+    ``phase_unit``'s fill (its zero test is the only one); the ramp leaves the
+    modulus alone. Against the shifted form, the result is bitwise at
     power-of-two sizes (bar zero pixels) and within 2.3e-15 of the largest
     magnitude elsewhere (measured on square grids of 3 to 128).
     """
@@ -125,8 +125,9 @@ def ap_project(phi_low: np.ndarray, amplitude: np.ndarray) -> tuple[np.ndarray, 
         raise DimensionMismatch(
             f"spectrum {phi_low.shape} vs amplitude {amplitude.shape}")
     field = idft2(phi_low)
-    unit = phase_unit(field, _centring_ramp(*field.shape[-2:]))
-    return dft2(amplitude * unit), field
+    modulus = np.abs(field)
+    unit = phase_unit(field, _centring_ramp(*field.shape[-2:]), modulus=modulus)
+    return dft2(amplitude * unit), modulus
 
 
 @functools.lru_cache
@@ -143,11 +144,12 @@ def _centring_ramp(rows: int, cols: int) -> np.ndarray:
 def _update(weight: np.ndarray, residual: np.ndarray, error: type,
             name: str) -> np.ndarray:
     """ePIE correction of one factor, weighted by the other factor w:
-    conj(w) / max|w|^2 * residual; a zero w raises ``error``."""
-    peak = np.max(np.abs(weight)) ** 2
+    conj(w) / max|w|^2 * residual, in one new array; a zero w raises ``error``."""
+    peak = np.abs(weight).max() ** 2
     if peak == 0.0:
         raise error(f"{name} is identically zero")
-    return np.conj(weight) / peak * residual
+    step = np.conj(weight)
+    return np.multiply(np.divide(step, peak, out=step), residual, out=step)
 
 
 def epie_step(state: EpieState, amplitude: np.ndarray, offset: tuple[int, int],
@@ -155,7 +157,7 @@ def epie_step(state: EpieState, amplitude: np.ndarray, offset: tuple[int, int],
     """One image visit: AP correction plus object and pupil updates.
 
     Mutates ``state`` and returns the image's pre-update misfit, read off the
-    field ``ap_project`` built. Only the spectrum window addressed by
+    capture-plane modulus ``ap_project`` returns. Only the window addressed by
     ``offset`` is touched; every other object bin is left bit-identical. A
     degenerate weight raises before ``state`` changes.
     """
@@ -163,7 +165,7 @@ def epie_step(state: EpieState, amplitude: np.ndarray, offset: tuple[int, int],
                                          *amplitude.shape)]
     pupil = state.pupil
     phi_low = patch * pupil
-    phi_high, field = ap_project(phi_low, amplitude)
+    phi_high, modulus = ap_project(phi_low, amplitude)
     residual = phi_high - phi_low
 
     object_step = _update(pupil, residual, DegeneratePupil, "pupil")
@@ -174,7 +176,7 @@ def epie_step(state: EpieState, amplitude: np.ndarray, offset: tuple[int, int],
         state.pupil = pupil + _update(patch, residual, DegenerateField,
                                       "object window")
     patch += object_step
-    diff = amplitude - np.abs(field)
+    diff = amplitude - modulus
     return float(np.vdot(diff, diff).real)
 
 

@@ -4,8 +4,8 @@ Conventions, fixed once here and never re-decided elsewhere:
 
 * a grid is a 2-D C-contiguous float64 or complex128 array, row-major, or a
   stack of grids on the last two axes, transformed slice by slice;
-* ``dft2`` is the plain unnormalized forward transform, ``idft2`` carries the
-  1/(rows*cols) factor, so ``idft2(dft2(x)) == x``;
+* ``dft2`` is the unnormalized forward transform and ``idft2`` carries the
+  1/(rows*cols) factor: np.fft.fft2's and ifft2's bits, without its wrapper;
 * "centered" layout puts DC at ``(rows // 2, cols // 2)``; ``center_shift``
   moves DC from (0, 0) to the center, ``inverse_center_shift`` undoes it
   exactly, including odd sizes;
@@ -18,9 +18,11 @@ Conventions, fixed once here and never re-decided elsewhere:
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .errors import DimensionMismatch, WindowOutOfBounds
 
@@ -33,16 +35,36 @@ def as_grid(a, dtype=None) -> np.ndarray:
     return g
 
 
+@functools.lru_cache
+def _fft_plan(dtype: np.dtype, rows: int, cols: int) -> tuple:
+    """np.fft's output dtype, and ifft's column and row scales: 1/n typed as np.fft does."""
+    if not rows or not cols:
+        raise ValueError("Invalid number of FFT data points (0) specified.")
+    out = np.result_type(dtype, 1j)
+    real = [np.result_type(np.zeros((), d).real.dtype, 1.0) for d in (dtype, out)]
+    return out, np.reciprocal(cols, dtype=real[0]), np.reciprocal(rows, dtype=real[1])
+
+
+def _transform(ufunc, x, out, inverse: bool) -> np.ndarray:
+    """np.fft.fft2's (or ifft2's) passes, straight to its gufunc: rows, then columns."""
+    g = as_grid(x)
+    dtype, col_scale, row_scale = _fft_plan(g.dtype, *g.shape[-2:])
+    out = np.empty(g.shape, dtype) if out is None else out
+    if out.shape != g.shape:
+        raise ValueError("output array has wrong shape.")
+    ufunc(g, col_scale if inverse else 1, out=out)
+    ufunc(out.swapaxes(-1, -2), row_scale if inverse else 1, out=out.swapaxes(-1, -2))
+    return out
+
+
 def dft2(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Unnormalized forward 2-D DFT into ``out`` when given: fft2's passes, in place."""
-    y = np.fft.fft(as_grid(x), axis=-1, out=out)
-    return np.fft.fft(y, axis=-2, out=y)
+    """Unnormalized forward 2-D DFT, into ``out`` when given."""
+    return _transform(_pocketfft.fft, x, out, False)
 
 
 def idft2(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse 2-D DFT with the 1/(rows*cols) factor, into ``out`` when given."""
-    y = np.fft.ifft(as_grid(x), axis=-1, out=out)
-    return np.fft.ifft(y, axis=-2, out=y)
+    return _transform(_pocketfft.ifft, x, out, True)
 
 
 def _roll2(x: np.ndarray, dr: int, dc: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -106,18 +128,19 @@ def window_stacks(grid: np.ndarray, offsets: list[tuple[int, int]], rows: int,
         yield start, stack
 
 
-def phase_unit(z: np.ndarray, fill=1.0 + 0.0j) -> np.ndarray:
-    """z / |z|; a zero pixel takes ``fill`` (broadcast to z), by default 1 + 0j.
-    One zero test (min |z| > 0, which NaN fails); both paths give the same bits,
-    and a NaN or infinite pixel warns "invalid value" on either."""
+def phase_unit(z: np.ndarray, fill=1.0 + 0.0j, *, modulus=None) -> np.ndarray:
+    """z / |z|, ``modulus`` being np.abs(z) if given. When min |z| < 2^-1022 (or NaN),
+    zero pixels take ``fill`` (broadcast to z) and subnormal ones are scaled by 2^1000
+    first (1 / |z| overflows); others keep their bits, NaN or inf warn "invalid value"."""
     z = as_grid(z, dtype=np.complex128)
-    a = np.abs(z)
-    if a.min(initial=np.inf) > 0.0:
+    a = np.abs(z) if modulus is None else modulus
+    if a.min(initial=np.inf) >= 2.0 ** -1022:
         return z / a
-    zero = a == 0.0
-    # avoid 0/0 warnings; the masked lanes are overwritten below
-    u = z / np.where(zero, 1.0, a)
-    u[zero] = np.broadcast_to(fill, u.shape)[zero]
+    small = a < 2.0 ** -1022
+    u = z / np.where(small, 1.0, a)   # the small lanes are overwritten below
+    w = np.ldexp(z[small].view(np.float64), 1000).view(np.complex128)   # exact
+    fills = np.broadcast_to(fill, u.shape)[small].astype(np.complex128, copy=False)
+    u[small] = np.divide(w, np.abs(w), out=fills, where=w != 0.0)
     return u
 
 

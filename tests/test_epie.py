@@ -68,11 +68,11 @@ def _spectrum_and_amplitude(shape, seed):
                          ids=lambda s: "x".join(map(str, s)))
 def test_ap_project_fold_is_bitwise_the_shifted_form_at_powers_of_two(shape):
     phi, amplitude = _spectrum_and_amplitude(shape, sum(shape))
-    out, field = ap_project(phi, amplitude)
+    out, modulus = ap_project(phi, amplitude)
     ref_out, ref_field = _shifted_ap_project(phi, amplitude)
     assert out.tobytes() == ref_out.tobytes()
-    # the returned field carries the +-1 ramp; its modulus is the same
-    assert np.abs(field).tobytes() == np.abs(ref_field).tobytes()
+    # the unshifted field carries the +-1 ramp; its modulus is the same
+    assert modulus.tobytes() == np.abs(ref_field).tobytes()
 
 
 # bound fixed before measuring: 4e-15 of the largest magnitude (the largest
@@ -82,11 +82,11 @@ def test_ap_project_fold_is_bitwise_the_shifted_form_at_powers_of_two(shape):
                          ids=lambda s: "x".join(map(str, s)))
 def test_ap_project_fold_drifts_by_rounding_at_other_sizes(shape):
     phi, amplitude = _spectrum_and_amplitude(shape, sum(shape))
-    out, field = ap_project(phi, amplitude)
+    out, modulus = ap_project(phi, amplitude)
     ref_out, ref_field = _shifted_ap_project(phi, amplitude)
     scale = np.max(np.abs(ref_out))
     assert np.max(np.abs(out - ref_out)) <= 4e-15 * scale
-    assert np.max(np.abs(np.abs(field) - np.abs(ref_field))) <= 4e-15 * np.max(
+    assert np.max(np.abs(modulus - np.abs(ref_field))) <= 4e-15 * np.max(
         np.abs(ref_field))
 
 
@@ -115,6 +115,24 @@ def test_ap_project_fold_keeps_the_zero_pixel_convention(phi):
 
 
 # -- single update step ----------------------------------------------------
+
+# the misfit is read off the modulus ap_project computed, the unshifted
+# field's, which equals the shifted field's bit for bit only at powers of two
+@pytest.mark.parametrize("kind", ["literal", "conventional", "fixed"])
+@pytest.mark.parametrize("low", [(16, 16), (15, 13)], ids=["16x16", "15x13"])
+def test_step_returns_the_misfit_of_the_pre_step_field(kind, low):
+    rng = np.random.Generator(np.random.PCG64(36))
+    high = (3 * low[0], 3 * low[1])
+    state = EpieState(
+        object_spectrum=rng.standard_normal(high) + 1j * rng.standard_normal(high),
+        pupil=rng.standard_normal(low) + 1j * rng.standard_normal(low))
+    for offset in [(0, 0), (3, -2), (-4, 5), (0, 0)]:
+        amplitude = rng.random(low) + 0.1
+        patch = state.object_spectrum[window(high, offset, *low)]
+        d = amplitude - np.abs(idft2(patch * state.pupil))
+        expected = float(np.vdot(d, d).real)
+        assert epie_step(state, amplitude, offset, EpieConfig(pupil_update=kind)) == expected
+
 
 def ground_truth_state(cfg, obj):
     return EpieState(

@@ -173,37 +173,47 @@ def test_phase_unit_zero_maps_to_one():
     assert out[0, 1] == pytest.approx(1j)
 
 
-# parts of field pixels, signed zeros among them. Moduli stay above 1e-300:
-# below about 5.6e-309 numpy's complex division overflows computing 1 / |z|
-# and gives NaN, on either path
+# parts of field pixels, signed zeros and subnormals among them: a pixel whose
+# parts are both below about 1e-308 has a subnormal modulus, where numpy's
+# complex division overflows computing 1 / |z| (below 2^-1024) unless
+# phase_unit scales the pixel first
+_TINY = np.finfo(np.float64).smallest_normal
 _PART_VALUES = st.one_of(st.floats(min_value=1e-300, max_value=1e150),
                          st.floats(min_value=-1e150, max_value=-1e-300),
-                         st.sampled_from([0.0, -0.0, 1e-300, -1e-300]))
+                         st.floats(min_value=5e-324, max_value=1e-306),
+                         st.floats(min_value=-1e-306, max_value=-5e-324),
+                         st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324,
+                                          -5e-324, _TINY, -_TINY, 1e-310]))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_phase_unit_direct_and_masked_paths_agree_bit_for_bit(data):
-    """phase_unit tests once for zero pixels: without one it divides
-    directly; a zero or a NaN pixel sends it down the masked path. Every
-    other pixel gets the same bits either way, and a zero pixel takes the
-    fill (a scalar, or a grid broadcast over a stack). A NaN or infinite
-    pixel gives NaN and warns "invalid value" on either path: whether it is
-    reported does not hang on a zero pixel elsewhere."""
+    """phase_unit tests once for small moduli: without one it divides
+    directly; a zero, subnormal or NaN modulus sends it down the masked path.
+    A normal modulus gets z / |z|'s bits either way, a subnormal one the unit
+    pixel at z's angle, and a zero pixel takes the fill (a scalar, or a grid
+    broadcast over a stack). The caller's ``modulus`` changes no bit. A NaN
+    or infinite pixel gives NaN and warns "invalid value" on either path:
+    whether it is reported does not hang on a zero pixel elsewhere."""
     shape = data.draw(st.sampled_from([(1, 1), (1, 5), (4, 1), (3, 4), (2, 3, 4),
                                        (3, 1, 2), (2, 2, 2, 3)]))
     n = int(np.prod(shape))
     parts = st.lists(_PART_VALUES, min_size=n, max_size=n)
     z = (np.array(data.draw(parts)) + 1j * np.array(data.draw(parts))).reshape(shape)
-    z[z == 0.0] = 1.0          # no zero pixel: the direct path
+    z[z == 0.0] = 1.0          # no zero pixel
     kind = data.draw(st.sampled_from(["default", "scalar", "grid"]))
     fill = {"default": 1.0 + 0.0j, "scalar": 0.6 - 0.8j,
             "grid": np.exp(1j * np.arange(shape[-2] * shape[-1])).reshape(shape[-2:])}[kind]
     args = () if kind == "default" else (fill,)
+    a = np.abs(z)
+    normal = a >= _TINY
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         direct = phase_unit(z, *args)
-    assert direct.tobytes() == (z / np.abs(z)).tobytes()
+        assert phase_unit(z, *args, modulus=a).tobytes() == direct.tobytes()
+        assert direct[normal].tobytes() == (z[normal] / a[normal]).tobytes()
+    assert np.all(np.abs(direct[~normal] - np.exp(1j * np.angle(z[~normal]))) <= 1e-15)
     k = data.draw(st.integers(0, n - 1))
     special = data.draw(st.sampled_from([
         0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(np.nan, 0.0),
@@ -232,6 +242,21 @@ def test_phase_unit_direct_and_masked_paths_agree_bit_for_bit(data):
     if not finite:
         got = masked.reshape(-1)[k]
         assert np.isnan(got.real) or np.isnan(got.imag)
+
+
+def test_phase_unit_scales_subnormal_moduli_before_dividing():
+    """Below 2^-1024 numpy's complex division overflows computing 1 / |z|:
+    [[1e-310]] gave inf+nanj and [[5e-324j]] nan+infj. A pixel of subnormal
+    modulus is scaled by 2^1000 (exact) first; normal ones keep their bits."""
+    z = np.array([[1e-310, 5e-324j, complex(-0.0, -1e-320), complex(-3e-320, 4e-320)],
+                  [0.0, 3.0 + 4.0j, complex(_TINY, 0.0), complex(5e-324, -5e-324)]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        u = phase_unit(z, 0.6 - 0.8j)
+    expected = np.exp(1j * np.angle(z))
+    expected[1, 0] = 0.6 - 0.8j        # the zero pixel takes the fill
+    assert np.max(np.abs(u - expected)) <= 1e-15
+    assert u[1, 1:3].tobytes() == (z[1, 1:3] / np.abs(z[1, 1:3])).tobytes()
 
 
 def test_wrap_phase_lands_in_half_open_interval():
@@ -275,6 +300,7 @@ def test_grids_need_two_axes():
 # transforms into scratch grids: with and without ``out``, the result must be
 # exactly the bits of numpy's own 2-D transform (or of the allocating shift)
 @pytest.mark.parametrize("shape", [(8, 6), (7, 5), (1, 9), (9, 1), (2, 3, 4),
+                                   (31, 37), (1, 1), (17, 1),
                                    (32, 32), (128, 128), (225, 32, 32)],
                          ids=lambda shape: "x".join(map(str, shape)))
 @pytest.mark.parametrize("op, plain", [(dft2, np.fft.fft2), (idft2, np.fft.ifft2),
@@ -290,6 +316,44 @@ def test_out_receives_the_allocating_result(shape, op, plain):
         out = np.full_like(expected, np.nan)
         assert op(g, out=out) is out
         assert out.tobytes() == expected.tobytes()
+
+
+# np.fft types its output and its 1/n scales from the input: float32 and
+# complex64 grids transform in single precision, a float16 grid's row pass
+# takes a float16 scale, an int16 grid transforms in double precision
+@pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.float16, np.int16],
+                         ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("op, plain", [(dft2, np.fft.fft2), (idft2, np.fft.ifft2)],
+                         ids=["dft2", "idft2"])
+def test_transforms_type_their_output_as_numpy_does(dtype, op, plain):
+    rng = np.random.Generator(np.random.PCG64(12))
+    for shape in [(8, 6), (31, 37), (1, 1), (17, 1), (2, 3, 5), (0, 4, 4)]:
+        g = rng.standard_normal(shape) * 8 + 1j * rng.standard_normal(shape)
+        g = (g if np.dtype(dtype).kind == "c" else g.real).astype(dtype)
+        expected = plain(g)
+        got = op(g)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        out = np.full_like(expected, np.nan)
+        assert op(g, out=out) is out
+        assert out.tobytes() == expected.tobytes()
+
+
+# the transforms call numpy's gufunc, which has neither check: an empty axis
+# gave an empty spectrum (dft2) or ZeroDivisionError (idft2), and a misshapen
+# ``out`` a silently padded or cropped transform
+@pytest.mark.parametrize("op, plain", [(dft2, np.fft.fft2), (idft2, np.fft.ifft2)],
+                         ids=["dft2", "idft2"])
+def test_shape_errors_are_numpys(op, plain):
+    for shape in [(0, 4), (4, 0), (3, 0, 4)]:
+        g = np.ones(shape, dtype=np.complex128)
+        for call in (plain, op, lambda g: op(g, out=np.empty_like(g))):
+            with pytest.raises(ValueError, match=r"Invalid number of FFT data points \(0\)"):
+                call(g)
+    # as np.fft.fft and ifft raise on each pass (np.fft.ifft2 ignores ``out``)
+    for shape in [(4, 5), (5, 4), (2, 4, 4), (16,)]:
+        with pytest.raises(ValueError):
+            op(np.ones((4, 4)), out=np.empty(shape, dtype=np.complex128))
 
 
 def _check_wrap_phase(p):
