@@ -20,10 +20,10 @@ Stages alternate: odd stages (1-based) update the object, even stages the
 pupil; ``param_group`` names the one array each updates. Frozen groups keep
 parameters and Adam state bit-identical through the stage, so
 ``stage_constants`` computes what depends only on them once when the stage
-starts, and ``run_stage`` passes it to every ``step``: the pupil and the
-rows Adam runs on for an object stage, the TV penalty for a pupil stage.
-Without TV an object step hands Adam only the data gradient on its window's
-rows that the pupil reaches, so no full-grid gradient exists. With TV an object
+starts, and ``run_stage`` passes it to every ``step``: the pupil and the box of
+the spectrum Adam runs on for an object stage, the TV penalty for a pupil stage.
+Without TV that box is a packed copy, and a step hands Adam only the data
+gradient on the part of its window the pupil reaches. With TV an object
 stage holds the penalty and its dense gradient across ``TV_REFRESH`` steps (lazy
 regularization, Karras et al., CVPR 2020); ``gradients`` and ``total_loss`` do not.
 
@@ -277,18 +277,18 @@ class PgnnModel:
 
     def _object_gradient(self, state: PgnnState, n: int,
                          held: dict) -> tuple[np.ndarray, object, float]:
-        """Object-spectrum gradient of the step's loss at image n as float64, the
-        ``support`` of the spectrum's float view it covers, and the data term.
-        The data term is taken on the rows of window n that the held pupil
-        reaches (off them it is +-0.0, which Adam may skip); with TV it is added
-        onto a copy of the stage's held TV gradient (refreshed every
+        """Object-spectrum gradient of the step's loss at image n as float64, its
+        ``support`` in ``held["params"]``, and the data term, taken (once window n's
+        part in a packed box is copied into ``state``) on the rows and columns the
+        held pupil reaches (off them it is +-0.0, which Adam may skip); with TV it is
+        added onto a copy of the stage's held TV gradient (refreshed every
         ``TV_REFRESH`` calls) in ``g_object``."""
+        part, support = held["blocks"][n]
+        if held["spectrum"] is not state.object_spectrum:
+            state.object_spectrum[held["box"]][part] = held["spectrum"][part]
         fw = self.forward(state, n, held["pupil"])
         reach = held["reach"]
-        data = held["weight"][reach] * fw.residual[reach]
-        loss = fw.data_loss
-        rs, cs = self.windows[n]
-        rows = slice(rs.start + reach.start, rs.start + reach.stop)
+        data = (held["weight"][reach] * fw.residual[reach]).view(np.float64)
         if self.tv:
             if held["steps"] % TV_REFRESH == 0:
                 held["tv_value"] = self.tv_penalty(state)
@@ -296,9 +296,9 @@ class PgnnModel:
             else:
                 np.copyto(self.g_object, held["tv_gradient"])
             held["steps"] += 1
-            self.g_object[rows, cs] += data
-            return self.g_object.view(np.float64), ..., loss
-        return data.view(np.float64), (rows, slice(2 * cs.start, 2 * cs.stop)), loss
+            self.g_object.view(np.float64)[support] += data   # the box is the grid
+            return self.g_object.view(np.float64), ..., fw.data_loss
+        return data, support, fw.data_loss
 
     def _pupil_gradient(self, state: PgnnState, n: int) -> tuple[np.ndarray, float]:
         """Pupil-parameter gradient of the data term at image n, as a float64
@@ -325,34 +325,53 @@ class PgnnModel:
         loss the solver actually descends); finite differences of that
         frozen-target loss are the reference the tests check against.
         """
-        grad, support, _ = self._object_gradient(
-            state, n, self.stage_constants(state, True))
+        held = self.stage_constants(state, True)
+        grad, support, _ = self._object_gradient(state, n, held)
         g_object = np.zeros_like(state.object_spectrum).view(np.float64)
-        g_object[support] = grad
+        g_object[held["fbox"]][support] = grad
         return {"object": g_object, "pupil": self._pupil_gradient(state, n)[0]}
 
     # -- optimization ------------------------------------------------------
 
     def stage_constants(self, state: PgnnState, update_object: bool) -> dict:
-        """What a stage holds fixed, for ``step``: the TV penalty (pupil steps), or
-        the pupil, its data-gradient ``weight`` 2 * area * conj(pupil), the span
-        ``reach`` of its nonzero rows and the ``rows`` Adam runs on (object steps),
-        with TV also the held ``tv_value``, ``tv_gradient`` and count of ``steps``.
-        Without TV, Adam's update off the reached rows is pure decay, which
-        keeps +0.0 moments and parameters as they are
-        (and no step makes a -0.0 moment; see ``kernels.adam_update``), so
-        ``rows`` spans the reached rows and those with nonzero moments."""
+        """What a stage holds fixed, for ``step``: Adam's ``params``, ``moments`` and
+        ``lr``, and the TV penalty (pupil steps), or the pupil, its data-gradient
+        ``weight`` 2 * area * conj(pupil), the spans ``reach`` of its nonzero rows and
+        columns, the ``box`` and per window its part in the box and gradient support
+        in ``params`` (``blocks``); with TV also the held ``tv_value``, ``tv_gradient``
+        and count of ``steps``. The box spans the rows and columns a reach covers or a
+        nonzero moment holds (with TV, the grid); off it Adam's update is pure decay,
+        which keeps +0.0 moments and parameters (and no step makes a -0.0 moment; see
+        ``kernels.adam_update``). Unless it is the grid, ``spectrum`` (whose float view
+        is ``params``) and ``moments`` are packed copies of the box."""
         if not update_object:
-            return {"tv_value": self.tv_penalty(state), "rows": slice(None)}
+            key, view, lr = self.param_group(state, False)
+            return {"tv_value": self.tv_penalty(state), "params": view,
+                    "moments": state.moments[key], "lr": lr}
         pupil = self.pupil(state)
-        live = np.full(self.high_shape[0], self.tv)
-        reach = np.any(pupil, axis=1)
-        for rs, _ in self.windows:
-            live[rs] |= reach
+        reached = np.any(pupil, axis=1), np.any(pupil, axis=0)
         mom = state.moments["object"]
-        live |= np.any(mom.m.view(np.uint64) | mom.v.view(np.uint64), axis=1)
+        nonzero = np.any((mom.m.view(np.uint64) | mom.v.view(np.uint64)).reshape(-1, 2), axis=1)
+        live = [np.any(nonzero.reshape(self.high_shape), axis=a) | self.tv for a in (1, 0)]
+        for axis in (0, 1):
+            for start in {win[axis].start for win in self.windows}:
+                live[axis][start:start + reached[axis].size] |= reached[axis]
+        box, reach = tuple(map(_span, live)), tuple(map(_span, reached))
+        fbox = box[0], slice(2 * box[1].start, 2 * box[1].stop)   # on the float view
+        spectrum, moments = state.object_spectrum, mom
+        if spectrum[box].shape != self.high_shape:
+            spectrum = spectrum[box].copy()
+            moments = Moments(mom.m[fbox].copy(), mom.v[fbox].copy(), mom.t)
+        (br, bc), (rr, rc) = box, reach
+        blocks = []
+        for rs, cs in self.windows:
+            r, c = rs.start - br.start, 2 * (cs.start - bc.start)   # the window's origin
+            hit = slice(r + rr.start, r + rr.stop), slice(c + 2 * rc.start, c + 2 * rc.stop)
+            blocks.append(((_within(rs, br), _within(cs, bc)), hit))
         held = {"pupil": pupil, "weight": 2.0 * self.area_low * np.conj(pupil),
-                "reach": _span(reach), "rows": _span(live), "tv_value": 0.0}
+                "reach": reach, "box": box, "fbox": fbox, "blocks": blocks,
+                "spectrum": spectrum, "params": spectrum.view(np.float64),
+                "moments": moments, "lr": self.pcfg.lr_object, "tv_value": 0.0}
         if self.tv:
             held.update(steps=0, tv_gradient=np.empty_like(self.g_object))
         return held
@@ -365,11 +384,9 @@ class PgnnModel:
         if update_object:
             grad, support, loss = self._object_gradient(state, n, held)
         else:
-            grad, loss = self._pupil_gradient(state, n)
-            support = ...
+            (grad, loss), support = self._pupil_gradient(state, n), ...
         loss += held["tv_value"]
-        key, view, lr = self.param_group(state, update_object)
-        adam_step(view, grad, state.moments[key], lr, held["rows"], support)
+        adam_step(held["params"], grad, held["moments"], held["lr"], support)
         if not update_object:
             pupil = state.pupil_free if self.basis is None else state.pupil_amp
             pupil *= self.support
@@ -379,14 +396,19 @@ class PgnnModel:
         """One stage (1-based index): odd updates the object, even the pupil.
         Returns the per-epoch accumulated pre-update losses of ``step``; the first
         non-finite loss raises NumericalError naming the group, stage, epoch
-        and image."""
+        and image. It writes a packed box back into ``state`` as it returns or raises."""
         update_object = stage_index % 2 == 1
         held = self.stage_constants(state, update_object)
         group = "object" if update_object else "pupil"
-        return [sweep(self.order,
-                      lambda n: self.step(state, n, update_object, held),
-                      f"{group} stage {stage_index} epoch {epoch}")
-                for epoch in range(1, self.pcfg.epochs_per_stage + 1)]
+        try:
+            return [sweep(self.order,
+                          lambda n: self.step(state, n, update_object, held),
+                          f"{group} stage {stage_index} epoch {epoch}")
+                    for epoch in range(1, self.pcfg.epochs_per_stage + 1)]
+        finally:
+            if (packed := held["moments"]) is not (mom := state.moments[group]):
+                state.object_spectrum[held["box"]] = held["spectrum"]
+                mom.m[held["fbox"]], mom.v[held["fbox"]], mom.t = packed.m, packed.v, packed.t
 
     def run(self) -> tuple[np.ndarray, np.ndarray, list[float], PgnnState]:
         state = self.initial_state()
@@ -405,36 +427,32 @@ def run_pgnn(images: list[np.ndarray], cfg: OpticalConfig,
 def _span(mask: np.ndarray) -> slice:
     """The slice from the first to the last True entry of ``mask``."""
     hit = np.flatnonzero(mask)
-    return slice(hit[0], hit[-1] + 1) if hit.size else slice(0, 0)
+    return slice(int(hit[0]), int(hit[-1]) + 1) if hit.size else slice(0, 0)
+
+
+def _within(span: slice, box: slice) -> slice:
+    """The part of ``span`` inside ``box``, in box coordinates."""
+    lo = max(span.start, box.start) - box.start
+    return slice(lo, max(lo, min(span.stop, box.stop) - box.start))
 
 
 def adam_step(param_view: np.ndarray, grad_view: np.ndarray, moments: Moments,
-              lr: float | np.ndarray, rows=slice(None), support=...) -> None:
-    """Bias-corrected Adam step, in place, on the first-axis ``rows`` of float64 views.
+              lr: float | np.ndarray, support=...) -> None:
+    """Bias-corrected Adam step, in place, on C-contiguous float64 arrays.
 
     ``grad_view`` is the gradient on ``param_view[support]``, zero elsewhere:
-    all of ``param_view`` by default, or a (row slice, column slice) block
-    within ``rows``. Complex parameters participate as their float views (two
-    real scalars per element). ``lr`` is a scalar or a rate per entry of
-    ``param_view[rows]``. The step advances ``moments.t``, the count the bias
-    corrections use.
+    all of ``param_view`` by default, or a (row slice, column slice) block.
+    Complex parameters participate as their float views (two real scalars per
+    element). ``lr`` is a scalar or a rate per entry of ``param_view``. The
+    step advances ``moments.t``, the count the bias corrections use.
     """
     if not (param_view.shape == moments.m.shape == moments.v.shape
             and grad_view.shape == param_view[support].shape):
         raise DimensionMismatch("param/grad/moment shapes differ")
-    if support is ...:
-        grad_view = grad_view[rows]
-    else:
-        start, stop, _ = rows.indices(len(param_view))
-        rs, cs = support
-        if rs.start < rs.stop and (rs.start < start or rs.stop > stop):
-            raise DimensionMismatch("gradient support reaches outside the rows")
-        support = slice(rs.start - start, rs.stop - start), cs
-    p, m, v = param_view[rows], moments.m[rows], moments.v[rows]
     # packed arrays only: on a strided view every ufunc would leave numpy's packed loops
-    if not all(a.flags.c_contiguous for a in (p, grad_view, m, v)):
+    if not all(a.flags.c_contiguous for a in (param_view, grad_view, moments.m, moments.v)):
         raise DimensionMismatch("param/grad/moment arrays must be C-contiguous")
     moments.t += 1
-    kernels.adam_update(p, grad_view, m, v, support, lr, ADAM_BETA1, ADAM_BETA2,
-                        1.0 - ADAM_BETA1 ** moments.t, 1.0 - ADAM_BETA2 ** moments.t,
-                        ADAM_EPS, moments.work)
+    kernels.adam_update(param_view, grad_view, moments.m, moments.v, support, lr,
+                        ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA1 ** moments.t,
+                        1.0 - ADAM_BETA2 ** moments.t, ADAM_EPS, moments.work)

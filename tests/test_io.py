@@ -246,6 +246,45 @@ def test_manifest_text_and_parse_are_inverse(fields):
     assert manifest_text(*parsed) == text
 
 
+# integer-valued floats print as "2.0", not "2"; -0.0 keeps its sign
+_WHOLE = st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0])
+_BARE_NAME = st.text(st.characters(blacklist_categories=("Cs",),
+                                   blacklist_characters="/\\\0"),
+                     min_size=1, max_size=8).filter(
+    lambda f: f not in (".", "..", "manifest.json"))
+
+
+@st.composite
+def _manifest_parts(draw):
+    """Optics, LED directions, any bare file names and a saturation."""
+    positive = _WHOLE.filter(bool) | st.floats(0.3, 30.0)
+    sine = _WHOLE.filter(lambda x: x == 0.0) | st.floats(-0.7, 0.7)
+    leds = draw(st.lists(st.builds(Illumination, sine, sine), max_size=6))
+    cfg = OpticalConfig(wavelength_um=draw(positive), na=draw(st.floats(0.01, 0.95)),
+                        magnification=draw(positive), camera_pixel_um=draw(positive),
+                        upsample=2, low_rows=8, low_cols=8, illuminations=tuple(leds))
+    files = draw(st.lists(_BARE_NAME, min_size=len(leds), max_size=len(leds),
+                          unique=True))
+    return cfg, files, draw(st.none() | _WHOLE.filter(bool) | st.floats(1e-3, 1e3))
+
+
+@settings(max_examples=200, deadline=None)
+@example((tiny_config(), ["\u00e9\U0001f600%s, \"x\"\n", "img"], 2.0))
+@given(_manifest_parts())
+def test_manifest_text_is_the_indented_json_dump(parts):
+    """manifest_text lays out the LED list itself; its bytes are those of
+    ``json.dumps(indent=2, sort_keys=True)``, with non-ASCII names escaped and
+    integer-valued floats written as floats."""
+    cfg, files, saturation = parts
+    doc = {**{name: getattr(cfg, name) for name in OPTICS_FIELDS},
+           "version": 1, "saturation": saturation,
+           "illuminations": [{**{name: getattr(ill, name) for name in ILLUMINATION_FIELDS},
+                              "file": fname}
+                             for ill, fname in zip(cfg.illuminations, files)]}
+    text = manifest_text(cfg, files, saturation)
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def _doc(**edits):
     doc = json.loads(manifest_text(tiny_config(), default_file_names(2), None))
     doc.update(edits)

@@ -7,8 +7,11 @@ import pkgutil
 from pathlib import Path
 
 import fptycho
-import fptycho.epie
-import fptycho.pgnn
+
+# the tracer wraps names in every fptycho module it finds imported, so each
+# test here must see all of them, whichever tests run before it
+MODULES = {info.name: importlib.import_module(f"fptycho.{info.name}")
+           for info in pkgutil.iter_modules(fptycho.__path__)}
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -21,10 +24,8 @@ def _load_tracing():
 
 
 def test_tracer_finds_every_traced_name_and_restores_the_originals():
-    modules = {info.name: importlib.import_module(f"fptycho.{info.name}")
-               for info in pkgutil.iter_modules(fptycho.__path__)}
     tracing = _load_tracing()
-    before = {name: dict(vars(m)) for name, m in modules.items()}
+    before = {name: dict(vars(m)) for name, m in MODULES.items()}
     methods = {attr: vars(fptycho.pgnn.PgnnModel)[attr]
                for attr in tracing.METHODS}
     forward_capture = fptycho.simulate.forward_capture
@@ -34,12 +35,12 @@ def test_tracer_finds_every_traced_name_and_restores_the_originals():
         assert fptycho.simulate.forward_capture is not forward_capture
         assert fptycho.simulate.forward_capture.__wrapped__ is forward_capture
         for module, attr in tracing.SPANS:
-            assert hasattr(getattr(modules[module], attr), "__wrapped__"), (
+            assert hasattr(getattr(MODULES[module], attr), "__wrapped__"), (
                 f"{module}.{attr} is not traced")
     finally:
         tracer.uninstall()
     assert fptycho.simulate.forward_capture is forward_capture
-    for name, module in modules.items():
+    for name, module in MODULES.items():
         now = vars(module)
         assert now.keys() == before[name].keys()
         assert all(now[k] is v for k, v in before[name].items()), (

@@ -396,33 +396,50 @@ def test_adam_validates_step_count_and_shapes():
         assert mom.t == t
 
 
+# a block of the 8x6 grid, a box around it, and the block in box coordinates
+_BLOCK = slice(3, 5), slice(1, 4)
+_BOX = slice(2, 6), slice(1, 5)
+_IN_BOX = slice(1, 3), slice(0, 3)
+
+
+def _unpack(box_arrays, grid):
+    """``grid`` with its ``_BOX`` replaced by each packed array in turn."""
+    out = []
+    for a in box_arrays:
+        full = grid.copy()
+        full[_BOX] = a
+        out.append(full.tobytes())
+    return out
+
+
 def test_adam_rows_and_support_give_the_full_grid_step():
-    """A step on ``rows`` with a full-grid gradient, or with the gradient's
-    nonzero block as ``support``, equals the allocating full-grid step when
-    the gradient and the moments are zero off that block."""
+    """A step on packed copies of a box, with the gradient on the whole box
+    or on its nonzero block as ``support`` (box coordinates), equals the
+    allocating full-grid step when the gradient and the moments are zero off
+    that block; a support that runs past the box is refused."""
     rng = np.random.Generator(np.random.PCG64(46))
     start = rng.standard_normal((8, 6))
-    block = slice(3, 5), slice(1, 4)
     grads = []
     for _ in range(3):
         g = np.zeros((8, 6))
-        g[block] = rng.standard_normal((2, 3))
+        g[_BLOCK] = rng.standard_normal((2, 3))
         grads.append(g)
     ref, ref_mom = start.copy(), Moments.like(start)
     for g in grads:
         _reference_adam(ref, g, ref_mom, 0.1)
+    zeros = np.zeros_like(start)
     for use_support in (False, True):
-        p, mom = start.copy(), Moments.like(start)
+        p, mom = start[_BOX].copy(), Moments.like(start[_BOX])
         for g in grads:
             if use_support:
-                adam_step(p, g[block].copy(), mom, 0.1, slice(2, 6), block)
+                adam_step(p, g[_BLOCK].copy(), mom, 0.1, _IN_BOX)
             else:
-                adam_step(p, g, mom, 0.1, slice(2, 6))
-        assert p.tobytes() == ref.tobytes()
-        assert mom.m.tobytes() == ref_mom.m.tobytes()
-        assert mom.v.tobytes() == ref_mom.v.tobytes()
-    with pytest.raises(DimensionMismatch, match="outside the rows"):
-        adam_step(p, grads[0][block].copy(), mom, 0.1, slice(4, 6), block)
+                adam_step(p, g[_BOX].copy(), mom, 0.1)
+        assert _unpack([p], start) == [ref.tobytes()]
+        assert _unpack([mom.m, mom.v], zeros) == [ref_mom.m.tobytes(),
+                                                  ref_mom.v.tobytes()]
+    with pytest.raises(DimensionMismatch, match="shapes differ"):
+        adam_step(p, grads[0][_BLOCK].copy(), mom, 0.1, (slice(3, 5), slice(0, 3)))
 
 
 @pytest.mark.parametrize("t", [355, 356, 357])
@@ -432,20 +449,21 @@ def test_adam_step_across_the_rounded_bias_correction_is_the_allocating_step(t):
     allocating full-grid step bit for bit."""
     rng = np.random.Generator(np.random.PCG64(t))
     start = rng.standard_normal((8, 6))
-    block = slice(3, 5), slice(1, 4)
     g, m0, v0 = np.zeros((3, 8, 6))
-    g[block], m0[block] = rng.standard_normal((2, 2, 3))
-    v0[block] = rng.random((2, 3)) + 1e-3
+    g[_BLOCK], m0[_BLOCK] = rng.standard_normal((2, 2, 3))
+    v0[_BLOCK] = rng.random((2, 3)) + 1e-3
     ref, ref_mom = start.copy(), Moments(m0.copy(), v0.copy(), t - 1)
     _reference_adam(ref, g, ref_mom, 0.1)
-    for rows, support, grad in ((slice(None), ..., g),
-                                (slice(2, 6), block, g[block].copy())):
-        p, mom = start.copy(), Moments(m0.copy(), v0.copy(), t - 1)
-        adam_step(p, grad, mom, 0.1, rows, support)
-        assert mom.t == t
-        assert p.tobytes() == ref.tobytes()
-        assert mom.m.tobytes() == ref_mom.m.tobytes()
-        assert mom.v.tobytes() == ref_mom.v.tobytes()
+    p, mom = start.copy(), Moments(m0.copy(), v0.copy(), t - 1)
+    adam_step(p, g, mom, 0.1)
+    assert mom.t == t
+    assert [p.tobytes(), mom.m.tobytes(), mom.v.tobytes()] == [
+        ref.tobytes(), ref_mom.m.tobytes(), ref_mom.v.tobytes()]
+    p, mom = start[_BOX].copy(), Moments(m0[_BOX].copy(), v0[_BOX].copy(), t - 1)
+    adam_step(p, g[_BLOCK].copy(), mom, 0.1, _IN_BOX)
+    assert mom.t == t
+    assert _unpack([p], start) + _unpack([mom.m, mom.v], m0 * 0.0) == [
+        ref.tobytes(), ref_mom.m.tobytes(), ref_mom.v.tobytes()]
 
 
 def test_adam_rejects_strided_arrays_instead_of_losing_the_update():
@@ -602,11 +620,13 @@ def _reference_adam(param, grad, mom, lr):
 def _reference_stage(model, state, stage_index):
     """run_stage holding nothing per stage but an object stage's TV penalty:
     every step recomputes the pupil and its phase factor, allocates a fresh
-    gradient grid and takes the allocating Adam step. With TV an object step
-    holds the value and gradient ``allocating_tv_eval`` gave at the stage's
-    last refresh (steps 0, TV_REFRESH, 2 TV_REFRESH, ... across its epochs)
-    and adds its data gradient onto a copy of that gradient on its window;
-    other steps take ``total_loss`` and ``gradients``."""
+    gradient grid and takes the allocating Adam step on the whole state. With
+    TV an object step holds the value and gradient ``allocating_tv_eval`` gave
+    at the stage's last refresh (steps 0, TV_REFRESH, 2 TV_REFRESH, ... across
+    its epochs) and adds its data gradient onto a copy of that gradient on its
+    window; other steps take ``total_loss`` and ``gradients``. Like
+    ``run_stage``, it raises NumericalError after the step of the first
+    non-finite loss."""
     pcfg = model.pcfg
     update_object = stage_index % 2 == 1
     losses = []
@@ -650,6 +670,8 @@ def _reference_stage(model, state, stage_index):
                 _reference_adam(state.pupil_free.view(np.float64), g["pupil"],
                                 state.moments["pupil"], pcfg.lr_pupil_amp)
                 state.pupil_free *= model.support
+            if not np.isfinite(loss):
+                raise NumericalError(f"non-finite loss at image {n}")
             acc += loss
         losses.append(acc)
     return losses
@@ -713,48 +735,101 @@ def test_run_stage_across_the_rounded_bias_correction_matches_the_loop(
     assert all(mom.t == 350 + len(images) for mom in fast.moments.values())
 
 
-# object Adam runs on a row span without TV; the test above checks it
-# against the full-grid allocating step only while the span is strict
+# object Adam runs on a packed box without TV; the tests above check it
+# against the full-grid allocating step only while the box is strict
 def test_object_adam_rows_span_the_rows_the_data_reaches(small_instance):
+    """The box spans the rows and columns the windows' reach covers; its
+    arrays are packed copies. A pupil stage steps the state's own arrays."""
     cfg, _, images = small_instance
     model = PgnnModel(images, cfg, PgnnConfig())
-    assert model.stage_constants(model.initial_state(), True)["rows"] == slice(8, 25)
-    assert model.stage_constants(model.initial_state(), False)["rows"] == slice(None)
+    state = model.initial_state()
+    held = model.stage_constants(state, True)
+    assert held["box"] == (slice(8, 25), slice(8, 25))
+    assert held["params"].shape == (17, 34) and held["params"].flags.c_contiguous
+    assert not any(np.shares_memory(held[key], state.object_spectrum)
+                   for key in ("spectrum", "params"))
+    assert held["moments"] is not state.moments["object"]
+    held = model.stage_constants(state, False)
+    assert held["params"] is state.pupil_params
+    assert held["moments"] is state.moments["pupil"]
 
 
 def test_tv_object_adam_runs_on_every_row(small_instance):
+    """With TV the box is the whole grid, and Adam steps the state's own
+    spectrum and moments."""
     cfg, _, images = small_instance
     model = PgnnModel(images, cfg, PgnnConfig(tv_alpha2=1e-3))
     state = model.initial_state()
-    rows = model.stage_constants(state, True)["rows"]
-    assert np.arange(32)[rows].tolist() == list(range(32))
+    held = model.stage_constants(state, True)
+    assert held["box"] == (slice(0, 32), slice(0, 32))
+    assert held["spectrum"] is state.object_spectrum
+    assert np.shares_memory(held["params"], state.object_spectrum)
+    assert held["moments"] is state.moments["object"]
 
 
-@pytest.mark.parametrize("widen", ["pupil_off_support", "moments"])
+@pytest.mark.parametrize("widen", ["pupil_off_support", "moments",
+                                   "pupil_off_support_column", "moments_column"])
 def test_object_adam_rows_follow_the_held_pupil_and_the_moments(small_instance,
                                                                 widen):
     """A pupil nonzero off its support, or moments left nonzero outside the
-    rows the data reaches, widen the span: the step still equals the
-    full-grid allocating one, bit for bit."""
+    rows or columns the data reaches, widen the box: the step still equals
+    the full-grid allocating one, bit for bit."""
     cfg, _, images = small_instance
     model = PgnnModel(images, cfg, PgnnConfig(epochs_per_stage=1,
                                               zernike_modes=None))
     fast, slow = model.initial_state(), model.initial_state()
     for state in (fast, slow):
+        m, v = state.moments["object"].m, state.moments["object"].v
         if widen == "pupil_off_support":
             state.pupil_free[0, 3] = 0.5 - 0.25j
+        elif widen == "moments":
+            m[1, 5] = 1e-3
+            v[30, 2] = 1e-6
+        elif widen == "pupil_off_support_column":
+            state.pupil_free[8, 0] = 0.5 - 0.25j
         else:
-            state.moments["object"].m[1, 5] = 1e-3
-            state.moments["object"].v[30, 2] = 1e-6
-    rows = model.stage_constants(fast, True)["rows"]
-    assert rows.start < 8 and (widen == "pupil_off_support" or rows.stop == 31)
+            # complex columns 2 and 30 of row 12, a row the data reaches
+            m[12, 4] = 1e-3
+            v[12, 61] = 1e-6
+    rows, cols = model.stage_constants(fast, True)["box"]
+    outside = np.ones(32, dtype=bool)
+    outside[8:25] = False
     start = fast.object_spectrum.copy()
     model.run_stage(fast, 1)
     _reference_stage(model, slow, 1)
     assert _state_bytes(fast) == _state_bytes(slow)
-    outside = np.ones(32, dtype=bool)
-    outside[8:25] = False
-    assert not np.array_equal(fast.object_spectrum[outside], start[outside])
+    if widen.endswith("column"):
+        assert rows == slice(8, 25)
+        assert cols == (slice(5, 25) if widen.startswith("pupil") else slice(2, 31))
+        assert not np.array_equal(fast.object_spectrum[:, outside],
+                                  start[:, outside])
+    else:
+        assert rows.start < 8 and (widen == "pupil_off_support" or rows.stop == 31)
+        assert not np.array_equal(fast.object_spectrum[outside], start[outside])
+
+
+@pytest.mark.parametrize("tv", [False, True], ids=["box", "tv"])
+def test_a_stage_that_raises_leaves_the_state_of_the_step_loop(small_instance, tv):
+    """An object stage that raises NumericalError partway through leaves in
+    ``state`` what the full-grid step loop leaves at the same image: its box
+    is written back, the failing step included."""
+    cfg, _, images = small_instance
+    pcfg = PgnnConfig(epochs_per_stage=2, tv_alpha1=1e-3 if tv else 0.0)
+    model = PgnnModel(images, cfg, pcfg)
+    # a capture 1e160 times too bright: its data term overflows to inf, its
+    # gradient stays finite (the second moment overflows)
+    bad = model.order[4]
+    model.amplitudes[bad] = model.amplitudes[bad] * 1e160
+    fast, slow = model.initial_state(), model.initial_state()
+    start = _state_bytes(fast)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalError, match=f"object stage 1 epoch 1 at image {bad}"):
+            model.run_stage(fast, 1)
+        with pytest.raises(NumericalError):
+            _reference_stage(model, slow, 1)
+    assert fast.moments["object"].t == 5
+    assert _state_bytes(fast) == _state_bytes(slow)
+    assert _state_bytes(fast)[0][0] != start[0][0]
 
 
 # -- end-to-end behavior on the reference problem --------------------------
