@@ -5,11 +5,11 @@ These run tens of thousands of times per reconstruction. Callers reach them
 as ``kernels.<name>`` attributes, so a profiler can wrap each one by name.
 
 ``adam_update`` takes a caller-owned ``(2, n)`` float64 scratch array as its
-last argument (``pgnn.Moments`` keeps one per parameter group). It writes
-every temporary into its two rows with ``out=``, so a step over the 128x128
-complex spectrum allocates nothing, yet gives the bits of the plain
-allocating expression. It decays the moments and steps the arrays it is
-given (a ``pgnn`` object stage packs its live box of the spectrum), but adds
+last argument (each ``pgnn.Moments`` holds one; a packed copy borrows it). It
+writes every temporary into its two rows with ``out=``, so a step over the
+128x128 complex spectrum allocates nothing, yet gives the bits of the plain
+allocating expression. It decays the moments and steps the arrays it is given
+(a ``pgnn`` object stage packs its live box of the spectrum), but adds
 gradient terms only on the block ``support`` the gradient covers.
 ``tv_value`` and ``tv_grad`` take an optional ``(TV_WORK_ROWS, rows, cols)``
 C-contiguous scratch array the same way (``pgnn.PgnnModel`` keeps one when TV

@@ -17,15 +17,9 @@ step on the active parameter group against
     + tv_alpha2 * TV(wrapped phase of the spatial object).
 
 Stages alternate: odd stages (1-based) update the object, even stages the
-pupil; ``param_group`` names the one array each updates. Frozen groups keep
-parameters and Adam state bit-identical through the stage, so
-``stage_constants`` computes what depends only on them once when the stage
-starts, and ``run_stage`` passes it to every ``step``: the pupil and the box of
-the spectrum Adam runs on for an object stage, the TV penalty for a pupil stage.
-Without TV that box is a packed copy, and a step hands Adam only the data
-gradient on the part of its window the pupil reaches. With TV an object
-stage holds the penalty and its dense gradient across ``TV_REFRESH`` steps (lazy
-regularization, Karras et al., CVPR 2020); ``gradients`` and ``total_loss`` do not.
+pupil. An ``ObjectStage`` or ``PupilStage`` holds what the frozen group fixes
+for the whole stage; ``run_stage`` opens one, sweeps ``step`` over the images
+and closes it. ``gradients`` and ``total_loss`` hold nothing.
 
 All gradients are true real-parameter gradients (for a complex array they are
 d/dRe + i*d/dIm), verified against central finite differences of the
@@ -91,16 +85,17 @@ class PgnnConfig:
 @dataclass
 class Moments:
     """Adam state of one parameter array: first/second moments over its float
-    view and the count ``t`` of steps taken, plus the (2, size) scratch that
-    ``kernels.adam_update`` works in."""
+    view, the count ``t`` of steps taken, and the (2, n >= size) scratch of
+    ``kernels.adam_update`` (a packed copy borrows its whole array's)."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    work: np.ndarray = field(init=False, repr=False, compare=False)
+    work: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.work = np.empty((2, self.m.size))
+        if self.work is None:
+            self.work = np.empty((2, self.m.size))
 
     @classmethod
     def like(cls, view: np.ndarray) -> "Moments":
@@ -128,6 +123,13 @@ class PgnnState:
         if self.pupil_params is None:
             return None
         return self.pupil_params[math.prod(self.pupil_shape):]
+
+    @property
+    def pupil_view(self) -> np.ndarray:
+        """The float64 array a pupil step updates (a free pupil's re/im interleaved)."""
+        if self.pupil_free is None:
+            return self.pupil_params
+        return self.pupil_free.view(np.float64)
 
 
 @dataclass(frozen=True)
@@ -161,7 +163,7 @@ class PgnnModel:
             [pcfg.lr_pupil_amp, pcfg.lr_zern], [self.area_low, self.basis.count])
         self.tv = pcfg.tv_alpha1 > 0.0 or pcfg.tv_alpha2 > 0.0
         # the dense object-spectrum gradient of a TV step (see
-        # _object_gradient), and the scratch grids of tv_penalty: with them a
+        # ObjectStage.gradient), and the scratch grids of tv_penalty: with them a
         # dense object step allocates no full-grid temporaries, whose cost
         # would hang on the allocator
         if self.tv:
@@ -180,20 +182,9 @@ class PgnnModel:
         else:
             params = np.append(make_ctf(self.cfg).real, np.zeros(self.basis.count))
             state = PgnnState(spectrum, pupil_params=params, pupil_shape=self.cfg.low_shape)
-        state.moments = {key: Moments.like(view)
-                         for key, view, _ in (self.param_group(state, True),
-                                              self.param_group(state, False))}
+        state.moments = {"object": Moments.like(spectrum.view(np.float64)),
+                         "pupil": Moments.like(state.pupil_view)}
         return state
-
-    def param_group(self, state: PgnnState, update_object: bool) -> tuple:
-        """(moment key, float64 view, learning rate) of the one array an object or
-        pupil step updates, complex arrays viewed interleaved; a Zernike pupil's
-        rate is per entry (Adam is elementwise: the bits of separate steps)."""
-        if update_object:
-            return "object", state.object_spectrum.view(np.float64), self.pcfg.lr_object
-        if self.basis is None:
-            return "pupil", state.pupil_free.view(np.float64), self.lr_pupil
-        return "pupil", state.pupil_params, self.lr_pupil
 
     def pupil(self, state: PgnnState) -> np.ndarray:
         if self.basis is None:
@@ -273,142 +264,49 @@ class PgnnModel:
                                self.pupil(state), self.amplitudes, self.cfg)
         return data + len(self.amplitudes) * self.tv_penalty(state)
 
-    # -- gradients ---------------------------------------------------------
-
-    def _object_gradient(self, state: PgnnState, n: int,
-                         held: dict) -> tuple[np.ndarray, object, float]:
-        """Object-spectrum gradient of the step's loss at image n as float64, its
-        ``support`` in ``held["params"]``, and the data term, taken (once window n's
-        part in a packed box is copied into ``state``) on the rows and columns the
-        held pupil reaches (off them it is +-0.0, which Adam may skip); with TV it is
-        added onto a copy of the stage's held TV gradient (refreshed every
-        ``TV_REFRESH`` calls) in ``g_object``."""
-        part, support = held["blocks"][n]
-        if held["spectrum"] is not state.object_spectrum:
-            state.object_spectrum[held["box"]][part] = held["spectrum"][part]
-        fw = self.forward(state, n, held["pupil"])
-        reach = held["reach"]
-        data = (held["weight"][reach] * fw.residual[reach]).view(np.float64)
-        if self.tv:
-            if held["steps"] % TV_REFRESH == 0:
-                held["tv_value"] = self.tv_penalty(state)
-                np.copyto(held["tv_gradient"], self.g_object)
-            else:
-                np.copyto(self.g_object, held["tv_gradient"])
-            held["steps"] += 1
-            self.g_object.view(np.float64)[support] += data   # the box is the grid
-            return self.g_object.view(np.float64), ..., fw.data_loss
-        return data, support, fw.data_loss
-
-    def _pupil_gradient(self, state: PgnnState, n: int) -> tuple[np.ndarray, float]:
-        """Pupil-parameter gradient of the data term at image n, as a float64
-        array laid out like ``param_group``'s view, and that term."""
-        if self.basis is None:
-            pupil = state.pupil_free
-        else:
-            pupil, phase_factor = self.basis.pupil(state.pupil_amp, state.zern_coeffs)
-        fw = self.forward(state, n, pupil)
-        patch = state.object_spectrum[self.windows[n]]
-        g_pupil = 2.0 * self.area_low * np.conj(patch) * fw.residual
-        if self.basis is None:
-            return g_pupil.view(np.float64), fw.data_loss
-        weight = (g_pupil * np.conj(pupil)).imag
-        return np.append((np.conj(phase_factor) * g_pupil).real,
-                         kernels.project_modes(self.basis.grids, weight)), fw.data_loss
+    # -- gradients and optimization ----------------------------------------
 
     def gradients(self, state: PgnnState, n: int) -> dict[str, np.ndarray]:
         """Real-parameter gradients of total_loss at image n, as float64
         arrays keyed like ``state.moments``. The object gradient covers the
-        full grid: the data term lives on the window, TV terms are dense.
+        full grid: the TV gradient (or zeros) plus the data term's
+        2 * area * conj(pupil) * residual on the window.
 
         The amplitude-replaced target is treated as a constant (matching the
         loss the solver actually descends); finite differences of that
         frozen-target loss are the reference the tests check against.
         """
-        held = self.stage_constants(state, True)
-        grad, support, _ = self._object_gradient(state, n, held)
-        g_object = np.zeros_like(state.object_spectrum).view(np.float64)
-        g_object[held["fbox"]][support] = grad
-        return {"object": g_object, "pupil": self._pupil_gradient(state, n)[0]}
-
-    # -- optimization ------------------------------------------------------
-
-    def stage_constants(self, state: PgnnState, update_object: bool) -> dict:
-        """What a stage holds fixed, for ``step``: Adam's ``params``, ``moments`` and
-        ``lr``, and the TV penalty (pupil steps), or the pupil, its data-gradient
-        ``weight`` 2 * area * conj(pupil), the spans ``reach`` of its nonzero rows and
-        columns, the ``box`` and per window its part in the box and gradient support
-        in ``params`` (``blocks``); with TV also the held ``tv_value``, ``tv_gradient``
-        and count of ``steps``. The box spans the rows and columns a reach covers or a
-        nonzero moment holds (with TV, the grid); off it Adam's update is pure decay,
-        which keeps +0.0 moments and parameters (and no step makes a -0.0 moment; see
-        ``kernels.adam_update``). Unless it is the grid, ``spectrum`` (whose float view
-        is ``params``) and ``moments`` are packed copies of the box."""
-        if not update_object:
-            key, view, lr = self.param_group(state, False)
-            return {"tv_value": self.tv_penalty(state), "params": view,
-                    "moments": state.moments[key], "lr": lr}
         pupil = self.pupil(state)
-        reached = np.any(pupil, axis=1), np.any(pupil, axis=0)
-        mom = state.moments["object"]
-        nonzero = np.any((mom.m.view(np.uint64) | mom.v.view(np.uint64)).reshape(-1, 2), axis=1)
-        live = [np.any(nonzero.reshape(self.high_shape), axis=a) | self.tv for a in (1, 0)]
-        for axis in (0, 1):
-            for start in {win[axis].start for win in self.windows}:
-                live[axis][start:start + reached[axis].size] |= reached[axis]
-        box, reach = tuple(map(_span, live)), tuple(map(_span, reached))
-        fbox = box[0], slice(2 * box[1].start, 2 * box[1].stop)   # on the float view
-        spectrum, moments = state.object_spectrum, mom
-        if spectrum[box].shape != self.high_shape:
-            spectrum = spectrum[box].copy()
-            moments = Moments(mom.m[fbox].copy(), mom.v[fbox].copy(), mom.t)
-        (br, bc), (rr, rc) = box, reach
-        blocks = []
-        for rs, cs in self.windows:
-            r, c = rs.start - br.start, 2 * (cs.start - bc.start)   # the window's origin
-            hit = slice(r + rr.start, r + rr.stop), slice(c + 2 * rc.start, c + 2 * rc.stop)
-            blocks.append(((_within(rs, br), _within(cs, bc)), hit))
-        held = {"pupil": pupil, "weight": 2.0 * self.area_low * np.conj(pupil),
-                "reach": reach, "box": box, "fbox": fbox, "blocks": blocks,
-                "spectrum": spectrum, "params": spectrum.view(np.float64),
-                "moments": moments, "lr": self.pcfg.lr_object, "tv_value": 0.0}
-        if self.tv:
-            held.update(steps=0, tv_gradient=np.empty_like(self.g_object))
-        return held
+        fw = self.forward(state, n, pupil)
+        self.tv_penalty(state)
+        g_object = self.g_object.copy() if self.tv else np.zeros_like(state.object_spectrum)
+        g_object[self.windows[n]] += 2.0 * self.area_low * np.conj(pupil) * fw.residual
+        return {"object": g_object.view(np.float64),
+                "pupil": PupilStage.data_gradient(self, state, n)[0]}
 
-    def step(self, state: PgnnState, n: int, update_object: bool,
-             held: dict) -> float:
-        """One per-image Adam step on the active group; returns the data term
-        before the update plus the held TV penalty. ``held`` is the stage's
-        ``stage_constants``, taken while the group it holds is frozen."""
-        if update_object:
-            grad, support, loss = self._object_gradient(state, n, held)
-        else:
-            (grad, loss), support = self._pupil_gradient(state, n), ...
-        loss += held["tv_value"]
-        adam_step(held["params"], grad, held["moments"], held["lr"], support)
-        if not update_object:
+    def step(self, state: PgnnState, n: int, stage: ObjectStage | PupilStage) -> float:
+        """One per-image Adam step on the group ``stage`` updates; returns the
+        data term before the update plus the stage's held TV penalty."""
+        grad, support, loss = stage.gradient(n)
+        adam_step(stage.params, grad, stage.moments, stage.lr, support)
+        if isinstance(stage, PupilStage):
             pupil = state.pupil_free if self.basis is None else state.pupil_amp
             pupil *= self.support
-        return loss
+        return loss + stage.tv_value
 
     def run_stage(self, state: PgnnState, stage_index: int) -> list[float]:
         """One stage (1-based index): odd updates the object, even the pupil.
         Returns the per-epoch accumulated pre-update losses of ``step``; the first
         non-finite loss raises NumericalError naming the group, stage, epoch
-        and image. It writes a packed box back into ``state`` as it returns or raises."""
-        update_object = stage_index % 2 == 1
-        held = self.stage_constants(state, update_object)
-        group = "object" if update_object else "pupil"
+        and image. The stage closes as it returns or raises, so ``state`` is current."""
+        group = "object" if stage_index % 2 == 1 else "pupil"
+        stage = (ObjectStage if group == "object" else PupilStage)(self, state)
         try:
-            return [sweep(self.order,
-                          lambda n: self.step(state, n, update_object, held),
+            return [sweep(self.order, lambda n: self.step(state, n, stage),
                           f"{group} stage {stage_index} epoch {epoch}")
                     for epoch in range(1, self.pcfg.epochs_per_stage + 1)]
         finally:
-            if (packed := held["moments"]) is not (mom := state.moments[group]):
-                state.object_spectrum[held["box"]] = held["spectrum"]
-                mom.m[held["fbox"]], mom.v[held["fbox"]], mom.t = packed.m, packed.v, packed.t
+            stage.close()
 
     def run(self) -> tuple[np.ndarray, np.ndarray, list[float], PgnnState]:
         state = self.initial_state()
@@ -422,6 +320,116 @@ def run_pgnn(images: list[np.ndarray], cfg: OpticalConfig,
              pcfg: PgnnConfig = PgnnConfig()):
     """Convenience wrapper; returns (spatial object, pupil, loss history, state)."""
     return PgnnModel(images, cfg, pcfg).run()
+
+
+class ObjectStage:
+    """An object stage, the pupil frozen. It holds the ``pupil``, its data-gradient
+    ``weight`` 2 * area * conj(pupil), the spans ``reach`` of its nonzero rows and
+    columns, and the ``box`` Adam runs on: the rows and columns a reach covers through
+    any window or a nonzero moment holds (with TV, the grid). Off the box Adam's update
+    is pure decay, which keeps +0.0 moments and parameters (and no step makes a -0.0
+    moment; see ``kernels.adam_update``). Unless the box is the grid, ``spectrum``
+    (whose float view is ``params``) and ``moments`` are packed copies of it on the
+    state's Adam scratch, which ``close`` writes back; ``blocks`` holds per window its
+    part in the box and gradient support in ``params``. With TV the stage evaluates
+    the penalty and its dense gradient every ``TV_REFRESH`` of its ``steps`` and holds
+    them (``tv_value``, ``tv_gradient``) in between (lazy regularization, Karras et
+    al., CVPR 2020)."""
+
+    def __init__(self, model: PgnnModel, state: PgnnState):
+        self.model, self.state = model, state
+        self.pupil = pupil = model.pupil(state)
+        self.weight = 2.0 * model.area_low * np.conj(pupil)
+        reached = np.any(pupil, axis=1), np.any(pupil, axis=0)
+        mom = state.moments["object"]
+        # rows and columns holding nonzero moment bits (-0.0 too), with no grid-sized temporary
+        bits = [a.view(np.uint64).reshape(*model.high_shape, 2) for a in (mom.m, mom.v)]
+        live = [np.any(bits[0], axis=axes) | np.any(bits[1], axis=axes) | model.tv
+                for axes in ((1, 2), (0, 2))]
+        for axis in (0, 1):
+            for start in {win[axis].start for win in model.windows}:
+                live[axis][start:start + reached[axis].size] |= reached[axis]
+        self.box, self.reach = tuple(map(_span, live)), tuple(map(_span, reached))
+        (br, bc), (rr, rc) = self.box, self.reach
+        self.fbox = br, slice(2 * bc.start, 2 * bc.stop)   # on the float view
+        self.spectrum, self.moments = state.object_spectrum, mom
+        if self.spectrum[self.box].shape != model.high_shape:
+            self.spectrum = self.spectrum[self.box].copy()
+            self.moments = Moments(mom.m[self.fbox].copy(), mom.v[self.fbox].copy(),
+                                   mom.t, mom.work)
+        self.params, self.lr = self.spectrum.view(np.float64), model.pcfg.lr_object
+        self.blocks = []
+        for rs, cs in model.windows:
+            r, c = rs.start - br.start, 2 * (cs.start - bc.start)   # the window's origin
+            hit = slice(r + rr.start, r + rr.stop), slice(c + 2 * rc.start, c + 2 * rc.stop)
+            self.blocks.append(((_within(rs, br), _within(cs, bc)), hit))
+        self.tv_value = 0.0
+        if model.tv:
+            self.steps, self.tv_gradient = 0, np.empty_like(model.g_object)
+
+    def gradient(self, n: int) -> tuple[np.ndarray, object, float]:
+        """Image n's object gradient as float64, its ``support`` in ``params`` and the
+        data term, taken on the reach alone (off it, it is +-0.0, which Adam may skip)
+        once window n's part of a packed box is copied into the state for ``forward``;
+        with TV, added onto a copy of the held TV gradient in the model's ``g_object``."""
+        model, state = self.model, self.state
+        part, support = self.blocks[n]
+        if self.spectrum is not state.object_spectrum:
+            state.object_spectrum[self.box][part] = self.spectrum[part]
+        fw = model.forward(state, n, self.pupil)
+        data = (self.weight[self.reach] * fw.residual[self.reach]).view(np.float64)
+        if not model.tv:
+            return data, support, fw.data_loss
+        if self.steps % TV_REFRESH == 0:
+            self.tv_value = model.tv_penalty(state)
+            np.copyto(self.tv_gradient, model.g_object)
+        else:
+            np.copyto(model.g_object, self.tv_gradient)
+        self.steps += 1
+        model.g_object.view(np.float64)[support] += data   # the box is the grid
+        return model.g_object.view(np.float64), ..., fw.data_loss
+
+    def close(self) -> None:
+        """Write a packed box (spectrum, moments and step count) back into the state."""
+        if self.moments is not (mom := self.state.moments["object"]):
+            self.state.object_spectrum[self.box] = self.spectrum
+            mom.m[self.fbox], mom.v[self.fbox], mom.t = (self.moments.m, self.moments.v,
+                                                         self.moments.t)
+
+
+class PupilStage:
+    """A pupil stage, the object frozen: Adam on the state's ``pupil_view``, a Zernike
+    pupil's rate per entry (Adam is elementwise: the bits of separate steps on the
+    amplitude and the coefficients). It holds the TV penalty."""
+
+    def __init__(self, model: PgnnModel, state: PgnnState):
+        self.model, self.state, self.lr = model, state, model.lr_pupil
+        self.params, self.moments = state.pupil_view, state.moments["pupil"]
+        self.tv_value = model.tv_penalty(state)
+
+    def gradient(self, n: int) -> tuple[np.ndarray, object, float]:
+        """``data_gradient`` at image n, on all of ``params``."""
+        return self.data_gradient(self.model, self.state, n)
+
+    @staticmethod
+    def data_gradient(model: PgnnModel, state: PgnnState, n: int) -> tuple:
+        """Pupil gradient of the data term at image n as a float64 array laid out like
+        ``state.pupil_view``, its support (all of it) and that term."""
+        if model.basis is None:
+            pupil = state.pupil_free
+        else:
+            pupil, phase_factor = model.basis.pupil(state.pupil_amp, state.zern_coeffs)
+        fw = model.forward(state, n, pupil)
+        patch = state.object_spectrum[model.windows[n]]
+        g_pupil = 2.0 * model.area_low * np.conj(patch) * fw.residual
+        if model.basis is None:
+            return g_pupil.view(np.float64), ..., fw.data_loss
+        weight = (g_pupil * np.conj(pupil)).imag
+        return np.append((np.conj(phase_factor) * g_pupil).real,
+                         kernels.project_modes(model.basis.grids, weight)), ..., fw.data_loss
+
+    def close(self) -> None:
+        """Nothing to write back: the stage steps the state's own arrays."""
 
 
 def _span(mask: np.ndarray) -> slice:

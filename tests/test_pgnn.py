@@ -1,5 +1,6 @@
 """Gradient-descent solver: forward graph, gradients, Adam, stages, TV."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,8 @@ from fptycho.errors import DimensionMismatch, NumericalError
 from fptycho.field import center_shift, dft2, wrap_phase
 from fptycho.kernels import tv_grad, tv_value
 from fptycho.pgnn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AMP_FLOOR, TV_REFRESH,
-                          Moments, PgnnConfig, PgnnModel, adam_step, run_pgnn)
+                          Moments, ObjectStage, PgnnConfig, PgnnModel, PupilStage,
+                          adam_step, run_pgnn)
 from fptycho.optics import (Illumination, defocus_phase, make_ctf,
                             pupil_support)
 from fptycho.simulate import GroundTruth, simulate_dataset
@@ -279,31 +281,48 @@ def test_gradients_leave_the_object_gradient_grid_clean(small_instance, alphas):
     assert all(again[key].tobytes() == fresh[key].tobytes() for key in fresh)
 
 
-def test_gradients_and_total_loss_stay_exact_between_tv_refreshes(small_instance):
+@pytest.mark.parametrize("tv", [True, False], ids=["tv", "no_tv"])
+def test_gradients_and_total_loss_stay_exact_between_tv_refreshes(small_instance, tv):
     """An object stage holds its TV penalty between refreshes, but
     ``gradients`` and ``total_loss``, the references of the finite-difference
     checks, still evaluate it at the state they are given, bit for bit; and
-    calling them mid-stage leaves the stage's held penalty alone."""
+    calling them mid-stage leaves the stage's held penalty alone. Their object
+    gradient is the TV gradient (zeros without TV) plus the data gradient
+    added on the window, formed without a stage (``_reference_stage`` relies
+    on it)."""
     cfg, _, images = small_instance
-    model = PgnnModel(images, cfg, PgnnConfig(tv_alpha1=2e-3, tv_alpha2=3e-3))
+    alpha1, alpha2 = (2e-3, 3e-3) if tv else (0.0, 0.0)
+    model = PgnnModel(images, cfg, PgnnConfig(tv_alpha1=alpha1, tv_alpha2=alpha2))
     probed, plain = model.initial_state(), model.initial_state()
-    held_probed = model.stage_constants(probed, True)
-    held_plain = model.stage_constants(plain, True)
+    stage_probed, stage_plain = ObjectStage(model, probed), ObjectStage(model, plain)
     stale = 0
     for n in model.order[:2 * TV_REFRESH + 1]:
-        loss = model.step(probed, n, True, held_probed)
-        assert loss == model.step(plain, n, True, held_plain)
+        loss = model.step(probed, n, stage_probed)
+        assert loss == model.step(plain, n, stage_plain)
         value, tv_gradient = allocating_tv_eval(model, probed)
-        stale += value != held_probed["tv_value"]
+        stale += value != stage_probed.tv_value
         fw = model.forward(probed, n)
         assert model.total_loss(probed, n) == fw.data_loss + value
-        want = tv_gradient.copy()
+        want = tv_gradient.copy() if tv else np.zeros_like(probed.object_spectrum)
         want[model.windows[n]] += (2.0 * model.area_low * np.conj(model.pupil(probed))
                                    * fw.residual)
         assert model.gradients(probed, n)["object"].tobytes() == want.tobytes()
-    assert held_probed["steps"] == 2 * TV_REFRESH + 1
-    assert stale == 2 * TV_REFRESH + 1
+    if tv:
+        assert stage_probed.steps == 2 * TV_REFRESH + 1
+    assert stale == (2 * TV_REFRESH + 1 if tv else 0)
+    stage_probed.close()
+    stage_plain.close()
     assert _state_bytes(probed) == _state_bytes(plain)
+
+
+def _grid_256(pcfg: PgnnConfig):
+    """A 256x256 spectrum recovered from 3x3 captures of 16x16: the model
+    and its initial state."""
+    cfg = grid_config(n_low=16, upsample=16, half_span=0.05)
+    obj = textured_object(256, amp_seed=5, phase_seed=6, amp_beta=0.8,
+                          phase_beta=0.8, amp_floor=0.3, phase_span=1.5)
+    model = PgnnModel(simulate_dataset(GroundTruth(obj, make_ctf(cfg)), cfg), cfg, pcfg)
+    return model, model.initial_state()
 
 
 def test_tv_object_step_allocates_no_full_grid():
@@ -318,22 +337,17 @@ def test_tv_object_step_allocates_no_full_grid():
     was 146,536 B, under 9/32 of a 256x256 float64 grid (147,456 B). The
     loop crosses steps that refresh the held TV penalty and steps that copy
     its held gradient."""
-    cfg = grid_config(n_low=16, upsample=16, half_span=0.05)
-    obj = textured_object(256, amp_seed=5, phase_seed=6, amp_beta=0.8,
-                          phase_beta=0.8, amp_floor=0.3, phase_span=1.5)
-    images = simulate_dataset(GroundTruth(obj, make_ctf(cfg)), cfg)
-    model = PgnnModel(images, cfg, PgnnConfig(tv_alpha1=1e-3, tv_alpha2=1e-3))
-    state = model.initial_state()
-    held = model.stage_constants(state, True)
-    model.step(state, 0, True, held)
+    model, state = _grid_256(PgnnConfig(tv_alpha1=1e-3, tv_alpha2=1e-3))
+    stage = ObjectStage(model, state)
+    model.step(state, 0, stage)
     tracemalloc.start()
     try:
-        for n in range(len(images)):
-            model.step(state, n, True, held)
+        for n in range(len(model.windows)):
+            model.step(state, n, stage)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert held["steps"] > 2 * TV_REFRESH
+    assert stage.steps > 2 * TV_REFRESH
     assert peak < 9 * np.empty(model.high_shape).nbytes // 32
 
 
@@ -341,22 +355,43 @@ def test_object_step_without_tv_allocates_no_full_grid():
     """Without TV the object step hands Adam the data gradient on its window
     alone: no full-grid gradient exists, and Adam's temporaries live in its
     scratch, so what a step allocates is a few window-sized arrays."""
-    cfg = grid_config(n_low=16, upsample=16, half_span=0.05)
-    obj = textured_object(256, amp_seed=5, phase_seed=6, amp_beta=0.8,
-                          phase_beta=0.8, amp_floor=0.3, phase_span=1.5)
-    images = simulate_dataset(GroundTruth(obj, make_ctf(cfg)), cfg)
-    model = PgnnModel(images, cfg, PgnnConfig())
-    state = model.initial_state()
-    held = model.stage_constants(state, True)
-    model.step(state, 0, True, held)
+    model, state = _grid_256(PgnnConfig())
+    stage = ObjectStage(model, state)
+    model.step(state, 0, stage)
     tracemalloc.start()
     try:
-        for n in range(len(images)):
-            model.step(state, n, True, held)
+        for n in range(len(model.windows)):
+            model.step(state, n, stage)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < np.empty(model.high_shape).nbytes // 8
+
+
+def _object_size(obj) -> int:
+    """Bytes of a nest of lists and tuples of small objects, as allocated."""
+    if isinstance(obj, (list, tuple)):
+        return sys.getsizeof(obj) + sum(map(_object_size, obj))
+    return sys.getsizeof(obj)
+
+
+def test_opening_an_object_stage_without_tv_allocates_no_adam_scratch():
+    """Without TV the packed moments borrow the state's Adam scratch, and the
+    live box is found with no grid-sized temporary: opening the stage
+    allocates its packed spectrum, m and v, the pupil and its weight, the
+    blocks and a few small objects (measured 1.7 KB), but no (2, box)
+    scratch, which is m and v again (9,248 B on this 17x17 box)."""
+    model, state = _grid_256(PgnnConfig())
+    tracemalloc.start()
+    try:
+        stage = ObjectStage(model, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stage.moments is not state.moments["object"]
+    assert stage.moments.work is state.moments["object"].work
+    arrays = (stage.spectrum, stage.moments.m, stage.moments.v, stage.pupil, stage.weight)
+    assert peak < sum(a.nbytes for a in arrays) + _object_size(stage.blocks) + 4096
 
 
 # -- Adam ------------------------------------------------------------------
@@ -743,15 +778,15 @@ def test_object_adam_rows_span_the_rows_the_data_reaches(small_instance):
     cfg, _, images = small_instance
     model = PgnnModel(images, cfg, PgnnConfig())
     state = model.initial_state()
-    held = model.stage_constants(state, True)
-    assert held["box"] == (slice(8, 25), slice(8, 25))
-    assert held["params"].shape == (17, 34) and held["params"].flags.c_contiguous
-    assert not any(np.shares_memory(held[key], state.object_spectrum)
-                   for key in ("spectrum", "params"))
-    assert held["moments"] is not state.moments["object"]
-    held = model.stage_constants(state, False)
-    assert held["params"] is state.pupil_params
-    assert held["moments"] is state.moments["pupil"]
+    stage = ObjectStage(model, state)
+    assert stage.box == (slice(8, 25), slice(8, 25))
+    assert stage.params.shape == (17, 34) and stage.params.flags.c_contiguous
+    assert not any(np.shares_memory(array, state.object_spectrum)
+                   for array in (stage.spectrum, stage.params))
+    assert stage.moments is not state.moments["object"]
+    stage = PupilStage(model, state)
+    assert stage.params is state.pupil_params
+    assert stage.moments is state.moments["pupil"]
 
 
 def test_tv_object_adam_runs_on_every_row(small_instance):
@@ -760,11 +795,11 @@ def test_tv_object_adam_runs_on_every_row(small_instance):
     cfg, _, images = small_instance
     model = PgnnModel(images, cfg, PgnnConfig(tv_alpha2=1e-3))
     state = model.initial_state()
-    held = model.stage_constants(state, True)
-    assert held["box"] == (slice(0, 32), slice(0, 32))
-    assert held["spectrum"] is state.object_spectrum
-    assert np.shares_memory(held["params"], state.object_spectrum)
-    assert held["moments"] is state.moments["object"]
+    stage = ObjectStage(model, state)
+    assert stage.box == (slice(0, 32), slice(0, 32))
+    assert stage.spectrum is state.object_spectrum
+    assert np.shares_memory(stage.params, state.object_spectrum)
+    assert stage.moments is state.moments["object"]
 
 
 @pytest.mark.parametrize("widen", ["pupil_off_support", "moments",
@@ -791,7 +826,7 @@ def test_object_adam_rows_follow_the_held_pupil_and_the_moments(small_instance,
             # complex columns 2 and 30 of row 12, a row the data reaches
             m[12, 4] = 1e-3
             v[12, 61] = 1e-6
-    rows, cols = model.stage_constants(fast, True)["box"]
+    rows, cols = ObjectStage(model, fast).box
     outside = np.ones(32, dtype=bool)
     outside[8:25] = False
     start = fast.object_spectrum.copy()
