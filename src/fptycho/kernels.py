@@ -9,8 +9,9 @@ last argument (each ``pgnn.Moments`` holds one; a packed copy borrows it). It
 writes every temporary into its two rows with ``out=``, so a step over the
 128x128 complex spectrum allocates nothing, yet gives the bits of the plain
 allocating expression. It decays the moments and steps the arrays it is given
-(a ``pgnn`` object stage packs its live box of the spectrum), but adds
-gradient terms only on the block ``support`` the gradient covers.
+(a ``pgnn`` object stage packs its live box of the spectrum, a pupil stage the
+pupil's support), but adds gradient terms only on the block ``support`` the
+gradient covers.
 ``tv_value`` and ``tv_grad`` take an optional ``(TV_WORK_ROWS, rows, cols)``
 C-contiguous scratch array the same way (``pgnn.PgnnModel`` keeps one when TV
 is on). They run every ufunc on contiguous views (row blocks, or the flat

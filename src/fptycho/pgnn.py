@@ -18,8 +18,10 @@ step on the active parameter group against
 
 Stages alternate: odd stages (1-based) update the object, even stages the
 pupil. An ``ObjectStage`` or ``PupilStage`` holds what the frozen group fixes
-for the whole stage; ``run_stage`` opens one, sweeps ``step`` over the images
-and closes it. ``gradients`` and ``total_loss`` hold nothing.
+for the whole stage and packed copies of the entries Adam steps (the object's
+live box, the pupil's support and coefficients); ``run_stage`` opens one,
+sweeps ``step`` over the images and closes it, which writes them back.
+``gradients`` and ``total_loss`` hold nothing.
 
 All gradients are true real-parameter gradients (for a complex array they are
 d/dRe + i*d/dIm), verified against central finite differences of the
@@ -159,8 +161,6 @@ class PgnnModel:
         # spectrum divided by this puts every parameter on an O(1) scale
         self.area_low = cfg.low_rows * cfg.low_cols
         self.order = traversal_order(cfg)
-        self.lr_pupil = pcfg.lr_pupil_amp if self.basis is None else np.repeat(
-            [pcfg.lr_pupil_amp, pcfg.lr_zern], [self.area_low, self.basis.count])
         self.tv = pcfg.tv_alpha1 > 0.0 or pcfg.tv_alpha2 > 0.0
         # the dense object-spectrum gradient of a TV step (see
         # ObjectStage.gradient), and the scratch grids of tv_penalty: with them a
@@ -270,28 +270,32 @@ class PgnnModel:
         """Real-parameter gradients of total_loss at image n, as float64
         arrays keyed like ``state.moments``. The object gradient covers the
         full grid: the TV gradient (or zeros) plus the data term's
-        2 * area * conj(pupil) * residual on the window.
+        2 * area * conj(pupil) * residual on the window. The pupil gradient,
+        ``_pupil_gradient`` everywhere, covers all of ``state.pupil_view``.
 
         The amplitude-replaced target is treated as a constant (matching the
         loss the solver actually descends); finite differences of that
         frozen-target loss are the reference the tests check against.
         """
-        pupil = self.pupil(state)
+        if self.basis is None:
+            pupil, phase_factor, weight = state.pupil_free, None, None
+        else:
+            pupil, phase_factor = self.basis.pupil(state.pupil_amp, state.zern_coeffs)
+            phase_factor, weight = phase_factor.reshape(-1), np.empty(self.cfg.low_shape)
         fw = self.forward(state, n, pupil)
         self.tv_penalty(state)
         g_object = self.g_object.copy() if self.tv else np.zeros_like(state.object_spectrum)
         g_object[self.windows[n]] += 2.0 * self.area_low * np.conj(pupil) * fw.residual
+        g_pupil = _pupil_gradient(self, state, n, fw.residual, ..., pupil.reshape(-1),
+                                  phase_factor, weight)
         return {"object": g_object.view(np.float64),
-                "pupil": PupilStage.data_gradient(self, state, n)[0]}
+                "pupil": g_pupil.reshape(state.pupil_view.shape)}
 
     def step(self, state: PgnnState, n: int, stage: ObjectStage | PupilStage) -> float:
         """One per-image Adam step on the group ``stage`` updates; returns the
         data term before the update plus the stage's held TV penalty."""
         grad, support, loss = stage.gradient(n)
         adam_step(stage.params, grad, stage.moments, stage.lr, support)
-        if isinstance(stage, PupilStage):
-            pupil = state.pupil_free if self.basis is None else state.pupil_amp
-            pupil *= self.support
         return loss + stage.tv_value
 
     def run_stage(self, state: PgnnState, stage_index: int) -> list[float]:
@@ -398,38 +402,77 @@ class ObjectStage:
 
 
 class PupilStage:
-    """A pupil stage, the object frozen: Adam on the state's ``pupil_view``, a Zernike
-    pupil's rate per entry (Adam is elementwise: the bits of separate steps on the
-    amplitude and the coefficients). It holds the TV penalty."""
+    """A pupil stage, the object frozen: Adam on the pupil's support alone, which it
+    zeroes the pupil off as it opens. ``index`` holds the support's flat indices on
+    the capture grid and ``at`` the entries Adam steps in the flattened ``pupil_view``:
+    a free pupil's re and im there, or a Zernike pupil's amplitude there and its
+    coefficients (a rate per entry in ``lr``; Adam is elementwise, so the bits of
+    separate steps). ``params`` and ``moments`` are packed copies of those entries on
+    the state's Adam scratch, which ``close`` writes back. ``gradient`` scatters the
+    pupil into the capture grid ``pupil`` for ``forward`` and a Zernike pupil's
+    coefficient weight into ``weight``, both zero off the support. It holds the TV
+    penalty."""
 
     def __init__(self, model: PgnnModel, state: PgnnState):
-        self.model, self.state, self.lr = model, state, model.lr_pupil
-        self.params, self.moments = state.pupil_view, state.moments["pupil"]
+        self.model, self.state = model, state
+        self.index = index = np.flatnonzero(model.support)
+        mom, pcfg = state.moments["pupil"], model.pcfg
+        if model.basis is None:
+            state.pupil_free[~model.support] = 0.0
+            self.at = np.flatnonzero(np.repeat(model.support, 2))   # re and im
+            self.lr, self.weight = pcfg.lr_pupil_amp, None
+        else:
+            state.pupil_amp[~model.support] = 0.0
+            count = model.basis.count
+            self.at = np.append(index, np.arange(model.area_low, model.area_low + count))
+            self.lr = np.repeat([pcfg.lr_pupil_amp, pcfg.lr_zern], [index.size, count])
+            self.weight = np.zeros(model.cfg.low_shape)
+        self.params = state.pupil_view.reshape(-1)[self.at]
+        self.moments = Moments(mom.m.reshape(-1)[self.at], mom.v.reshape(-1)[self.at],
+                               mom.t, mom.work)
+        self.pupil = np.zeros(model.cfg.low_shape, dtype=np.complex128)
         self.tv_value = model.tv_penalty(state)
 
     def gradient(self, n: int) -> tuple[np.ndarray, object, float]:
-        """``data_gradient`` at image n, on all of ``params``."""
-        return self.data_gradient(self.model, self.state, n)
-
-    @staticmethod
-    def data_gradient(model: PgnnModel, state: PgnnState, n: int) -> tuple:
-        """Pupil gradient of the data term at image n as a float64 array laid out like
-        ``state.pupil_view``, its support (all of it) and that term."""
+        """``_pupil_gradient`` at image n on ``params``, and the data term. The Zernike
+        phase is synthesised on the whole grid, then taken on the support: a product
+        over the support's columns alone can round the last bit differently."""
+        model, index = self.model, self.index
         if model.basis is None:
-            pupil = state.pupil_free
+            pupil, phase_factor = self.params.view(np.complex128), None
         else:
-            pupil, phase_factor = model.basis.pupil(state.pupil_amp, state.zern_coeffs)
-        fw = model.forward(state, n, pupil)
-        patch = state.object_spectrum[model.windows[n]]
-        g_pupil = 2.0 * model.area_low * np.conj(patch) * fw.residual
-        if model.basis is None:
-            return g_pupil.view(np.float64), ..., fw.data_loss
-        weight = (g_pupil * np.conj(pupil)).imag
-        return np.append((np.conj(phase_factor) * g_pupil).real,
-                         kernels.project_modes(model.basis.grids, weight)), ..., fw.data_loss
+            amp, coeffs = self.params[:index.size], self.params[index.size:]
+            phase = kernels.synth_phase(model.basis.grids, coeffs).reshape(-1)[index]
+            phase_factor = np.exp(1j * phase)
+            pupil = amp * phase_factor
+        self.pupil.reshape(-1)[index] = pupil
+        fw = model.forward(self.state, n, self.pupil)
+        return (_pupil_gradient(model, self.state, n, fw.residual, index, pupil,
+                                phase_factor, self.weight), ..., fw.data_loss)
 
     def close(self) -> None:
-        """Nothing to write back: the stage steps the state's own arrays."""
+        """Write the packed entries (parameters, moments and step count) back."""
+        mom = self.state.moments["pupil"]
+        self.state.pupil_view.reshape(-1)[self.at] = self.params
+        mom.m.reshape(-1)[self.at], mom.v.reshape(-1)[self.at], mom.t = (
+            self.moments.m, self.moments.v, self.moments.t)
+
+
+def _pupil_gradient(model: PgnnModel, state: PgnnState, n: int, residual: np.ndarray,
+                    at, pupil: np.ndarray, phase_factor: np.ndarray | None,
+                    weight: np.ndarray | None) -> np.ndarray:
+    """Pupil gradient of image n's data term at the flat capture-grid indices ``at``
+    (``...`` for all), as float64: a free pupil's entries there (re/im interleaved),
+    or a Zernike pupil's amplitude there followed by its coefficients. ``pupil`` and
+    ``phase_factor`` are taken at ``at``; ``weight`` is a capture grid, zero off
+    ``at``, into which the coefficients' weight goes for ``kernels.project_modes``."""
+    patch = state.object_spectrum[model.windows[n]].reshape(-1)[at]
+    g_pupil = 2.0 * model.area_low * np.conj(patch) * residual.reshape(-1)[at]
+    if model.basis is None:
+        return g_pupil.view(np.float64)
+    weight.reshape(-1)[at] = (g_pupil * np.conj(pupil)).imag
+    return np.concatenate(((np.conj(phase_factor) * g_pupil).real,
+                           kernels.project_modes(model.basis.grids, weight)))
 
 
 def _span(mask: np.ndarray) -> slice:

@@ -16,7 +16,7 @@ from fptycho.kernels import tv_grad, tv_value
 from fptycho.pgnn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AMP_FLOOR, TV_REFRESH,
                           Moments, ObjectStage, PgnnConfig, PgnnModel, PupilStage,
                           adam_step, run_pgnn)
-from fptycho.optics import (Illumination, defocus_phase, make_ctf,
+from fptycho.optics import (Illumination, OpticalConfig, defocus_phase, make_ctf,
                             pupil_support)
 from fptycho.simulate import GroundTruth, simulate_dataset
 
@@ -394,6 +394,27 @@ def test_opening_an_object_stage_without_tv_allocates_no_adam_scratch():
     assert peak < sum(a.nbytes for a in arrays) + _object_size(stage.blocks) + 4096
 
 
+@pytest.mark.parametrize("modes", [9, None], ids=["zernike", "free_pupil"])
+def test_opening_a_pupil_stage_allocates_no_adam_scratch(small_instance, modes):
+    """The packed moments borrow the state's Adam scratch: opening a pupil
+    stage allocates its packed parameters, moments and rates, the support's
+    indices, the two capture grids it scatters into and a few small objects,
+    and nothing per window."""
+    cfg, _, images = small_instance
+    model = PgnnModel(images, cfg, PgnnConfig(zernike_modes=modes))
+    state = model.initial_state()
+    tracemalloc.start()
+    try:
+        stage = PupilStage(model, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stage.moments.work is state.moments["pupil"].work
+    arrays = [stage.params, stage.moments.m, stage.moments.v, stage.lr, stage.index,
+              stage.at, stage.pupil, stage.weight]
+    assert peak < sum(np.asarray(a).nbytes for a in arrays if a is not None) + 4096
+
+
 # -- Adam ------------------------------------------------------------------
 
 def test_adam_first_step_matches_hand_value():
@@ -561,6 +582,83 @@ def test_free_pupil_stage_respects_the_support_mask(small_instance):
     assert np.all(state.pupil_free[~pupil_support(cfg)] == 0.0)
 
 
+def _off_support(model):
+    """The entries of the flattened pupil view off the support (a free
+    pupil's re and im; never a Zernike pupil's coefficients)."""
+    if model.basis is None:
+        return np.repeat(~model.support.ravel(), 2)
+    return np.append(~model.support.ravel(), np.zeros(model.basis.count, dtype=bool))
+
+
+@pytest.mark.parametrize("modes", [9, None], ids=["zernike", "free_pupil"])
+def test_a_pupil_stage_leaves_positive_zeros_and_zero_moments_off_the_support(
+        small_instance, modes):
+    """A pupil stage steps only the support: off it the pupil is +0.0 bit for
+    bit and its moments were never touched (the full-grid step left -0.0
+    there, a negative Adam value times the support's 0.0, and nonzero
+    moments)."""
+    cfg, _, images = small_instance
+    model = PgnnModel(images, cfg, PgnnConfig(epochs_per_stage=1, zernike_modes=modes))
+    state = model.initial_state()
+    for stage in (1, 2, 3, 4):
+        model.run_stage(state, stage)
+    off = _off_support(model)
+    mom = state.moments["pupil"]
+    for a in (state.pupil_view, mom.m, mom.v):
+        assert a.reshape(-1)[off].tobytes() == bytes(8 * np.count_nonzero(off))
+    assert np.all(mom.v.reshape(-1)[~off] > 0.0)
+
+
+@pytest.mark.parametrize("modes", [9, None], ids=["zernike", "free_pupil"])
+def test_a_pupil_stage_zeroes_a_pupil_set_off_its_support_as_it_opens(small_instance,
+                                                                     modes):
+    """A pupil set nonzero off its support by hand is +0.0 there as soon as a
+    pupil stage opens, so even its first forward model never sees it: the
+    stage runs as on the pupil zeroed by hand."""
+    cfg, _, images = small_instance
+    model = PgnnModel(images, cfg, PgnnConfig(epochs_per_stage=1, zernike_modes=modes))
+    dirty, clean = model.initial_state(), model.initial_state()
+    for state in (dirty, clean):
+        model.run_stage(state, 1)
+    pupil = dirty.pupil_free if modes is None else dirty.pupil_amp
+    pupil[~model.support] = 0.5 - 0.25j if modes is None else -0.5
+    off = _off_support(model)
+    PupilStage(model, dirty)
+    assert dirty.pupil_view.reshape(-1)[off].tobytes() == bytes(8 * np.count_nonzero(off))
+    losses = model.run_stage(dirty, 2)
+    assert np.array(losses).tobytes() == np.array(model.run_stage(clean, 2)).tobytes()
+    assert _state_bytes(dirty) == _state_bytes(clean)
+
+
+@settings(max_examples=60, deadline=None)
+@example(8, 8, False, -4.0, 0)   # the disk keeps two rim bins the support drops
+@example(32, 32, True, 1.0, 1)   # the reference problem's optics
+@given(st.integers(3, 40), st.integers(3, 40), st.booleans(), st.floats(-4.0, 1.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_pupil_stage_synthesises_the_full_grid_pupil_on_its_support(
+        rows, cols, reference, scale, seed):
+    """The capture-grid pupil a pupil stage hands the forward model is
+    ``ZernikeBasis.pupil`` on the support bit for bit, and +0.0 off it, at
+    coefficients of 1e-4 to 10 and on grids where the support (strictly
+    inside the cutoff) and the basis disk (rim kept) differ. The stage
+    synthesises the phase on the whole grid: a product over the support's
+    columns alone rounds the last bit differently."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    optics = (dict(wavelength_um=0.532, na=0.1, camera_pixel_um=3.45) if reference
+              else dict(wavelength_um=0.5, na=0.25, camera_pixel_um=2.0))
+    cfg = OpticalConfig(magnification=2.0, low_rows=rows, low_cols=cols, upsample=2,
+                        illuminations=(Illumination(0.0, 0.0),), **optics)
+    model = PgnnModel([rng.random((rows, cols)) + 0.1], cfg, PgnnConfig())
+    state = model.initial_state()
+    state.pupil_amp[...] = rng.random((rows, cols)) + 0.5
+    state.zern_coeffs[...] = rng.standard_normal(model.basis.count) * 10.0 ** scale
+    expected = model.basis.pupil(state.pupil_amp, state.zern_coeffs)[0]
+    stage = PupilStage(model, state)
+    stage.gradient(0)
+    assert stage.pupil[model.support].tobytes() == expected[model.support].tobytes()
+    assert stage.pupil[~model.support].tobytes() == bytes(16 * np.count_nonzero(~model.support))
+
+
 def test_first_stage_lowers_the_dataset_loss(small_instance):
     cfg, _, images = small_instance
     model = PgnnModel(images, cfg, PgnnConfig())
@@ -655,7 +753,9 @@ def _reference_adam(param, grad, mom, lr):
 def _reference_stage(model, state, stage_index):
     """run_stage holding nothing per stage but an object stage's TV penalty:
     every step recomputes the pupil and its phase factor, allocates a fresh
-    gradient grid and takes the allocating Adam step on the whole state. With
+    gradient grid and takes the allocating Adam step on the whole object, or
+    on the pupil's support and coefficients (a pupil stage first zeroes the
+    pupil off its support and leaves it, and its moments, alone there). With
     TV an object step holds the value and gradient ``allocating_tv_eval`` gave
     at the stage's last refresh (steps 0, TV_REFRESH, 2 TV_REFRESH, ... across
     its epochs) and adds its data gradient onto a copy of that gradient on its
@@ -664,6 +764,15 @@ def _reference_stage(model, state, stage_index):
     non-finite loss."""
     pcfg = model.pcfg
     update_object = stage_index % 2 == 1
+    if not update_object:
+        # the stage zeroes the pupil off its support, then steps only the support
+        pupil = state.pupil_free if model.basis is None else state.pupil_amp
+        pupil[~model.support] = 0.0
+        if model.basis is None:   # re and im of each support entry
+            blocks = [(np.flatnonzero(np.repeat(model.support, 2)), pcfg.lr_pupil_amp)]
+        else:
+            blocks = [(np.flatnonzero(model.support), pcfg.lr_pupil_amp),
+                      (np.arange(pupil.size, state.pupil_params.size), pcfg.lr_zern)]
     losses = []
     steps = 0
     for _ in range(pcfg.epochs_per_stage):
@@ -687,24 +796,21 @@ def _reference_stage(model, state, stage_index):
                 _reference_adam(state.object_spectrum.view(np.float64),
                                 g["object"],
                                 state.moments["object"], pcfg.lr_object)
-            elif model.basis is not None:
-                # the amplitude and the coefficients as two allocating steps,
-                # each with its own scalar rate, on their slices of the packed
-                # vector and moments: that proves the packing bit-exact
+            else:
+                # each block of stepped entries of the pupil view (the
+                # support's, then a Zernike pupil's coefficients) as its own
+                # allocating step with its own scalar rate, on copies of its
+                # entries of the parameters and moments: that proves the
+                # packing bit-exact
                 mom = state.moments["pupil"]
                 mom.t += 1
-                split = state.pupil_amp.size
-                for block, lr in ((slice(None, split), pcfg.lr_pupil_amp),
-                                  (slice(split, None), pcfg.lr_zern)):
-                    allocating_adam(state.pupil_params[block], g["pupil"][block],
-                                    mom.m[block], mom.v[block], lr,
-                                    ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA1 ** mom.t,
-                                    1.0 - ADAM_BETA2 ** mom.t, ADAM_EPS)
-                state.pupil_amp[...] *= model.support
-            else:
-                _reference_adam(state.pupil_free.view(np.float64), g["pupil"],
-                                state.moments["pupil"], pcfg.lr_pupil_amp)
-                state.pupil_free *= model.support
+                flat = [a.reshape(-1) for a in (state.pupil_view, g["pupil"], mom.m, mom.v)]
+                for block, lr in blocks:
+                    p, grad, m, v = (a[block] for a in flat)
+                    allocating_adam(p, grad, m, v, lr, ADAM_BETA1, ADAM_BETA2,
+                                    1.0 - ADAM_BETA1 ** mom.t, 1.0 - ADAM_BETA2 ** mom.t,
+                                    ADAM_EPS)
+                    flat[0][block], flat[2][block], flat[3][block] = p, m, v
             if not np.isfinite(loss):
                 raise NumericalError(f"non-finite loss at image {n}")
             acc += loss
@@ -774,7 +880,8 @@ def test_run_stage_across_the_rounded_bias_correction_matches_the_loop(
 # against the full-grid allocating step only while the box is strict
 def test_object_adam_rows_span_the_rows_the_data_reaches(small_instance):
     """The box spans the rows and columns the windows' reach covers; its
-    arrays are packed copies. A pupil stage steps the state's own arrays."""
+    arrays are packed copies. A pupil stage packs the support's amplitudes
+    and the coefficients, on the state's Adam scratch."""
     cfg, _, images = small_instance
     model = PgnnModel(images, cfg, PgnnConfig())
     state = model.initial_state()
@@ -785,8 +892,10 @@ def test_object_adam_rows_span_the_rows_the_data_reaches(small_instance):
                    for array in (stage.spectrum, stage.params))
     assert stage.moments is not state.moments["object"]
     stage = PupilStage(model, state)
-    assert stage.params is state.pupil_params
-    assert stage.moments is state.moments["pupil"]
+    count = int(model.support.sum()) + model.basis.count
+    assert stage.params.shape == (count,) and stage.params.flags.c_contiguous
+    assert not np.shares_memory(stage.params, state.pupil_params)
+    assert stage.moments.work is state.moments["pupil"].work
 
 
 def test_tv_object_adam_runs_on_every_row(small_instance):
