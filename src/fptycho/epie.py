@@ -52,7 +52,9 @@ class EpieState:
 def measured_amplitudes(images, cfg: OpticalConfig) -> np.ndarray:
     """The captures as one float64 (L, low_rows, low_cols) stack of sqrt(I):
     the one place that knows captures are intensities. DimensionMismatch
-    names a missing, surplus or misshapen image."""
+    names a missing, surplus or misshapen image, or an empty LED list."""
+    if not cfg.illuminations:
+        raise DimensionMismatch("the config lists no illuminations (LEDs)")
     if len(images) != len(cfg.illuminations):
         raise DimensionMismatch(
             f"{len(images)} images for {len(cfg.illuminations)} illuminations")

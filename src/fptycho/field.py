@@ -67,11 +67,11 @@ def idft2(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return _transform(_pocketfft.ifft, x, out, True)
 
 
-def _roll2(x: np.ndarray, dr: int, dc: int, out: np.ndarray | None = None) -> np.ndarray:
+def _roll2(x: np.ndarray, dr: int, dc: int) -> np.ndarray:
     """Cyclic shift of the last two axes by (dr, dc), 0 <= dr <= rows,
-    0 <= dc <= cols, as four block copies into one new array or ``out``
-    (``np.roll`` on both axes, without a per-axis roll's intermediate array)."""
-    out = np.empty_like(x) if out is None else out
+    0 <= dc <= cols, as four block copies into one new array (``np.roll``
+    on both axes, without a per-axis roll's intermediate array)."""
+    out = np.empty_like(x)
     rows, cols = x.shape[-2:]
     kr, kc = rows - dr, cols - dc
     out[..., dr:, dc:] = x[..., :kr, :kc]
@@ -81,18 +81,17 @@ def _roll2(x: np.ndarray, dr: int, dc: int, out: np.ndarray | None = None) -> np
     return out
 
 
-def center_shift(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Move DC from (0, 0) to (rows // 2, cols // 2); equals np.fft.fftshift.
-    ``out``, when given, receives the result and must not be ``x``."""
+def center_shift(x: np.ndarray) -> np.ndarray:
+    """Move DC from (0, 0) to (rows // 2, cols // 2); equals np.fft.fftshift."""
     g = as_grid(x)
-    return _roll2(g, g.shape[-2] // 2, g.shape[-1] // 2, out)
+    return _roll2(g, g.shape[-2] // 2, g.shape[-1] // 2)
 
 
-def inverse_center_shift(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def inverse_center_shift(x: np.ndarray) -> np.ndarray:
     """Exact inverse of center_shift (distinct from it for odd sizes);
-    equals np.fft.ifftshift. ``out`` as for center_shift."""
+    equals np.fft.ifftshift."""
     g = as_grid(x)
-    return _roll2(g, (g.shape[-2] + 1) // 2, (g.shape[-1] + 1) // 2, out)
+    return _roll2(g, (g.shape[-2] + 1) // 2, (g.shape[-1] + 1) // 2)
 
 
 def window(shape: tuple[int, int], offset: tuple[int, int],
@@ -144,15 +143,15 @@ def phase_unit(z: np.ndarray, fill=1.0 + 0.0j, *, modulus=None) -> np.ndarray:
     return u
 
 
-def wrap_phase(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Wrap phases into (-pi, pi], into ``out`` (which may be ``p``) when given.
+def wrap_phase(p: np.ndarray) -> np.ndarray:
+    """Wrap phases into (-pi, pi], in a new array.
 
     Bitwise ``remainder(p + pi, 2 pi) - pi`` with -pi mapped to +pi. The
     remainder is skipped when ``p + pi`` lies in [0, 2 pi], as it does for
     every ``np.arctan2`` output: it is the identity there, bar 2 pi, which
     ends at +pi either way. NaN fails that check.
     """
-    out = np.add(np.asarray(p, dtype=np.float64), np.pi, out=out)
+    out = np.asarray(p, dtype=np.float64) + np.pi
     low = out.min() if out.size else np.nan
     in_range = low >= 0.0 and out.max() <= 2.0 * np.pi
     if not in_range:

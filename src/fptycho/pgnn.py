@@ -39,8 +39,7 @@ from . import kernels
 from .epie import (ap_project, initial_object_spectrum, measured_amplitudes,
                    spectral_misfit, sweep, traversal_order)
 from .errors import DimensionMismatch
-from .field import (dft2, center_shift, idft2, inverse_center_shift,
-                    window, wrap_phase)
+from .field import dft2, center_shift, idft2, inverse_center_shift, window, wrap_phase
 from .optics import (OpticalConfig, ZernikeBasis, illumination_offsets,
                      make_ctf, pupil_support, zernike_basis)
 
@@ -87,17 +86,11 @@ class PgnnConfig:
 @dataclass
 class Moments:
     """Adam state of one parameter array: first/second moments over its float
-    view, the count ``t`` of steps taken, and the (2, n >= size) scratch of
-    ``kernels.adam_update`` (a packed copy borrows its whole array's)."""
+    view and the count ``t`` of steps taken."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    work: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.work is None:
-            self.work = np.empty((2, self.m.size))
 
     @classmethod
     def like(cls, view: np.ndarray) -> "Moments":
@@ -162,14 +155,6 @@ class PgnnModel:
         self.area_low = cfg.low_rows * cfg.low_cols
         self.order = traversal_order(cfg)
         self.tv = pcfg.tv_alpha1 > 0.0 or pcfg.tv_alpha2 > 0.0
-        # the dense object-spectrum gradient of a TV step (see
-        # ObjectStage.gradient), and the scratch grids of tv_penalty: with them a
-        # dense object step allocates no full-grid temporaries, whose cost
-        # would hang on the allocator
-        if self.tv:
-            self.g_object = np.empty(self.high_shape, dtype=np.complex128)
-            self.tv_complex = np.empty((2, *self.high_shape), dtype=np.complex128)
-            self.tv_real = np.empty((3 + kernels.TV_WORK_ROWS, *self.high_shape))
 
     # -- state ------------------------------------------------------------
 
@@ -208,61 +193,43 @@ class PgnnModel:
         return ForwardResult(residual=residual, target=target,
                              data_loss=float(np.vdot(residual, residual).real))
 
-    def spatial_object(self, state: PgnnState, out: np.ndarray | None = None,
-                       shifted: np.ndarray | None = None) -> np.ndarray:
-        """Physical-units high-res object from the mean-normalized state;
-        ``out`` and ``shifted`` are optional grids for it and for the
-        inverse-shifted spectrum."""
+    def spatial_object(self, state: PgnnState) -> np.ndarray:
+        """Physical-units high-res object from the mean-normalized state."""
         rows, cols = self.high_shape
-        spatial = idft2(inverse_center_shift(state.object_spectrum, shifted), out)
+        spatial = idft2(inverse_center_shift(state.object_spectrum))
         spatial *= rows * cols
         return spatial
 
-    def tv_penalty(self, state: PgnnState) -> float:
-        """TV penalty; with TV on, its object-spectrum gradient fills ``g_object``."""
+    def tv_penalty(self, state: PgnnState) -> tuple[float, np.ndarray]:
+        """TV penalty and its object-spectrum gradient (0.0 and zeros with TV off)."""
         if not self.tv:
-            return 0.0
+            return 0.0, np.zeros(self.high_shape, dtype=np.complex128)
         pcfg = self.pcfg
-        # every full-grid temporary lives in the scratch grids; each line
-        # keeps the operand order of the plain expression, so the bits match
-        spatial, term = self.tv_complex
-        g_spatial = self.g_object
-        amp, guarded, phase = self.tv_real[:3]
-        work = self.tv_real[3:]
-        self.spatial_object(state, out=spatial, shifted=term)
-        np.abs(spatial, out=amp)
+        spatial = self.spatial_object(state)
+        amp = np.abs(spatial)
         value = 0.0
-        g_spatial.fill(0.0)
-        np.maximum(amp, AMP_FLOOR, out=guarded)
+        g_spatial = np.zeros_like(spatial)
+        guarded = np.maximum(amp, AMP_FLOOR)
         if pcfg.tv_alpha1 > 0.0:
-            value += pcfg.tv_alpha1 * kernels.tv_value(amp, work)
-            ga = kernels.tv_grad(amp, work)
-            # g_spatial += alpha1 * ga * (spatial / guarded)
-            ga *= pcfg.tv_alpha1
-            g_spatial += np.multiply(ga, np.divide(spatial, guarded, out=term), out=term)
+            value += pcfg.tv_alpha1 * kernels.tv_value(amp)
+            g_spatial += pcfg.tv_alpha1 * kernels.tv_grad(amp) * (spatial / guarded)
         if pcfg.tv_alpha2 > 0.0:
-            # np.angle(spatial), wrapped
-            wrap_phase(np.arctan2(spatial.imag, spatial.real, out=phase), out=phase)
-            value += pcfg.tv_alpha2 * kernels.tv_value(phase, work)
-            gp = kernels.tv_grad(phase, work)
-            # g_spatial += alpha2 * gp * (1j * spatial / (guarded * guarded))
-            gp *= pcfg.tv_alpha2
-            guarded *= guarded
-            np.divide(np.multiply(1j, spatial, out=term), guarded, out=term)
-            g_spatial += np.multiply(gp, term, out=term)
+            phase = wrap_phase(np.angle(spatial))
+            value += pcfg.tv_alpha2 * kernels.tv_value(phase)
+            g_spatial += (pcfg.tv_alpha2 * kernels.tv_grad(phase)
+                          * (1j * spatial / (guarded * guarded)))
         # adjoint of the mean-normalized synthesis (idft2 * pixel count):
         # the 1/N of idft2 cancels, leaving the plain forward transform
-        center_shift(dft2(g_spatial, out=term), out=self.g_object)
-        return value
+        return value, center_shift(dft2(g_spatial))
 
     def total_loss(self, state: PgnnState, n: int) -> float:
-        return self.forward(state, n).data_loss + self.tv_penalty(state)
+        return self.forward(state, n).data_loss + self.tv_penalty(state)[0]
 
     def dataset_loss(self, state: PgnnState) -> float:
         """Frozen-state total loss accumulated over every image."""
         data = spectral_misfit(self.area_low * state.object_spectrum,
                                self.pupil(state), self.amplitudes, self.cfg)
-        return data + len(self.amplitudes) * self.tv_penalty(state)
+        return data + len(self.amplitudes) * self.tv_penalty(state)[0]
 
     # -- gradients and optimization ----------------------------------------
 
@@ -283,8 +250,7 @@ class PgnnModel:
             pupil, phase_factor = self.basis.pupil(state.pupil_amp, state.zern_coeffs)
             phase_factor, weight = phase_factor.reshape(-1), np.empty(self.cfg.low_shape)
         fw = self.forward(state, n, pupil)
-        self.tv_penalty(state)
-        g_object = self.g_object.copy() if self.tv else np.zeros_like(state.object_spectrum)
+        g_object = self.tv_penalty(state)[1]
         g_object[self.windows[n]] += 2.0 * self.area_low * np.conj(pupil) * fw.residual
         g_pupil = _pupil_gradient(self, state, n, fw.residual, ..., pupil.reshape(-1),
                                   phase_factor, weight)
@@ -333,12 +299,12 @@ class ObjectStage:
     any window or a nonzero moment holds (with TV, the grid). Off the box Adam's update
     is pure decay, which keeps +0.0 moments and parameters (and no step makes a -0.0
     moment; see ``kernels.adam_update``). Unless the box is the grid, ``spectrum``
-    (whose float view is ``params``) and ``moments`` are packed copies of it on the
-    state's Adam scratch, which ``close`` writes back; ``blocks`` holds per window its
-    part in the box and gradient support in ``params``. With TV the stage evaluates
-    the penalty and its dense gradient every ``TV_REFRESH`` of its ``steps`` and holds
-    them (``tv_value``, ``tv_gradient``) in between (lazy regularization, Karras et
-    al., CVPR 2020)."""
+    (whose float view is ``params``) and ``moments`` are packed copies of it, which
+    ``close`` writes back; ``blocks`` holds per window its part in the box and gradient
+    support in ``params``. With TV the stage evaluates the penalty and its dense
+    gradient every ``TV_REFRESH`` of its ``steps`` and holds them (``tv_value``,
+    ``tv_gradient``) in between (lazy regularization, Karras et al., CVPR 2020); each
+    step copies the held gradient into its ``grad`` and adds its data gradient there."""
 
     def __init__(self, model: PgnnModel, state: PgnnState):
         self.model, self.state = model, state
@@ -359,8 +325,7 @@ class ObjectStage:
         self.spectrum, self.moments = state.object_spectrum, mom
         if self.spectrum[self.box].shape != model.high_shape:
             self.spectrum = self.spectrum[self.box].copy()
-            self.moments = Moments(mom.m[self.fbox].copy(), mom.v[self.fbox].copy(),
-                                   mom.t, mom.work)
+            self.moments = Moments(mom.m[self.fbox].copy(), mom.v[self.fbox].copy(), mom.t)
         self.params, self.lr = self.spectrum.view(np.float64), model.pcfg.lr_object
         self.blocks = []
         for rs, cs in model.windows:
@@ -368,14 +333,15 @@ class ObjectStage:
             hit = slice(r + rr.start, r + rr.stop), slice(c + 2 * rc.start, c + 2 * rc.stop)
             self.blocks.append(((_within(rs, br), _within(cs, bc)), hit))
         self.tv_value = 0.0
-        if model.tv:
-            self.steps, self.tv_gradient = 0, np.empty_like(model.g_object)
+        if model.tv:   # step 0 refreshes the held penalty
+            self.steps, self.tv_gradient = 0, None
+            self.grad = np.empty(model.high_shape, dtype=np.complex128)
 
     def gradient(self, n: int) -> tuple[np.ndarray, object, float]:
         """Image n's object gradient as float64, its ``support`` in ``params`` and the
         data term, taken on the reach alone (off it, it is +-0.0, which Adam may skip)
         once window n's part of a packed box is copied into the state for ``forward``;
-        with TV, added onto a copy of the held TV gradient in the model's ``g_object``."""
+        with TV, added onto the copy of the held TV gradient in ``grad``."""
         model, state = self.model, self.state
         part, support = self.blocks[n]
         if self.spectrum is not state.object_spectrum:
@@ -385,13 +351,11 @@ class ObjectStage:
         if not model.tv:
             return data, support, fw.data_loss
         if self.steps % TV_REFRESH == 0:
-            self.tv_value = model.tv_penalty(state)
-            np.copyto(self.tv_gradient, model.g_object)
-        else:
-            np.copyto(model.g_object, self.tv_gradient)
+            self.tv_value, self.tv_gradient = model.tv_penalty(state)
         self.steps += 1
-        model.g_object.view(np.float64)[support] += data   # the box is the grid
-        return model.g_object.view(np.float64), ..., fw.data_loss
+        np.copyto(self.grad, self.tv_gradient)
+        self.grad.view(np.float64)[support] += data   # the box is the grid
+        return self.grad.view(np.float64), ..., fw.data_loss
 
     def close(self) -> None:
         """Write a packed box (spectrum, moments and step count) back into the state."""
@@ -407,11 +371,10 @@ class PupilStage:
     the capture grid and ``at`` the entries Adam steps in the flattened ``pupil_view``:
     a free pupil's re and im there, or a Zernike pupil's amplitude there and its
     coefficients (a rate per entry in ``lr``; Adam is elementwise, so the bits of
-    separate steps). ``params`` and ``moments`` are packed copies of those entries on
-    the state's Adam scratch, which ``close`` writes back. ``gradient`` scatters the
-    pupil into the capture grid ``pupil`` for ``forward`` and a Zernike pupil's
-    coefficient weight into ``weight``, both zero off the support. It holds the TV
-    penalty."""
+    separate steps). ``params`` and ``moments`` are packed copies of those entries,
+    which ``close`` writes back. ``gradient`` scatters the pupil into the capture grid
+    ``pupil`` for ``forward`` and a Zernike pupil's coefficient weight into ``weight``,
+    both zero off the support. It holds the TV penalty."""
 
     def __init__(self, model: PgnnModel, state: PgnnState):
         self.model, self.state = model, state
@@ -428,10 +391,9 @@ class PupilStage:
             self.lr = np.repeat([pcfg.lr_pupil_amp, pcfg.lr_zern], [index.size, count])
             self.weight = np.zeros(model.cfg.low_shape)
         self.params = state.pupil_view.reshape(-1)[self.at]
-        self.moments = Moments(mom.m.reshape(-1)[self.at], mom.v.reshape(-1)[self.at],
-                               mom.t, mom.work)
+        self.moments = Moments(mom.m.reshape(-1)[self.at], mom.v.reshape(-1)[self.at], mom.t)
         self.pupil = np.zeros(model.cfg.low_shape, dtype=np.complex128)
-        self.tv_value = model.tv_penalty(state)
+        self.tv_value = model.tv_penalty(state)[0] if model.tv else 0.0
 
     def gradient(self, n: int) -> tuple[np.ndarray, object, float]:
         """``_pupil_gradient`` at image n on ``params``, and the data term. The Zernike
@@ -506,4 +468,4 @@ def adam_step(param_view: np.ndarray, grad_view: np.ndarray, moments: Moments,
     moments.t += 1
     kernels.adam_update(param_view, grad_view, moments.m, moments.v, support, lr,
                         ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA1 ** moments.t,
-                        1.0 - ADAM_BETA2 ** moments.t, ADAM_EPS, moments.work)
+                        1.0 - ADAM_BETA2 ** moments.t, ADAM_EPS)

@@ -66,9 +66,9 @@ def ap_misfit(spatial: np.ndarray, pupil: np.ndarray,
 
 
 def allocating_adam(p, g, m, v, lr, beta1, beta2, bc1, bc2, eps) -> None:
-    """The allocating Adam expression that ``kernels.adam_update``
-    replaced, temporaries and all: the bitwise reference for its scratch
-    version."""
+    """The plain Adam expression on a zero-filled gradient: the bitwise
+    reference for ``kernels.adam_update``, which adds its gradient terms on a
+    block alone and skips a rounded bias correction."""
     np.multiply(m, beta1, out=m)
     m += (1.0 - beta1) * g
     np.multiply(v, beta2, out=v)
@@ -123,7 +123,7 @@ def fd_check(seed: int, use_zernike: bool, alpha: float,
     def frozen_loss() -> float:
         predicted = model.predicted_spectrum(state, n)
         diff = predicted - target
-        return float(np.vdot(diff, diff).real) + model.tv_penalty(state)
+        return float(np.vdot(diff, diff).real) + model.tv_penalty(state)[0]
 
     grads = model.gradients(state, n)
     assert grads.keys() == state.moments.keys()

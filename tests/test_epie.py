@@ -17,7 +17,7 @@ from fptycho.field import (center_shift, dft2, idft2, inverse_center_shift,
                            phase_unit, window)
 from fptycho.optics import (Illumination, OpticalConfig, illumination_offsets,
                             make_ctf)
-from fptycho.pgnn import PgnnModel
+from fptycho.pgnn import PgnnModel, run_pgnn
 
 
 # -- amplitude projection --------------------------------------------------
@@ -421,6 +421,17 @@ def test_measured_amplitudes_needs_one_image_per_illumination(small_instance):
     for wrong in (images[:1], images + images[:1]):
         with pytest.raises(DimensionMismatch, match="illuminations"):
             measured_amplitudes(wrong, cfg)
+
+
+@pytest.mark.parametrize("engine", ["epie", "pgnn"])
+def test_a_config_without_leds_is_a_dimension_mismatch(small_instance, engine):
+    """``measured_amplitudes`` names the empty LED list; past it, both
+    engines would fail with a bare IndexError on the first LED of an empty
+    traversal order."""
+    cfg = dataclasses.replace(small_instance[0], illuminations=())
+    run = run_epie if engine == "epie" else run_pgnn
+    with pytest.raises(DimensionMismatch, match="no illuminations"):
+        run([], cfg)
 
 
 @pytest.mark.parametrize("kind", ["literal", "conventional", "fixed"])

@@ -1,5 +1,6 @@
-"""Scratch-buffer Adam and TV against the allocating expressions they
-replaced."""
+"""The Adam and TV kernels against the plain allocating expressions whose
+bits they keep: Adam adds its gradient terms on a block alone, and TV runs on
+contiguous views of one array."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from conftest import allocating_adam
 from fptycho import kernels
-from fptycho.errors import DimensionMismatch
 
 
 def _signed_zeros(rng, n):
@@ -27,7 +27,6 @@ def test_scratch_adam_is_bitwise_the_allocating_expression(n, seed):
     p = _signed_zeros(rng, n)
     ref = [p.copy(), np.zeros(n), np.zeros(n)]
     new = [p.copy(), np.zeros(n), np.zeros(n)]
-    work = np.full((2, n), np.nan)
     b1, b2, eps = 0.9, 0.999, 1e-8
     for t in range(1, 61):
         g = _signed_zeros(rng, n)
@@ -36,7 +35,7 @@ def test_scratch_adam_is_bitwise_the_allocating_expression(n, seed):
         lr = float(rng.choice([1e-5, 1e-3, 0.3]))
         args = (lr, b1, b2, 1.0 - b1 ** t, 1.0 - b2 ** t, eps)
         allocating_adam(ref[0], g, ref[1], ref[2], *args)
-        kernels.adam_update(new[0], g, new[1], new[2], ..., *args, work)
+        kernels.adam_update(new[0], g, new[1], new[2], ..., *args)
         for a, b in zip(ref, new):
             assert a.tobytes() == b.tobytes(), f"step {t}"
 
@@ -73,7 +72,6 @@ def test_window_support_adam_is_bitwise_the_full_grid_expression(data):
         t += 1
         allocating_adam(ref[0], grid((rows, cols)), ref[1], ref[2], *args())
     new = [a.copy() for a in ref]
-    work = np.full((2, rows * cols + 3), np.nan)
     for _ in range(data.draw(st.integers(1, 3))):
         t += 1
         r0 = data.draw(st.integers(0, rows))
@@ -86,7 +84,7 @@ def test_window_support_adam_is_bitwise_the_full_grid_expression(data):
         full[support] = g
         step = args()
         allocating_adam(ref[0], full, ref[1], ref[2], *step)
-        kernels.adam_update(new[0], g, new[1], new[2], support, *step, work)
+        kernels.adam_update(new[0], g, new[1], new[2], support, *step)
         for a, b in zip(ref, new):
             assert a.tobytes() == b.tobytes(), f"step {t}, support {support}"
 
@@ -118,14 +116,14 @@ def test_adam_skips_a_rounded_bias_correction_at_the_same_bits(t, block,
     new = [a.copy() for a in start]
     lr = np.repeat(rates, 24).reshape(shape) if per_entry_rate else rates[0]
     kernels.adam_update(new[0], full[support].copy(), new[1], new[2], support,
-                        lr, b1, b2, *bcs, eps, np.full((2, 48), np.nan))
+                        lr, b1, b2, *bcs, eps)
     for a, b in zip(ref, new):
         assert a.tobytes() == b.tobytes()
 
 
 def allocating_tv(img):
-    """The allocating TV value and gradient that the scratch ``tv_value`` and
-    ``tv_grad`` replaced: the bitwise reference for them."""
+    """The plain TV value and gradient, on strided slices: the bitwise
+    reference for ``tv_value`` and ``tv_grad``."""
     dr = np.zeros_like(img)
     dc = np.zeros_like(img)
     dr[:-1, :] = img[1:, :] - img[:-1, :]
@@ -155,20 +153,8 @@ _SIGNED_ZERO_COLUMN = np.array([[0.0, 0.0], [-0.0, 0.0], [-0.0, 1.0]])
     ids=["x".join(map(str, shape)) for shape in _TV_SHAPES] + ["signed_zero_column"])
 def test_scratch_tv_is_bitwise_the_allocating_expression(img):
     value, grad = allocating_tv(img)
-    work = np.full((kernels.TV_WORK_ROWS, *img.shape), np.nan)
-    for scratch in (None, work, work):      # fresh, then reused scratch
-        assert kernels.tv_value(img, scratch) == value
-        assert kernels.tv_grad(img, scratch).tobytes() == grad.tobytes()
-
-
-def test_tv_rejects_a_strided_scratch_array():
-    """A reshape of a strided scratch array copies, and the differences
-    written into that copy would be lost."""
-    img = _tv_image((6, 5))
-    work = np.empty((kernels.TV_WORK_ROWS, 6, 10))[:, :, ::2]
-    for kernel in (kernels.tv_value, kernels.tv_grad):
-        with pytest.raises(DimensionMismatch, match="C-contiguous"):
-            kernel(img, work)
+    assert kernels.tv_value(img) == value
+    assert kernels.tv_grad(img).tobytes() == grad.tobytes()
 
 
 @pytest.mark.parametrize("count", [9, 1])

@@ -150,7 +150,7 @@ def test_dataset_loss_equals_the_per_image_forward_losses(small_instance, pcfg):
     for n in range(len(images)):
         data += model.forward(state, n).data_loss
     assert (model.dataset_loss(state)
-            == data + len(images) * model.tv_penalty(state))
+            == data + len(images) * model.tv_penalty(state)[0])
 
 
 def test_total_loss_recomposes_from_its_three_terms(small_instance):
@@ -181,7 +181,7 @@ def test_constant_object_has_zero_tv_penalty(small_instance):
     state = model.initial_state()
     state.object_spectrum[:] = 0.0
     state.object_spectrum[16, 16] = 0.7     # DC-only spectrum, constant field
-    penalty = model.tv_penalty(state)
+    penalty = model.tv_penalty(state)[0]
     # the smoothed potential contributes sqrt(TV_EPS) per pixel, nothing more
     floor = (1e-3 + 1e-3) * (32 * 32) * np.sqrt(1e-8)
     assert penalty <= floor * (1 + 1e-9)
@@ -230,8 +230,8 @@ def test_tv_grad_matches_finite_differences():
 
 
 def allocating_tv_eval(model, state):
-    """The allocating TV evaluation that ``PgnnModel.tv_penalty`` replaced with
-    scratch grids: the bitwise reference for it."""
+    """The TV value and object-spectrum gradient from the plain expression:
+    the bitwise reference for ``PgnnModel.tv_penalty``."""
     pcfg = model.pcfg
     spatial = model.spatial_object(state)
     amp = np.abs(spatial)
@@ -261,7 +261,7 @@ def test_scratch_tv_eval_is_bitwise_the_allocating_expression(small_instance, al
         else:
             state.object_spectrum += 0.05 * (rng.standard_normal((32, 32))
                                              + 1j * rng.standard_normal((32, 32)))
-        value, grad = model.tv_penalty(state), model.g_object
+        value, grad = model.tv_penalty(state)
         ref_value, ref_grad = allocating_tv_eval(model, state)
         assert value == ref_value
         assert grad.tobytes() == ref_grad.tobytes()
@@ -269,8 +269,8 @@ def test_scratch_tv_eval_is_bitwise_the_allocating_expression(small_instance, al
 
 @pytest.mark.parametrize("alphas", [(0.0, 0.0), (2e-3, 3e-3)], ids=["no_tv", "tv"])
 def test_gradients_leave_the_object_gradient_grid_clean(small_instance, alphas):
-    """The model reuses one object-gradient grid: a call for another image
-    sees none of the previous call's window."""
+    """A call for another image sees none of the previous call's window:
+    the object gradient starts from a fresh grid each call."""
     cfg, _, images = small_instance
     pcfg = PgnnConfig(tv_alpha1=alphas[0], tv_alpha2=alphas[1])
     model = PgnnModel(images, cfg, pcfg)
@@ -325,36 +325,34 @@ def _grid_256(pcfg: PgnnConfig):
     return model, model.initial_state()
 
 
-def test_tv_object_step_allocates_no_full_grid():
-    """Every full-grid temporary of a TV object step lives in the model's
-    scratch grids. Steps that allocate and free dozens of them run at a
-    speed set by the allocator's history (fresh pages or reused heap).
-    The TV kernels run no ufunc on a strided view, so numpy's buffered
-    iterator (np.getbufsize() elements per operand, 192 KB for three
-    float64 operands) never runs, and ``wrap_phase`` takes no full-grid
-    mask for in-range phases. What remains is numpy's casting buffer for
-    the complex-by-real ufuncs (8192 complex128 values, 128 KB): the peak
-    was 146,536 B, under 9/32 of a 256x256 float64 grid (147,456 B). The
-    loop crosses steps that refresh the held TV penalty and steps that copy
-    its held gradient."""
+def test_tv_object_steps_allocate_a_bounded_number_of_grids():
+    """Counted in 256x256 float64 grids, a TV object step's transient peak is
+    Adam's temporaries on the whole complex spectrum, 4 grids (measured 4
+    grids and 56 B), when it holds the TV penalty, which it copies into the
+    stage's gradient grid. A refresh step evaluates the penalty first, and its
+    peak there is 13 grids (measured 13 grids and 1,508 B). A held step that
+    re-evaluated TV, or a full-grid temporary added at either peak, would
+    break the bound."""
     model, state = _grid_256(PgnnConfig(tv_alpha1=1e-3, tv_alpha2=1e-3))
     stage = ObjectStage(model, state)
+    grid = np.empty(model.high_shape).nbytes
     model.step(state, 0, stage)
-    tracemalloc.start()
-    try:
-        for n in range(len(model.windows)):
+    for n in range(1, 2 * TV_REFRESH + 1):
+        tracemalloc.start()
+        try:
             model.step(state, n, stage)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert stage.steps > 2 * TV_REFRESH
-    assert peak < 9 * np.empty(model.high_shape).nbytes // 32
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grids = 13 if n % TV_REFRESH == 0 else 4
+        assert peak < grids * grid + grid // 8, f"step {n}"
+    assert stage.steps == 2 * TV_REFRESH + 1
 
 
 def test_object_step_without_tv_allocates_no_full_grid():
     """Without TV the object step hands Adam the data gradient on its window
-    alone: no full-grid gradient exists, and Adam's temporaries live in its
-    scratch, so what a step allocates is a few window-sized arrays."""
+    alone: no full-grid gradient exists, and Adam's temporaries are the size
+    of the packed box, so what a step allocates is a few window-sized arrays."""
     model, state = _grid_256(PgnnConfig())
     stage = ObjectStage(model, state)
     model.step(state, 0, stage)
@@ -376,11 +374,10 @@ def _object_size(obj) -> int:
 
 
 def test_opening_an_object_stage_without_tv_allocates_no_adam_scratch():
-    """Without TV the packed moments borrow the state's Adam scratch, and the
-    live box is found with no grid-sized temporary: opening the stage
-    allocates its packed spectrum, m and v, the pupil and its weight, the
-    blocks and a few small objects (measured 1.7 KB), but no (2, box)
-    scratch, which is m and v again (9,248 B on this 17x17 box)."""
+    """Without TV the live box is found with no grid-sized temporary: opening
+    the stage allocates its packed spectrum, m and v, the pupil and its
+    weight, the blocks and a few small objects (measured 1.7 KB), and no
+    other box- or grid-sized array (m and v are 9,248 B on this 17x17 box)."""
     model, state = _grid_256(PgnnConfig())
     tracemalloc.start()
     try:
@@ -389,17 +386,15 @@ def test_opening_an_object_stage_without_tv_allocates_no_adam_scratch():
     finally:
         tracemalloc.stop()
     assert stage.moments is not state.moments["object"]
-    assert stage.moments.work is state.moments["object"].work
     arrays = (stage.spectrum, stage.moments.m, stage.moments.v, stage.pupil, stage.weight)
     assert peak < sum(a.nbytes for a in arrays) + _object_size(stage.blocks) + 4096
 
 
 @pytest.mark.parametrize("modes", [9, None], ids=["zernike", "free_pupil"])
 def test_opening_a_pupil_stage_allocates_no_adam_scratch(small_instance, modes):
-    """The packed moments borrow the state's Adam scratch: opening a pupil
-    stage allocates its packed parameters, moments and rates, the support's
-    indices, the two capture grids it scatters into and a few small objects,
-    and nothing per window."""
+    """Opening a pupil stage allocates its packed parameters, moments and
+    rates, the support's indices, the two capture grids it scatters into and
+    a few small objects, and nothing per window."""
     cfg, _, images = small_instance
     model = PgnnModel(images, cfg, PgnnConfig(zernike_modes=modes))
     state = model.initial_state()
@@ -409,7 +404,6 @@ def test_opening_a_pupil_stage_allocates_no_adam_scratch(small_instance, modes):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert stage.moments.work is state.moments["pupil"].work
     arrays = [stage.params, stage.moments.m, stage.moments.v, stage.lr, stage.index,
               stage.at, stage.pupil, stage.weight]
     assert peak < sum(np.asarray(a).nbytes for a in arrays if a is not None) + 4096
@@ -881,7 +875,7 @@ def test_run_stage_across_the_rounded_bias_correction_matches_the_loop(
 def test_object_adam_rows_span_the_rows_the_data_reaches(small_instance):
     """The box spans the rows and columns the windows' reach covers; its
     arrays are packed copies. A pupil stage packs the support's amplitudes
-    and the coefficients, on the state's Adam scratch."""
+    and the coefficients."""
     cfg, _, images = small_instance
     model = PgnnModel(images, cfg, PgnnConfig())
     state = model.initial_state()
@@ -895,7 +889,6 @@ def test_object_adam_rows_span_the_rows_the_data_reaches(small_instance):
     count = int(model.support.sum()) + model.basis.count
     assert stage.params.shape == (count,) and stage.params.flags.c_contiguous
     assert not np.shares_memory(stage.params, state.pupil_params)
-    assert stage.moments.work is state.moments["pupil"].work
 
 
 def test_tv_object_adam_runs_on_every_row(small_instance):
