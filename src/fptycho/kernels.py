@@ -5,9 +5,9 @@ These run tens of thousands of times per reconstruction. Callers reach them
 as ``kernels.<name>`` attributes, so a profiler can wrap each one by name.
 
 ``adam_update`` decays the moments and steps the arrays it is given (a
-``pgnn`` object stage packs its live box of the spectrum, a pupil stage the
-pupil's support), but adds gradient terms only on the block ``support`` the
-gradient covers.
+``pgnn`` object stage packs its live box of the spectrum, a pupil stage steps the
+pupil as stored, on its support), but adds gradient terms only on the block
+``support`` the gradient covers.
 ``tv_value`` and ``tv_grad`` run every ufunc on contiguous views (row blocks,
 or the flat grid for the column differences) of one new array: on a strided
 column view numpy goes through its buffered iterator, which allocates and
@@ -27,12 +27,11 @@ TV_EPS = 1e-8
 
 
 def _differences(img: np.ndarray) -> np.ndarray:
-    """A new (5, rows, cols) array: the forward differences dr and dc (zero on
-    the last row/col) and their squared norm in rows 0-2, then a temporary and
-    room for tv_grad's result."""
+    """A new (4, rows, cols) array: the forward differences dr and dc (zero on
+    the last row/col) and their squared norm in rows 0-2, then a temporary."""
     img = np.ascontiguousarray(img, dtype=np.float64)
-    work = np.empty((5,) + img.shape)
-    dr, dc, s2, tmp = work[:4]
+    work = np.empty((4,) + img.shape)
+    dr, dc, s2, tmp = work
     dr[-1, :] = 0.0
     np.subtract(img[1:, :], img[:-1, :], out=dr[:-1, :])
     # dc on the flat grid: each row's last entry wraps into the next row,
@@ -57,10 +56,10 @@ def tv_value(img: np.ndarray) -> float:
 
 def tv_grad(img: np.ndarray) -> np.ndarray:
     """Exact gradient of tv_value with respect to every pixel."""
-    dr, dc, w, tmp, grad = _differences(img)
+    dr, dc, w, tmp = _differences(img)
     w += TV_EPS
     w **= -0.5
-    np.negative(w, out=grad)
+    grad = np.negative(w)
     grad *= np.add(dr, dc, out=tmp)
     grad[1:, :] += np.multiply(w, dr, out=tmp)[:-1, :]
     # the column scatter on the flat grid: each row's last entry lands on the

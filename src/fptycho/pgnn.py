@@ -2,7 +2,8 @@
 
 The learnable parameters are the DC-centered object spectrum as two real
 channels, and the pupil either as amplitude-plus-Zernike-phase (zernike_modes
-set) or as a free complex grid (zernike_modes None). The stored spectrum is
+set) or as free complex entries (zernike_modes None), stored on the pupil's
+support alone: nothing off the coherent passband is learned. The stored spectrum is
 mean-normalized (the DC bin equals the spatial mean of the object), so
 parameter magnitudes stay O(1) regardless of grid size and one learning rate
 serves every dataset; the forward model reapplies the window pixel count when
@@ -18,10 +19,10 @@ step on the active parameter group against
 
 Stages alternate: odd stages (1-based) update the object, even stages the
 pupil. An ``ObjectStage`` or ``PupilStage`` holds what the frozen group fixes
-for the whole stage and packed copies of the entries Adam steps (the object's
-live box, the pupil's support and coefficients); ``run_stage`` opens one,
-sweeps ``step`` over the images and closes it, which writes them back.
-``gradients`` and ``total_loss`` hold nothing.
+for the whole stage; an object stage also holds a packed copy of the object's
+live box, which its ``close`` writes back, while a pupil stage steps the
+state's packed pupil itself. ``run_stage`` opens one, sweeps ``step`` over the
+images and closes it. ``gradients`` and ``total_loss`` hold nothing.
 
 All gradients are true real-parameter gradients (for a complex array they are
 d/dRe + i*d/dIm), verified against central finite differences of the
@@ -41,7 +42,7 @@ from .epie import (ap_project, initial_object_spectrum, measured_amplitudes,
 from .errors import DimensionMismatch
 from .field import dft2, center_shift, idft2, inverse_center_shift, window, wrap_phase
 from .optics import (OpticalConfig, ZernikeBasis, illumination_offsets,
-                     make_ctf, pupil_support, zernike_basis)
+                     pupil_support, zernike_basis)
 
 AMP_FLOOR = 1e-12  # guards divisions by |object| in the TV chain
 TV_REFRESH = 4  # object steps per TV evaluation; the held penalty serves the rest
@@ -99,32 +100,19 @@ class Moments:
 
 @dataclass
 class PgnnState:
-    object_spectrum: np.ndarray          # complex128 (high), centered, mean-normalized
-    pupil_params: np.ndarray | None = None  # Zernike: amplitude (pupil_shape), coefficients
-    pupil_shape: tuple[int, int] | None = None
-    pupil_free: np.ndarray | None = None   # complex128 (low) otherwise
+    object_spectrum: np.ndarray   # complex128 (high), centered, mean-normalized
+    # float64, the pupil on its support (PgnnModel.index): a Zernike pupil's
+    # amplitudes then its zernike_modes coefficients, or a free pupil's re/im interleaved
+    pupil_params: np.ndarray
+    zernike_modes: int | None = None
     moments: dict[str, Moments] = field(default_factory=dict)
-
-    # views of pupil_params, its one stored copy, so a copied state stays whole
-    @property
-    def pupil_amp(self) -> np.ndarray | None:
-        if self.pupil_params is None:
-            return None
-        area = math.prod(self.pupil_shape)
-        return self.pupil_params[:area].reshape(self.pupil_shape)
 
     @property
     def zern_coeffs(self) -> np.ndarray | None:
-        if self.pupil_params is None:
+        """The Zernike coefficients, a view of the tail of ``pupil_params``."""
+        if self.zernike_modes is None:
             return None
-        return self.pupil_params[math.prod(self.pupil_shape):]
-
-    @property
-    def pupil_view(self) -> np.ndarray:
-        """The float64 array a pupil step updates (a free pupil's re/im interleaved)."""
-        if self.pupil_free is None:
-            return self.pupil_params
-        return self.pupil_free.view(np.float64)
+        return self.pupil_params[self.pupil_params.size - self.zernike_modes:]
 
 
 @dataclass(frozen=True)
@@ -143,6 +131,7 @@ class PgnnModel:
         self.cfg = cfg
         self.pcfg = pcfg
         self.support = pupil_support(cfg)
+        self.index = np.flatnonzero(self.support)   # the support's flat capture-grid indices
         self.basis: ZernikeBasis | None = (
             None if pcfg.zernike_modes is None
             else zernike_basis(cfg, pcfg.zernike_modes))
@@ -160,21 +149,26 @@ class PgnnModel:
 
     def initial_state(self) -> PgnnState:
         """Same starting point as the AP baseline: up-sampled sqrt of the
-        most-axial capture with zero phase, binary CTF pupil."""
+        most-axial capture with zero phase, binary CTF pupil (1 on the support)."""
         spectrum = initial_object_spectrum(self.amplitudes, self.cfg) / self.area_low
         if self.basis is None:
-            state = PgnnState(spectrum, pupil_free=make_ctf(self.cfg))
+            params = np.ones(self.index.size, dtype=np.complex128).view(np.float64)
         else:
-            params = np.append(make_ctf(self.cfg).real, np.zeros(self.basis.count))
-            state = PgnnState(spectrum, pupil_params=params, pupil_shape=self.cfg.low_shape)
-        state.moments = {"object": Moments.like(spectrum.view(np.float64)),
-                         "pupil": Moments.like(state.pupil_view)}
-        return state
+            params = np.append(np.ones(self.index.size), np.zeros(self.basis.count))
+        return PgnnState(spectrum, params, self.pcfg.zernike_modes,
+                         {"object": Moments.like(spectrum.view(np.float64)),
+                          "pupil": Moments.like(params)})
 
     def pupil(self, state: PgnnState) -> np.ndarray:
+        """The capture-grid pupil: ``state.pupil_params`` scattered onto the
+        support, +0.0 off it; a Zernike phase is synthesised on the whole grid."""
         if self.basis is None:
-            return state.pupil_free
-        return self.basis.pupil(state.pupil_amp, state.zern_coeffs)[0]
+            pupil = np.zeros(self.cfg.low_shape, dtype=np.complex128)
+            pupil.reshape(-1)[self.index] = state.pupil_params.view(np.complex128)
+            return pupil
+        amp = np.zeros(self.cfg.low_shape)
+        amp.reshape(-1)[self.index] = state.pupil_params[:self.index.size]
+        return self.basis.pupil(amp, state.zern_coeffs)[0]
 
     # -- forward and loss --------------------------------------------------
 
@@ -201,9 +195,10 @@ class PgnnModel:
         return spatial
 
     def tv_penalty(self, state: PgnnState) -> tuple[float, np.ndarray]:
-        """TV penalty and its object-spectrum gradient (0.0 and zeros with TV off)."""
+        """TV penalty and its object-spectrum gradient (with TV off, 0.0 and a
+        read-only zero grid that allocates nothing)."""
         if not self.tv:
-            return 0.0, np.zeros(self.high_shape, dtype=np.complex128)
+            return 0.0, np.broadcast_to(np.complex128(0.0), self.high_shape)
         pcfg = self.pcfg
         spatial = self.spatial_object(state)
         amp = np.abs(spatial)
@@ -237,25 +232,19 @@ class PgnnModel:
         """Real-parameter gradients of total_loss at image n, as float64
         arrays keyed like ``state.moments``. The object gradient covers the
         full grid: the TV gradient (or zeros) plus the data term's
-        2 * area * conj(pupil) * residual on the window. The pupil gradient,
-        ``_pupil_gradient`` everywhere, covers all of ``state.pupil_view``.
+        2 * area * conj(pupil) * residual on the window. The pupil gradient is
+        a pupil stage's, laid out like ``state.pupil_params``.
 
         The amplitude-replaced target is treated as a constant (matching the
         loss the solver actually descends); finite differences of that
         frozen-target loss are the reference the tests check against.
         """
-        if self.basis is None:
-            pupil, phase_factor, weight = state.pupil_free, None, None
-        else:
-            pupil, phase_factor = self.basis.pupil(state.pupil_amp, state.zern_coeffs)
-            phase_factor, weight = phase_factor.reshape(-1), np.empty(self.cfg.low_shape)
-        fw = self.forward(state, n, pupil)
-        g_object = self.tv_penalty(state)[1]
-        g_object[self.windows[n]] += 2.0 * self.area_low * np.conj(pupil) * fw.residual
-        g_pupil = _pupil_gradient(self, state, n, fw.residual, ..., pupil.reshape(-1),
-                                  phase_factor, weight)
+        pupil = self.pupil(state)
+        g_object = self.tv_penalty(state)[1].copy()
+        g_object[self.windows[n]] += (2.0 * self.area_low * np.conj(pupil)
+                                      * self.forward(state, n, pupil).residual)
         return {"object": g_object.view(np.float64),
-                "pupil": g_pupil.reshape(state.pupil_view.shape)}
+                "pupil": PupilStage(self, state).gradient(n)[0]}
 
     def step(self, state: PgnnState, n: int, stage: ObjectStage | PupilStage) -> float:
         """One per-image Adam step on the group ``stage`` updates; returns the
@@ -295,12 +284,13 @@ def run_pgnn(images: list[np.ndarray], cfg: OpticalConfig,
 class ObjectStage:
     """An object stage, the pupil frozen. It holds the ``pupil``, its data-gradient
     ``weight`` 2 * area * conj(pupil), the spans ``reach`` of its nonzero rows and
-    columns, and the ``box`` Adam runs on: the rows and columns a reach covers through
-    any window or a nonzero moment holds (with TV, the grid). Off the box Adam's update
-    is pure decay, which keeps +0.0 moments and parameters (and no step makes a -0.0
-    moment; see ``kernels.adam_update``). Unless the box is the grid, ``spectrum``
-    (whose float view is ``params``) and ``moments`` are packed copies of it, which
-    ``close`` writes back; ``blocks`` holds per window its part in the box and gradient
+    columns (within the support's, where the pupil is stored), and the ``box`` Adam
+    runs on: the rows and columns a reach covers through any window or a nonzero
+    moment holds (with TV, the grid). Off the box Adam's update is pure decay, which
+    keeps +0.0 moments and parameters (and no step makes a -0.0 moment; see
+    ``kernels.adam_update``). Unless the box is the grid, ``spectrum`` (whose float
+    view is ``params``) and ``moments`` are packed copies of it, which ``close``
+    writes back; ``blocks`` holds per window its part in the box and gradient
     support in ``params``. With TV the stage evaluates the penalty and its dense
     gradient every ``TV_REFRESH`` of its ``steps`` and holds them (``tv_value``,
     ``tv_gradient``) in between (lazy regularization, Karras et al., CVPR 2020); each
@@ -366,42 +356,33 @@ class ObjectStage:
 
 
 class PupilStage:
-    """A pupil stage, the object frozen: Adam on the pupil's support alone, which it
-    zeroes the pupil off as it opens. ``index`` holds the support's flat indices on
-    the capture grid and ``at`` the entries Adam steps in the flattened ``pupil_view``:
-    a free pupil's re and im there, or a Zernike pupil's amplitude there and its
-    coefficients (a rate per entry in ``lr``; Adam is elementwise, so the bits of
-    separate steps). ``params`` and ``moments`` are packed copies of those entries,
-    which ``close`` writes back. ``gradient`` scatters the pupil into the capture grid
-    ``pupil`` for ``forward`` and a Zernike pupil's coefficient weight into ``weight``,
-    both zero off the support. It holds the TV penalty."""
+    """A pupil stage, the object frozen: Adam on ``state.pupil_params`` itself (a
+    Zernike pupil's rate per entry in ``lr``: ``lr_pupil_amp`` on the amplitudes,
+    ``lr_zern`` on the coefficients; Adam is elementwise, so the bits of separate
+    steps). ``gradient`` scatters the pupil into the capture grid ``pupil`` for
+    ``forward`` and a Zernike pupil's coefficient weight into ``weight``, both zero
+    off the support. It holds the TV penalty, and ``close`` has nothing to write."""
 
     def __init__(self, model: PgnnModel, state: PgnnState):
         self.model, self.state = model, state
-        self.index = index = np.flatnonzero(model.support)
-        mom, pcfg = state.moments["pupil"], model.pcfg
+        self.params, self.moments = state.pupil_params, state.moments["pupil"]
+        pcfg = model.pcfg
         if model.basis is None:
-            state.pupil_free[~model.support] = 0.0
-            self.at = np.flatnonzero(np.repeat(model.support, 2))   # re and im
             self.lr, self.weight = pcfg.lr_pupil_amp, None
         else:
-            state.pupil_amp[~model.support] = 0.0
-            count = model.basis.count
-            self.at = np.append(index, np.arange(model.area_low, model.area_low + count))
-            self.lr = np.repeat([pcfg.lr_pupil_amp, pcfg.lr_zern], [index.size, count])
+            self.lr = np.repeat([pcfg.lr_pupil_amp, pcfg.lr_zern],
+                                [model.index.size, model.basis.count])
             self.weight = np.zeros(model.cfg.low_shape)
-        self.params = state.pupil_view.reshape(-1)[self.at]
-        self.moments = Moments(mom.m.reshape(-1)[self.at], mom.v.reshape(-1)[self.at], mom.t)
         self.pupil = np.zeros(model.cfg.low_shape, dtype=np.complex128)
-        self.tv_value = model.tv_penalty(state)[0] if model.tv else 0.0
+        self.tv_value = model.tv_penalty(state)[0]
 
     def gradient(self, n: int) -> tuple[np.ndarray, object, float]:
-        """``_pupil_gradient`` at image n on ``params``, and the data term. The Zernike
-        phase is synthesised on the whole grid, then taken on the support: a product
-        over the support's columns alone can round the last bit differently."""
-        model, index = self.model, self.index
+        """Image n's pupil gradient, laid out like ``params``, and the data term. The
+        Zernike phase is synthesised on the whole grid, then taken on the support: a
+        product over the support's columns alone can round the last bit differently."""
+        model, index = self.model, self.model.index
         if model.basis is None:
-            pupil, phase_factor = self.params.view(np.complex128), None
+            pupil = self.params.view(np.complex128)
         else:
             amp, coeffs = self.params[:index.size], self.params[index.size:]
             phase = kernels.synth_phase(model.basis.grids, coeffs).reshape(-1)[index]
@@ -409,32 +390,17 @@ class PupilStage:
             pupil = amp * phase_factor
         self.pupil.reshape(-1)[index] = pupil
         fw = model.forward(self.state, n, self.pupil)
-        return (_pupil_gradient(model, self.state, n, fw.residual, index, pupil,
-                                phase_factor, self.weight), ..., fw.data_loss)
+        patch = self.state.object_spectrum[model.windows[n]].reshape(-1)[index]
+        g_pupil = 2.0 * model.area_low * np.conj(patch) * fw.residual.reshape(-1)[index]
+        if model.basis is None:
+            return g_pupil.view(np.float64), ..., fw.data_loss
+        self.weight.reshape(-1)[index] = (g_pupil * np.conj(pupil)).imag
+        return (np.concatenate(((np.conj(phase_factor) * g_pupil).real,
+                                kernels.project_modes(model.basis.grids, self.weight))),
+                ..., fw.data_loss)
 
     def close(self) -> None:
-        """Write the packed entries (parameters, moments and step count) back."""
-        mom = self.state.moments["pupil"]
-        self.state.pupil_view.reshape(-1)[self.at] = self.params
-        mom.m.reshape(-1)[self.at], mom.v.reshape(-1)[self.at], mom.t = (
-            self.moments.m, self.moments.v, self.moments.t)
-
-
-def _pupil_gradient(model: PgnnModel, state: PgnnState, n: int, residual: np.ndarray,
-                    at, pupil: np.ndarray, phase_factor: np.ndarray | None,
-                    weight: np.ndarray | None) -> np.ndarray:
-    """Pupil gradient of image n's data term at the flat capture-grid indices ``at``
-    (``...`` for all), as float64: a free pupil's entries there (re/im interleaved),
-    or a Zernike pupil's amplitude there followed by its coefficients. ``pupil`` and
-    ``phase_factor`` are taken at ``at``; ``weight`` is a capture grid, zero off
-    ``at``, into which the coefficients' weight goes for ``kernels.project_modes``."""
-    patch = state.object_spectrum[model.windows[n]].reshape(-1)[at]
-    g_pupil = 2.0 * model.area_low * np.conj(patch) * residual.reshape(-1)[at]
-    if model.basis is None:
-        return g_pupil.view(np.float64)
-    weight.reshape(-1)[at] = (g_pupil * np.conj(pupil)).imag
-    return np.concatenate(((np.conj(phase_factor) * g_pupil).real,
-                           kernels.project_modes(model.basis.grids, weight)))
+        """Nothing to write back: Adam steps the state's own arrays."""
 
 
 def _span(mask: np.ndarray) -> slice:

@@ -110,12 +110,12 @@ def fd_check(seed: int, use_zernike: bool, alpha: float,
     state = model.initial_state()
     state.object_spectrum += 0.2 * (rng.standard_normal(high)
                                     + 1j * rng.standard_normal(high))
+    on_support = model.index.size
     if use_zernike:
-        state.pupil_amp[...] += 0.15 * rng.random(low) * model.support
+        state.pupil_params[:on_support] += 0.15 * rng.random(on_support)
         state.zern_coeffs[...] += 0.1 * rng.standard_normal(6)
     else:
-        state.pupil_free += 0.15 * (rng.standard_normal(low)
-                                    + 1j * rng.standard_normal(low)) * model.support
+        state.pupil_params += 0.15 * rng.standard_normal(2 * on_support)
     n = int(rng.integers(0, len(leds)))
 
     target = model.forward(state, n).target
@@ -130,8 +130,7 @@ def fd_check(seed: int, use_zernike: bool, alpha: float,
     h = 1e-6
     worst = 0.0
     blocks = [(state.object_spectrum, grads["object"]),
-              (state.pupil_params if use_zernike else state.pupil_free,
-               grads["pupil"])]
+              (state.pupil_params, grads["pupil"])]
     for arr, grad in blocks:
         flat = arr.view(np.float64).ravel() if np.iscomplexobj(arr) else arr.ravel()
         gflat = grad.ravel()

@@ -2,6 +2,8 @@
 bits they keep: Adam adds its gradient terms on a block alone, and TV runs on
 contiguous views of one array."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,6 +157,21 @@ def test_scratch_tv_is_bitwise_the_allocating_expression(img):
     value, grad = allocating_tv(img)
     assert kernels.tv_value(img) == value
     assert kernels.tv_grad(img).tobytes() == grad.tobytes()
+
+
+def test_tv_value_allocates_four_grids():
+    """tv_value's work array holds dr, dc, their squared norm and a temporary:
+    on a 256x256 grid its peak is 4 grids and a little more (a fifth grid
+    used by tv_grad alone would break the bound)."""
+    img = _tv_image((256, 256))
+    grid = img.nbytes
+    tracemalloc.start()
+    try:
+        kernels.tv_value(img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * grid + grid // 8
 
 
 @pytest.mark.parametrize("count", [9, 1])

@@ -143,7 +143,7 @@ def test_dataset_loss_equals_the_per_image_forward_losses(small_instance, pcfg):
     state.object_spectrum += 1e-3 * (rng.standard_normal(model.high_shape)
                                      + 1j * rng.standard_normal(model.high_shape))
     if pcfg.zernike_modes is None:
-        state.pupil_free += 0.1 * rng.standard_normal(state.pupil_free.shape)
+        state.pupil_params += 0.1 * rng.standard_normal(state.pupil_params.shape)
     else:
         state.zern_coeffs[...] += 0.1 * rng.standard_normal(state.zern_coeffs.shape)
     data = 0.0
@@ -366,6 +366,19 @@ def test_object_step_without_tv_allocates_no_full_grid():
     assert peak < np.empty(model.high_shape).nbytes // 8
 
 
+def test_total_loss_without_tv_allocates_no_spectrum_grid():
+    """With TV off the penalty is 0.0 and no grid: what total_loss allocates
+    is capture-sized, far under one spectrum grid."""
+    model, state = _grid_256(PgnnConfig())
+    tracemalloc.start()
+    try:
+        model.total_loss(state, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < state.object_spectrum.nbytes
+
+
 def _object_size(obj) -> int:
     """Bytes of a nest of lists and tuples of small objects, as allocated."""
     if isinstance(obj, (list, tuple)):
@@ -392,9 +405,9 @@ def test_opening_an_object_stage_without_tv_allocates_no_adam_scratch():
 
 @pytest.mark.parametrize("modes", [9, None], ids=["zernike", "free_pupil"])
 def test_opening_a_pupil_stage_allocates_no_adam_scratch(small_instance, modes):
-    """Opening a pupil stage allocates its packed parameters, moments and
-    rates, the support's indices, the two capture grids it scatters into and
-    a few small objects, and nothing per window."""
+    """Opening a pupil stage allocates its rates, the two capture grids it
+    scatters into and a few small objects: no copy of the parameters or
+    moments it steps, no index arrays and nothing per window."""
     cfg, _, images = small_instance
     model = PgnnModel(images, cfg, PgnnConfig(zernike_modes=modes))
     state = model.initial_state()
@@ -404,8 +417,8 @@ def test_opening_a_pupil_stage_allocates_no_adam_scratch(small_instance, modes):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arrays = [stage.params, stage.moments.m, stage.moments.v, stage.lr, stage.index,
-              stage.at, stage.pupil, stage.weight]
+    assert stage.params is state.pupil_params and stage.moments is state.moments["pupil"]
+    arrays = [stage.lr, stage.pupil, stage.weight]
     assert peak < sum(np.asarray(a).nbytes for a in arrays if a is not None) + 4096
 
 
@@ -541,12 +554,10 @@ def test_object_stage_freezes_pupil_parameters(small_instance):
     cfg, _, images = small_instance
     model = PgnnModel(images, cfg, PgnnConfig(epochs_per_stage=1))
     state = model.initial_state()
-    amp0 = state.pupil_amp.copy()
-    zern0 = state.zern_coeffs.copy()
+    pupil0 = state.pupil_params.copy()
     spec0 = state.object_spectrum.copy()
     model.run_stage(state, 1)
-    assert np.array_equal(state.pupil_amp, amp0)
-    assert np.array_equal(state.zern_coeffs, zern0)
+    assert np.array_equal(state.pupil_params, pupil0)
     assert not np.array_equal(state.object_spectrum, spec0)
     assert state.moments["pupil"].t == 0
     assert state.moments["object"].t == len(images)
@@ -562,7 +573,7 @@ def test_pupil_stage_freezes_object_spectrum(small_instance):
     model.run_stage(state, 2)
     assert np.array_equal(state.object_spectrum, spec1)
     assert state.moments["object"].t == steps1
-    assert np.all(state.pupil_amp[~pupil_support(cfg)] == 0.0)
+    assert np.all(model.pupil(state)[~pupil_support(cfg)] == 0.0)
 
 
 def test_free_pupil_stage_respects_the_support_mask(small_instance):
@@ -570,58 +581,29 @@ def test_free_pupil_stage_respects_the_support_mask(small_instance):
     model = PgnnModel(images, cfg, PgnnConfig(zernike_modes=None,
                                               epochs_per_stage=1))
     state = model.initial_state()
-    assert state.pupil_free is not None and state.pupil_amp is None
+    assert state.zern_coeffs is None
+    assert state.pupil_params.shape == (2 * np.count_nonzero(pupil_support(cfg)),)
     model.run_stage(state, 1)
     model.run_stage(state, 2)
-    assert np.all(state.pupil_free[~pupil_support(cfg)] == 0.0)
-
-
-def _off_support(model):
-    """The entries of the flattened pupil view off the support (a free
-    pupil's re and im; never a Zernike pupil's coefficients)."""
-    if model.basis is None:
-        return np.repeat(~model.support.ravel(), 2)
-    return np.append(~model.support.ravel(), np.zeros(model.basis.count, dtype=bool))
+    assert np.all(model.pupil(state)[~pupil_support(cfg)] == 0.0)
 
 
 @pytest.mark.parametrize("modes", [9, None], ids=["zernike", "free_pupil"])
 def test_a_pupil_stage_leaves_positive_zeros_and_zero_moments_off_the_support(
         small_instance, modes):
-    """A pupil stage steps only the support: off it the pupil is +0.0 bit for
-    bit and its moments were never touched (the full-grid step left -0.0
-    there, a negative Adam value times the support's 0.0, and nonzero
-    moments)."""
+    """The pupil and its moments are stored on the support alone, and every
+    stored entry is stepped: the capture-grid pupil is +0.0 off the support
+    bit for bit, not -0.0, and no moment is held there."""
     cfg, _, images = small_instance
     model = PgnnModel(images, cfg, PgnnConfig(epochs_per_stage=1, zernike_modes=modes))
     state = model.initial_state()
     for stage in (1, 2, 3, 4):
         model.run_stage(state, stage)
-    off = _off_support(model)
+    off = ~model.support
+    assert model.pupil(state)[off].tobytes() == bytes(16 * np.count_nonzero(off))
     mom = state.moments["pupil"]
-    for a in (state.pupil_view, mom.m, mom.v):
-        assert a.reshape(-1)[off].tobytes() == bytes(8 * np.count_nonzero(off))
-    assert np.all(mom.v.reshape(-1)[~off] > 0.0)
-
-
-@pytest.mark.parametrize("modes", [9, None], ids=["zernike", "free_pupil"])
-def test_a_pupil_stage_zeroes_a_pupil_set_off_its_support_as_it_opens(small_instance,
-                                                                     modes):
-    """A pupil set nonzero off its support by hand is +0.0 there as soon as a
-    pupil stage opens, so even its first forward model never sees it: the
-    stage runs as on the pupil zeroed by hand."""
-    cfg, _, images = small_instance
-    model = PgnnModel(images, cfg, PgnnConfig(epochs_per_stage=1, zernike_modes=modes))
-    dirty, clean = model.initial_state(), model.initial_state()
-    for state in (dirty, clean):
-        model.run_stage(state, 1)
-    pupil = dirty.pupil_free if modes is None else dirty.pupil_amp
-    pupil[~model.support] = 0.5 - 0.25j if modes is None else -0.5
-    off = _off_support(model)
-    PupilStage(model, dirty)
-    assert dirty.pupil_view.reshape(-1)[off].tobytes() == bytes(8 * np.count_nonzero(off))
-    losses = model.run_stage(dirty, 2)
-    assert np.array(losses).tobytes() == np.array(model.run_stage(clean, 2)).tobytes()
-    assert _state_bytes(dirty) == _state_bytes(clean)
+    assert mom.m.shape == mom.v.shape == state.pupil_params.shape
+    assert np.all(mom.v > 0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -644,9 +626,10 @@ def test_pupil_stage_synthesises_the_full_grid_pupil_on_its_support(
                         illuminations=(Illumination(0.0, 0.0),), **optics)
     model = PgnnModel([rng.random((rows, cols)) + 0.1], cfg, PgnnConfig())
     state = model.initial_state()
-    state.pupil_amp[...] = rng.random((rows, cols)) + 0.5
+    amp = rng.random((rows, cols)) + 0.5
+    state.pupil_params[:model.index.size] = amp.reshape(-1)[model.index]
     state.zern_coeffs[...] = rng.standard_normal(model.basis.count) * 10.0 ** scale
-    expected = model.basis.pupil(state.pupil_amp, state.zern_coeffs)[0]
+    expected = model.basis.pupil(amp, state.zern_coeffs)[0]
     stage = PupilStage(model, state)
     stage.gradient(0)
     assert stage.pupil[model.support].tobytes() == expected[model.support].tobytes()
@@ -748,8 +731,8 @@ def _reference_stage(model, state, stage_index):
     """run_stage holding nothing per stage but an object stage's TV penalty:
     every step recomputes the pupil and its phase factor, allocates a fresh
     gradient grid and takes the allocating Adam step on the whole object, or
-    on the pupil's support and coefficients (a pupil stage first zeroes the
-    pupil off its support and leaves it, and its moments, alone there). With
+    on the pupil (the support's amplitudes and the coefficients, each block its
+    own step at its own rate). With
     TV an object step holds the value and gradient ``allocating_tv_eval`` gave
     at the stage's last refresh (steps 0, TV_REFRESH, 2 TV_REFRESH, ... across
     its epochs) and adds its data gradient onto a copy of that gradient on its
@@ -758,15 +741,11 @@ def _reference_stage(model, state, stage_index):
     non-finite loss."""
     pcfg = model.pcfg
     update_object = stage_index % 2 == 1
-    if not update_object:
-        # the stage zeroes the pupil off its support, then steps only the support
-        pupil = state.pupil_free if model.basis is None else state.pupil_amp
-        pupil[~model.support] = 0.0
-        if model.basis is None:   # re and im of each support entry
-            blocks = [(np.flatnonzero(np.repeat(model.support, 2)), pcfg.lr_pupil_amp)]
-        else:
-            blocks = [(np.flatnonzero(model.support), pcfg.lr_pupil_amp),
-                      (np.arange(pupil.size, state.pupil_params.size), pcfg.lr_zern)]
+    if model.basis is None:   # re and im of each support entry
+        blocks = [(..., pcfg.lr_pupil_amp)]
+    else:
+        blocks = [(slice(None, model.index.size), pcfg.lr_pupil_amp),
+                  (slice(model.index.size, None), pcfg.lr_zern)]
     losses = []
     steps = 0
     for _ in range(pcfg.epochs_per_stage):
@@ -791,20 +770,17 @@ def _reference_stage(model, state, stage_index):
                                 g["object"],
                                 state.moments["object"], pcfg.lr_object)
             else:
-                # each block of stepped entries of the pupil view (the
-                # support's, then a Zernike pupil's coefficients) as its own
-                # allocating step with its own scalar rate, on copies of its
-                # entries of the parameters and moments: that proves the
-                # packing bit-exact
+                # each block of the pupil's parameters (the support's, then a
+                # Zernike pupil's coefficients) as its own allocating step
+                # with its own scalar rate: that proves the per-entry rates
+                # bit-exact
                 mom = state.moments["pupil"]
                 mom.t += 1
-                flat = [a.reshape(-1) for a in (state.pupil_view, g["pupil"], mom.m, mom.v)]
                 for block, lr in blocks:
-                    p, grad, m, v = (a[block] for a in flat)
-                    allocating_adam(p, grad, m, v, lr, ADAM_BETA1, ADAM_BETA2,
+                    allocating_adam(state.pupil_params[block], g["pupil"][block],
+                                    mom.m[block], mom.v[block], lr, ADAM_BETA1, ADAM_BETA2,
                                     1.0 - ADAM_BETA1 ** mom.t, 1.0 - ADAM_BETA2 ** mom.t,
                                     ADAM_EPS)
-                    flat[0][block], flat[2][block], flat[3][block] = p, m, v
             if not np.isfinite(loss):
                 raise NumericalError(f"non-finite loss at image {n}")
             acc += loss
@@ -813,10 +789,10 @@ def _reference_stage(model, state, stage_index):
 
 
 def _state_bytes(state):
-    arrays = [state.object_spectrum, state.pupil_params, state.pupil_free]
+    arrays = [state.object_spectrum, state.pupil_params]
     for name in sorted(state.moments):
         arrays += [state.moments[name].m, state.moments[name].v]
-    return ([None if a is None else a.tobytes() for a in arrays],
+    return ([a.tobytes() for a in arrays],
             [state.moments[name].t for name in sorted(state.moments)])
 
 
@@ -840,7 +816,7 @@ def test_run_stage_matches_a_loop_that_recomputes_every_step(small_instance,
                 == np.array(slow_losses).tobytes()), f"stage {stage}"
         assert _state_bytes(fast) == _state_bytes(slow), f"stage {stage}"
     moved = _state_bytes(fast)[0]
-    assert all(a != b for a, b in zip(moved, start[0]) if a is not None)
+    assert all(a != b for a, b in zip(moved, start[0]))
 
 
 @pytest.mark.parametrize("pcfg", [
@@ -874,8 +850,8 @@ def test_run_stage_across_the_rounded_bias_correction_matches_the_loop(
 # against the full-grid allocating step only while the box is strict
 def test_object_adam_rows_span_the_rows_the_data_reaches(small_instance):
     """The box spans the rows and columns the windows' reach covers; its
-    arrays are packed copies. A pupil stage packs the support's amplitudes
-    and the coefficients."""
+    arrays are packed copies. A pupil stage steps the state's own pupil: the
+    support's amplitudes and the coefficients."""
     cfg, _, images = small_instance
     model = PgnnModel(images, cfg, PgnnConfig())
     state = model.initial_state()
@@ -887,8 +863,8 @@ def test_object_adam_rows_span_the_rows_the_data_reaches(small_instance):
     assert stage.moments is not state.moments["object"]
     stage = PupilStage(model, state)
     count = int(model.support.sum()) + model.basis.count
-    assert stage.params.shape == (count,) and stage.params.flags.c_contiguous
-    assert not np.shares_memory(stage.params, state.pupil_params)
+    assert stage.params is state.pupil_params and stage.params.shape == (count,)
+    assert stage.moments is state.moments["pupil"]
 
 
 def test_tv_object_adam_runs_on_every_row(small_instance):
@@ -904,26 +880,21 @@ def test_tv_object_adam_runs_on_every_row(small_instance):
     assert stage.moments is state.moments["object"]
 
 
-@pytest.mark.parametrize("widen", ["pupil_off_support", "moments",
-                                   "pupil_off_support_column", "moments_column"])
+@pytest.mark.parametrize("widen", ["moments", "moments_column"])
 def test_object_adam_rows_follow_the_held_pupil_and_the_moments(small_instance,
                                                                 widen):
-    """A pupil nonzero off its support, or moments left nonzero outside the
-    rows or columns the data reaches, widen the box: the step still equals
-    the full-grid allocating one, bit for bit."""
+    """Moments left nonzero outside the rows or columns the data reaches
+    widen the box: the step still equals the full-grid allocating one, bit
+    for bit."""
     cfg, _, images = small_instance
     model = PgnnModel(images, cfg, PgnnConfig(epochs_per_stage=1,
                                               zernike_modes=None))
     fast, slow = model.initial_state(), model.initial_state()
     for state in (fast, slow):
         m, v = state.moments["object"].m, state.moments["object"].v
-        if widen == "pupil_off_support":
-            state.pupil_free[0, 3] = 0.5 - 0.25j
-        elif widen == "moments":
+        if widen == "moments":
             m[1, 5] = 1e-3
             v[30, 2] = 1e-6
-        elif widen == "pupil_off_support_column":
-            state.pupil_free[8, 0] = 0.5 - 0.25j
         else:
             # complex columns 2 and 30 of row 12, a row the data reaches
             m[12, 4] = 1e-3
@@ -937,11 +908,11 @@ def test_object_adam_rows_follow_the_held_pupil_and_the_moments(small_instance,
     assert _state_bytes(fast) == _state_bytes(slow)
     if widen.endswith("column"):
         assert rows == slice(8, 25)
-        assert cols == (slice(5, 25) if widen.startswith("pupil") else slice(2, 31))
+        assert cols == slice(2, 31)
         assert not np.array_equal(fast.object_spectrum[:, outside],
                                   start[:, outside])
     else:
-        assert rows.start < 8 and (widen == "pupil_off_support" or rows.stop == 31)
+        assert rows.start < 8 and rows.stop == 31
         assert not np.array_equal(fast.object_spectrum[outside], start[outside])
 
 
