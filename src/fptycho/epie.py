@@ -146,12 +146,15 @@ def _centring_ramp(rows: int, cols: int) -> np.ndarray:
 def _update(weight: np.ndarray, residual: np.ndarray, error: type,
             name: str) -> np.ndarray:
     """ePIE correction of one factor, weighted by the other factor w:
-    conj(w) / max|w|^2 * residual, in one new array; a zero w raises ``error``."""
+    conj(w) / max|w|^2 * residual, in one new array; a zero w raises ``error``.
+    numpy divides by a real b as (re + im*0) * (1/b), (im - re*0) * (1/b), so
+    multiplying by 1/b gives its bits but for the sign of a zero part."""
     peak = np.abs(weight).max() ** 2
     if peak == 0.0:
         raise error(f"{name} is identically zero")
     step = np.conj(weight)
-    return np.multiply(np.divide(step, peak, out=step), residual, out=step)
+    step *= 1.0 / peak
+    return np.multiply(step, residual, out=step)
 
 
 def epie_step(state: EpieState, amplitude: np.ndarray, offset: tuple[int, int],
@@ -159,25 +162,26 @@ def epie_step(state: EpieState, amplitude: np.ndarray, offset: tuple[int, int],
     """One image visit: AP correction plus object and pupil updates.
 
     Mutates ``state`` and returns the image's pre-update misfit, read off the
-    capture-plane modulus ``ap_project`` returns. Only the window addressed by
-    ``offset`` is touched; every other object bin is left bit-identical. A
-    degenerate weight raises before ``state`` changes.
+    capture-plane modulus ``ap_project`` returns. The strided window addressed
+    by ``offset`` is copied once; every product reads the contiguous copy, and
+    one add writes the corrected window back, so every other object bin is
+    left bit-identical. A degenerate weight raises before ``state`` changes.
     """
-    patch = state.object_spectrum[window(state.object_spectrum.shape, offset,
-                                         *amplitude.shape)]
+    view = state.object_spectrum[window(state.object_spectrum.shape, offset,
+                                        *amplitude.shape)]
+    patch = view.copy()
     pupil = state.pupil
     phi_low = patch * pupil
     phi_high, modulus = ap_project(phi_low, amplitude)
     residual = phi_high - phi_low
 
     object_step = _update(pupil, residual, DegeneratePupil, "pupil")
-    if cfg.pupil_update == "literal":
-        state.pupil = pupil + _update(phi_high, residual, DegenerateField,
-                                      "corrected window spectrum")
-    elif cfg.pupil_update == "conventional":
-        state.pupil = pupil + _update(patch, residual, DegenerateField,
-                                      "object window")
-    patch += object_step
+    if cfg.pupil_update != "fixed":
+        weight, name = ((phi_high, "corrected window spectrum")
+                        if cfg.pupil_update == "literal" else (patch, "object window"))
+        step = _update(weight, residual, DegenerateField, name)
+        state.pupil = np.add(pupil, step, out=step)
+    np.add(patch, object_step, out=view)
     diff = amplitude - modulus
     return float(np.vdot(diff, diff).real)
 

@@ -252,6 +252,30 @@ def test_zero_object_window_breaks_conventional_pupil_update(small_instance):
     assert np.array_equal(state.pupil, pup0)
 
 
+def test_dividing_by_a_real_peak_is_multiplying_by_its_reciprocal():
+    """``_update`` multiplies by 1 / peak where it once divided by peak.
+    numpy divides a complex by a real b as (re + im*0) * (1/b),
+    (im - re*0) * (1/b), so the bits agree wherever no part is zero, for
+    every peak, one whose reciprocal overflows included. A numpy whose
+    complex division rounds otherwise fails here."""
+    rng = np.random.Generator(np.random.PCG64(43))
+    peaks = rng.random(200) * 10.0 ** rng.uniform(-300, 300, 200)
+    peaks = np.append(peaks, [1e-300, 1e300, 1e-310])   # 1 / 1e-310 is inf
+    for peak in peaks:
+        w = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        assert np.all(w.view(np.float64) != 0.0)
+        with np.errstate(over="ignore"):
+            divided = np.conj(w) / peak
+            multiplied = np.conj(w) * (1.0 / peak)
+        assert divided.tobytes() == multiplied.tobytes(), peak
+    # the one exception: a zero part can change sign
+    divided = np.conj(np.complex128(complex(-0.0, 1.0))) / 2.0
+    multiplied = np.conj(np.complex128(complex(-0.0, 1.0))) * 0.5
+    assert divided.real == multiplied.real == 0.0
+    assert np.signbit(divided.real) != np.signbit(multiplied.real)
+    assert divided.imag == multiplied.imag == -0.5
+
+
 # -- captures and the frozen-state misfit ------------------------------------
 
 def test_measured_amplitudes_roots_each_capture_into_a_new_stack(small_instance):
@@ -434,13 +458,40 @@ def test_a_config_without_leds_is_a_dimension_mismatch(small_instance, engine):
         run([], cfg)
 
 
+def _divided_visit(state, amplitude, offset, kind):
+    """An ePIE visit written the direct way: each correction divides by the
+    squared peak, the object is corrected in place through its strided
+    window, and the new pupil is a fresh sum. Returns the misfit."""
+    patch = state.object_spectrum[window(state.object_spectrum.shape, offset,
+                                         *amplitude.shape)]
+    pupil = state.pupil
+    phi_low = patch * pupil
+    phi_high, modulus = ap_project(phi_low, amplitude)
+    residual = phi_high - phi_low
+
+    def update(w):
+        return np.divide(np.conj(w), np.abs(w).max() ** 2) * residual
+
+    object_step = update(pupil)
+    if kind == "literal":
+        state.pupil = pupil + update(phi_high)
+    elif kind == "conventional":
+        state.pupil = pupil + update(patch)
+    patch += object_step
+    diff = amplitude - modulus
+    return float(np.vdot(diff, diff).real)
+
+
 @pytest.mark.parametrize("kind", ["literal", "conventional", "fixed"])
 def test_history_sums_each_visits_pre_update_misfit(small_instance, kind):
+    """Each visit's state and misfit equal the divided visit's bit for bit,
+    and the history sums the pre-update misfits."""
     cfg, _, images = small_instance
-    ecfg = EpieConfig(iterations=2, pupil_update=kind)
+    ecfg = EpieConfig(iterations=3, pupil_update=kind)
     offsets = illumination_offsets(cfg)
     amps = measured_amplitudes(images, cfg)
     state = initial_state(amps, cfg)
+    divided = EpieState(state.object_spectrum.copy(), state.pupil.copy())
     expected = []
     for _ in range(ecfg.iterations):
         sweep = 0.0
@@ -450,17 +501,20 @@ def test_history_sums_each_visits_pre_update_misfit(small_instance, kind):
             field = idft2(inverse_center_shift(patch * state.pupil))
             diff = np.sqrt(images[n]) - np.abs(field)
             sweep += float(np.vdot(diff, diff).real)
-            epie_step(state, amps[n], offsets[n], ecfg)
+            misfit = epie_step(state, amps[n], offsets[n], ecfg)
+            assert misfit == _divided_visit(divided, amps[n], offsets[n], kind)
+            assert (state.object_spectrum.tobytes()
+                    == divided.object_spectrum.tobytes())
+            assert state.pupil.tobytes() == divided.pupil.tobytes()
         expected.append(sweep)
-    assert run_epie(images, cfg, ecfg)[2] == expected
+    obj, pupil, history = run_epie(images, cfg, ecfg)
+    assert history == expected
+    assert pupil.tobytes() == state.pupil.tobytes()
+    assert obj.tobytes() == (idft2(inverse_center_shift(state.object_spectrum))
+                             / cfg.spectrum_scale).tobytes()
 
 
-# the literal pupil update divides by the NaN-poisoned spectrum maximum in the
-# same visit, before the misfit check raises, so numpy warns there
-@pytest.mark.parametrize("kind", [
-    pytest.param("literal", marks=pytest.mark.filterwarnings(
-        "ignore::RuntimeWarning")),
-    "conventional", "fixed"])
+@pytest.mark.parametrize("kind", ["literal", "conventional", "fixed"])
 def test_nonfinite_misfit_names_the_sweep_and_image(small_instance, kind):
     cfg, _, images = small_instance
     bad = [im.copy() for im in images]

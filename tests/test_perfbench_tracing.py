@@ -88,5 +88,13 @@ def test_traced_solvers_reach_every_step_entry_point(small_instance):
     ecfg = fptycho.epie.EpieConfig(iterations=2)
     counts = _traced(tracing, lambda: fptycho.epie.run_epie(images, cfg, ecfg))
     assert counts["epie.run_epie.calls"] == 1
-    assert counts["epie.epie_step.calls"] == ecfg.iterations * len(images)
+    visits = ecfg.iterations * len(images)
+    assert counts["epie.epie_step.calls"] == visits
+    # one projection, one phase unit and one transform pair per visit, plus
+    # the start's forward and the end's inverse transform and their shifts
+    assert counts["epie.ap_project.calls"] == visits
+    assert counts["field.phase_unit.calls"] == visits
+    assert counts["field.dft2.calls"] == visits + 1
+    assert counts["field.idft2.calls"] == visits + 1
+    assert counts["field.shift.calls"] == 2
     assert counts["pgnn.step.calls"] == 0
