@@ -128,15 +128,18 @@ def window_stacks(grid: np.ndarray, offsets: list[tuple[int, int]], rows: int,
 
 
 def phase_unit(z: np.ndarray, fill=1.0 + 0.0j, *, modulus=None) -> np.ndarray:
-    """z / |z|, ``modulus`` being np.abs(z) if given. When min |z| < 2^-1022 (or NaN),
+    """z / |z|, as z * (1 / |z|), ``modulus`` being np.abs(z) if given: numpy divides a
+    complex by a real b as (re + im*0) * (1/b), (im - re*0) * (1/b), so the multiply has
+    its bits but, at most, the sign of a zero part. When min |z| < 2^-1022 (or NaN),
     zero pixels take ``fill`` (broadcast to z) and subnormal ones are scaled by 2^1000
-    first (1 / |z| overflows); others keep their bits, NaN or inf warn "invalid value"."""
+    first (1 / |z| overflows); others keep their bits. An inf pixel warns "invalid value"
+    and gives NaN, as a NaN pixel does silently."""
     z = as_grid(z, dtype=np.complex128)
     a = np.abs(z) if modulus is None else modulus
     if a.min(initial=np.inf) >= 2.0 ** -1022:
-        return z / a
+        return z * (1.0 / a)
     small = a < 2.0 ** -1022
-    u = z / np.where(small, 1.0, a)   # the small lanes are overwritten below
+    u = z * (1.0 / np.where(small, 1.0, a))   # the small lanes are overwritten below
     w = np.ldexp(z[small].view(np.float64), 1000).view(np.complex128)   # exact
     fills = np.broadcast_to(fill, u.shape)[small].astype(np.complex128, copy=False)
     u[small] = np.divide(w, np.abs(w), out=fills, where=w != 0.0)

@@ -6,8 +6,8 @@ as ``kernels.<name>`` attributes, so a profiler can wrap each one by name.
 
 ``adam_update`` decays the moments and steps the arrays it is given (a
 ``pgnn`` object stage packs its live box of the spectrum, a pupil stage steps the
-pupil as stored, on its support), but adds gradient terms only on the block
-``support`` the gradient covers.
+pupil as stored, on its support), but adds gradient terms, and takes the root
+it keeps of the second moment, only on the block ``support`` the gradient covers.
 ``tv_value`` and ``tv_grad`` run every ufunc on contiguous views (row blocks,
 or the flat grid for the column differences) of one new array: on a strided
 column view numpy goes through its buffered iterator, which allocates and
@@ -15,6 +15,8 @@ copies on every call, and takes about twice as long.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -85,29 +87,37 @@ def project_modes(basis: np.ndarray, weight: np.ndarray) -> np.ndarray:
 def adam_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
                 support, lr, beta1: float, beta2: float,
                 bc1: float, bc2: float, eps: float) -> None:
-    """One in-place Adam step over float64 arrays of one shape.
+    """One in-place Adam step over float64 arrays of one shape, where ``v``
+    holds s, the root of the second moment.
 
-    ``g`` is the gradient on ``p[support]`` (``...`` for all of ``p``), zero
-    elsewhere. bc1/bc2 are the bias corrections (1 - beta^t) for the current
-    step count; once bc1 has rounded to 1.0 (t >= 356 for beta1 0.9) its
-    exact division is skipped. ``lr`` is a scalar or a rate per entry of
-    ``p``. Moments are updated in place alongside the parameters.
-    The bits are those of ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``
-    after the moment updates with ``g`` zero-filled to ``p``'s shape. Outside
-    ``support`` that would add +0.0 to ``m * beta1`` and ``v * beta2``, which
-    changes no bit unless the product is -0.0, and it never is from +0.0
-    starts: a nonzero moment times a beta above 1/2 stays nonzero, and a sum
-    is -0.0 only when both terms are.
+    ``g`` is the gradient on ``p[support]`` (``...`` for all of ``p``); off
+    it the step only decays the moments. bc1/bc2 are the bias corrections
+    (1 - beta^t) for the current step count, folded into the scalars
+    alpha_t = lr * sqrt(bc2) / bc1 and eps_t = eps * sqrt(bc2), the reordering
+    in Kingma & Ba's Algorithm 1 footnote (ICLR 2015). ``lr`` is a scalar or a
+    rate per entry of ``p``. The bits are those of ``m *= beta1`` and
+    ``s *= sqrt(beta2)`` everywhere, ``m += (1 - beta1) * g`` and
+    ``s = sqrt(s * s + (1 - beta2) * g * g)`` on the support, then
+    ``p -= alpha_t * m / (s + eps_t)``: textbook Adam's step in real arithmetic,
+    with one division per entry and no root off the support. Off the support
+    the first moment has the bits of adding a zero-filled gradient's +0.0,
+    which changes no bit unless ``m * beta1`` is -0.0, and it never is from
+    +0.0 starts: a nonzero moment times a beta above 1/2 stays nonzero, and a
+    sum is -0.0 only when both terms are. The root is never negative or -0.0
+    either: ``s * sqrt(beta2)`` keeps the sign of ``s``, and its root update
+    takes the root of a sum of two terms that are each +0.0 or positive. The
+    root update is not applied off the support, where ``sqrt(s * s)`` is not
+    ``s`` once ``s * s`` underflows (s below about 1.5e-154).
     """
+    sqrt_bc2 = math.sqrt(bc2)
     m *= beta1
-    v *= beta2
+    v *= math.sqrt(beta2)
     m[support] += g * (1.0 - beta1)
-    v[support] += g * g * (1.0 - beta2)
-    a = m * lr if bc1 == 1.0 else m / bc1 * lr
-    # the denominator and the quotient are formed in place: allocating each
-    # anew made a full-grid step up to 1.6x slower, with the allocator's state
-    b = v / bc2
-    np.sqrt(b, out=b)
-    b += eps
+    s = v[support]   # a view: the root update lands in v
+    s *= s
+    s += g * g * (1.0 - beta2)
+    np.sqrt(s, out=s)
+    a = m * (lr * (sqrt_bc2 / bc1))
+    b = v + eps * sqrt_bc2
     a /= b
     p -= a

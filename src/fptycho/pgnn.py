@@ -86,8 +86,9 @@ class PgnnConfig:
 
 @dataclass
 class Moments:
-    """Adam state of one parameter array: first/second moments over its float
-    view and the count ``t`` of steps taken."""
+    """Adam state of one parameter array over its float view: the first moment
+    ``m``, ``v``, which holds the root of the second moment
+    (``kernels.adam_update``), and the count ``t`` of steps taken."""
 
     m: np.ndarray
     v: np.ndarray
@@ -205,14 +206,17 @@ class PgnnModel:
         value = 0.0
         g_spatial = np.zeros_like(spatial)
         guarded = np.maximum(amp, AMP_FLOOR)
+        # complex over real as a multiply by the reciprocal: the quotient's bits,
+        # bar the sign of a zero part (field.phase_unit), in under half its time
         if pcfg.tv_alpha1 > 0.0:
             value += pcfg.tv_alpha1 * kernels.tv_value(amp)
-            g_spatial += pcfg.tv_alpha1 * kernels.tv_grad(amp) * (spatial / guarded)
+            g_spatial += (pcfg.tv_alpha1 * kernels.tv_grad(amp)
+                          * (spatial * (1.0 / guarded)))
         if pcfg.tv_alpha2 > 0.0:
             phase = wrap_phase(np.angle(spatial))
             value += pcfg.tv_alpha2 * kernels.tv_value(phase)
             g_spatial += (pcfg.tv_alpha2 * kernels.tv_grad(phase)
-                          * (1j * spatial / (guarded * guarded)))
+                          * (1j * spatial * (1.0 / (guarded * guarded))))
         # adjoint of the mean-normalized synthesis (idft2 * pixel count):
         # the 1/N of idft2 cancels, leaving the plain forward transform
         return value, center_shift(dft2(g_spatial))
@@ -286,8 +290,9 @@ class ObjectStage:
     ``weight`` 2 * area * conj(pupil), the spans ``reach`` of its nonzero rows and
     columns (within the support's, where the pupil is stored), and the ``box`` Adam
     runs on: the rows and columns a reach covers through any window or a nonzero
-    moment holds (with TV, the grid). Off the box Adam's update is pure decay, which
-    keeps +0.0 moments and parameters (and no step makes a -0.0 moment; see
+    moment holds (with TV, the grid). Off the box Adam's update is pure decay of the
+    first moment and of the second moment's root, which keeps +0.0 moments and
+    parameters (and no step makes a -0.0 moment or root; see
     ``kernels.adam_update``). Unless the box is the grid, ``spectrum`` (whose float
     view is ``params``) and ``moments`` are packed copies of it, which ``close``
     writes back; ``blocks`` holds per window its part in the box and gradient
@@ -423,11 +428,13 @@ def adam_step(param_view: np.ndarray, grad_view: np.ndarray, moments: Moments,
     all of ``param_view`` by default, or a (row slice, column slice) block.
     Complex parameters participate as their float views (two real scalars per
     element). ``lr`` is a scalar or a rate per entry of ``param_view``. The
-    step advances ``moments.t``, the count the bias corrections use.
+    step advances ``moments.t``, the count the bias corrections use; a
+    rejected step changes nothing.
     """
     if not (param_view.shape == moments.m.shape == moments.v.shape
-            and grad_view.shape == param_view[support].shape):
-        raise DimensionMismatch("param/grad/moment shapes differ")
+            and grad_view.shape == param_view[support].shape
+            and np.shape(lr) in ((), param_view.shape)):
+        raise DimensionMismatch("param/grad/moment/rate shapes differ")
     # packed arrays only: on a strided view every ufunc would leave numpy's packed loops
     if not all(a.flags.c_contiguous for a in (param_view, grad_view, moments.m, moments.v)):
         raise DimensionMismatch("param/grad/moment arrays must be C-contiguous")

@@ -65,15 +65,20 @@ def ap_misfit(spatial: np.ndarray, pupil: np.ndarray,
     return spectral_misfit(spectrum, pupil, measured_amplitudes(images, cfg), cfg)
 
 
-def allocating_adam(p, g, m, v, lr, beta1, beta2, bc1, bc2, eps) -> None:
-    """The plain Adam expression on a zero-filled gradient: the bitwise
-    reference for ``kernels.adam_update``, which adds its gradient terms on a
-    block alone and skips a rounded bias correction."""
+def allocating_adam(p, g, m, v, lr, beta1, beta2, bc1, bc2, eps, hit=True) -> None:
+    """Adam on the root ``v`` = sqrt(second moment) in whole-array expressions,
+    ``g`` zero-filled to ``p``'s shape: the bitwise reference for
+    ``kernels.adam_update``, which works on the gradient's block in place.
+    Both moments decay everywhere, and the root takes its gradient update
+    where the mask ``hit`` (the block the step's gradient covers; True: all of
+    ``p``) is set: a zero-filled root update would change the bits wherever
+    s * s underflows. The bias corrections are folded into the rate and eps
+    (Kingma & Ba, Algorithm 1's footnote)."""
     np.multiply(m, beta1, out=m)
     m += (1.0 - beta1) * g
-    np.multiply(v, beta2, out=v)
-    v += (1.0 - beta2) * (g * g)
-    p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    s = v * math.sqrt(beta2)
+    v[...] = np.where(hit, np.sqrt(s * s + (1.0 - beta2) * (g * g)), s)
+    p -= lr * (math.sqrt(bc2) / bc1) * m / (v + eps * math.sqrt(bc2))
 
 
 DEFOCUS_UM = 50.0

@@ -1,6 +1,7 @@
 """The Adam and TV kernels against the plain allocating expressions whose
-bits they keep: Adam adds its gradient terms on a block alone, and TV runs on
-contiguous views of one array."""
+bits they keep (Adam adds its gradient terms on a block alone, and TV runs on
+contiguous views of one array), and Adam on the root of its second moment
+against the textbook Adam that stores the moment."""
 
 import tracemalloc
 
@@ -53,8 +54,11 @@ _ADAM_VALUES = st.one_of(
 @given(st.data())
 def test_window_support_adam_is_bitwise_the_full_grid_expression(data):
     """The kernel adds the gradient terms only on its support: outside it,
-    the full-grid expression adds +0.0 terms, which change no bit because no
-    Adam step makes a -0.0 moment from +0.0 starts (kernels.adam_update)."""
+    the full-grid expression adds +0.0 terms to the first moment, which change
+    no bit because no Adam step makes a -0.0 moment from +0.0 starts, and
+    leaves the decayed root as it is (kernels.adam_update). The subnormal and
+    tiny draws make s * s underflow, where a root update off the block would
+    change bits."""
     def grid(shape):
         return np.array(data.draw(st.lists(_ADAM_VALUES, min_size=shape[0] * shape[1],
                                            max_size=shape[0] * shape[1])),
@@ -84,8 +88,10 @@ def test_window_support_adam_is_bitwise_the_full_grid_expression(data):
         g = grid((r1 - r0, c1 - c0))
         full = np.zeros((rows, cols))
         full[support] = g
+        hit = np.zeros((rows, cols), dtype=bool)
+        hit[support] = True
         step = args()
-        allocating_adam(ref[0], full, ref[1], ref[2], *step)
+        allocating_adam(ref[0], full, ref[1], ref[2], *step, hit=hit)
         kernels.adam_update(new[0], g, new[1], new[2], support, *step)
         for a, b in zip(ref, new):
             assert a.tobytes() == b.tobytes(), f"step {t}, support {support}"
@@ -96,10 +102,11 @@ def test_window_support_adam_is_bitwise_the_full_grid_expression(data):
 @pytest.mark.parametrize("per_entry_rate", [False, True], ids=["scalar_lr", "entry_lr"])
 def test_adam_skips_a_rounded_bias_correction_at_the_same_bits(t, block,
                                                                per_entry_rate):
-    """From t = 356 the first bias correction 1 - 0.9**t is 1.0, and the
-    kernel skips dividing by it: on either side of the switch its bits are
-    the allocating expression's. A rate per entry gives the bits of a
-    separate allocating step per rate."""
+    """From t = 356 the first bias correction 1 - 0.9**t is 1.0: on either
+    side of that boundary the kernel's folded rate lr * (sqrt(bc2) / bc1) and
+    guard eps * sqrt(bc2) give the allocating expression's bits, on the whole
+    array and on a block. A rate per entry gives the bits of a separate
+    allocating step per rate."""
     b1, b2, eps = 0.9, 0.999, 1e-8
     assert 1.0 - b1 ** 355 < 1.0 == 1.0 - b1 ** 356
     rng = np.random.Generator(np.random.PCG64(t))
@@ -107,6 +114,8 @@ def test_adam_skips_a_rounded_bias_correction_at_the_same_bits(t, block,
     start = [_signed_zeros(rng, 48).reshape(shape),
              rng.standard_normal(shape) * 1e-3, rng.random(shape) * 1e-6 + 1e-12]
     support = (slice(1, 4), slice(2, 7)) if block else ...
+    hit = np.zeros(shape, dtype=bool)
+    hit[support] = True
     full = np.zeros(shape)
     full[support] = _signed_zeros(rng, full[support].size).reshape(full[support].shape)
     bcs = 1.0 - b1 ** t, 1.0 - b2 ** t
@@ -114,13 +123,58 @@ def test_adam_skips_a_rounded_bias_correction_at_the_same_bits(t, block,
     ref = [a.copy() for a in start]
     for half, lr in zip((slice(0, 3), slice(3, 6)), rates):
         allocating_adam(ref[0][half], full[half], ref[1][half], ref[2][half],
-                        lr, b1, b2, *bcs, eps)
+                        lr, b1, b2, *bcs, eps, hit=hit[half])
     new = [a.copy() for a in start]
     lr = np.repeat(rates, 24).reshape(shape) if per_entry_rate else rates[0]
     kernels.adam_update(new[0], full[support].copy(), new[1], new[2], support,
                         lr, b1, b2, *bcs, eps)
     for a, b in zip(ref, new):
         assert a.tobytes() == b.tobytes()
+
+
+# fixed before the test was first run, from rounding: the root form decays by
+# the rounded sqrt(0.999) and each side rounds every step, so over 2,400 steps
+# an entry's second-moment root may drift by up to a few 1e-13 relative
+_ROOT_DRIFT = 1e-12
+
+
+def test_root_adam_stays_within_rounding_of_textbook_adam():
+    """2,400 steps of the kernel on a moving block, with a rate per entry and
+    t crossing 356, against textbook Adam that stores the second moment v:
+    the first moments keep their bits, the roots stay within _ROOT_DRIFT of
+    sqrt(v) and the parameters' displacement within _ROOT_DRIFT of the
+    textbook's largest. Rows 10-11 and column 9 never get a gradient: their
+    parameters and moments keep their +0.0 bits, so a pgnn object stage's box
+    (the rows and columns with a nonzero moment) cannot grow."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    rng = np.random.Generator(np.random.PCG64(62))
+    shape = (12, 10)
+    start = rng.standard_normal(shape)
+    start[10:, :] = start[:, 9] = 0.0
+    lr = rng.choice([1e-5, 1e-3, 3e-2], size=shape)
+    p, m, s = start.copy(), np.zeros(shape), np.zeros(shape)
+    ref_p, ref_m, ref_v = start.copy(), np.zeros(shape), np.zeros(shape)
+    for t in range(1, 2401):
+        r0, c0 = (5 * t) % 7, (3 * t) % 5
+        support = slice(r0, r0 + 1 + t % 4), slice(c0, c0 + 2 + t % 4)
+        g = np.zeros(shape)
+        g[support] = (rng.standard_normal(g[support].shape)
+                      * 10.0 ** rng.uniform(-3, 1, g[support].shape))
+        bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        kernels.adam_update(p, g[support].copy(), m, s, support, lr, b1, b2,
+                            bc1, bc2, eps)
+        ref_m = b1 * ref_m + (1.0 - b1) * g
+        ref_v = b2 * ref_v + (1.0 - b2) * g * g
+        ref_p -= lr * (ref_m / bc1) / (np.sqrt(ref_v / bc2) + eps)
+    assert m.tobytes() == ref_m.tobytes()
+    reached = ref_v > 0.0
+    assert not reached[10:, :].any() and not reached[:, 9].any() and reached[:10, :9].all()
+    drift = np.abs(s[reached] - np.sqrt(ref_v[reached])) / np.sqrt(ref_v[reached])
+    assert drift.max() <= _ROOT_DRIFT
+    moved = np.abs(p - ref_p).max() / np.abs(ref_p - start).max()
+    assert moved <= _ROOT_DRIFT
+    for a in (p, m, s):
+        assert not a[~reached].view(np.uint64).any()
 
 
 def allocating_tv(img):

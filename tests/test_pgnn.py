@@ -459,6 +459,21 @@ def test_adam_validates_step_count_and_shapes():
         assert mom.t == t
 
 
+@pytest.mark.parametrize("lr_shape", [(5,), (6, 1), (1,)])
+def test_adam_rejects_a_misshapen_rate_before_touching_the_state(lr_shape):
+    """A rate that is neither a scalar nor one per parameter is refused before
+    the step: the parameters, both moments and the count keep their bits."""
+    rng = np.random.Generator(np.random.PCG64(47))
+    p = rng.standard_normal(6)
+    mom = Moments.like(p)
+    adam_step(p, rng.standard_normal(6), mom, lr=np.full(6, 0.1))
+    before = [p.tobytes(), mom.m.tobytes(), mom.v.tobytes()]
+    with pytest.raises(DimensionMismatch, match="shapes differ"):
+        adam_step(p, rng.standard_normal(6), mom, lr=np.full(lr_shape, 0.1))
+    assert [p.tobytes(), mom.m.tobytes(), mom.v.tobytes()] == before
+    assert mom.t == 1
+
+
 # a block of the 8x6 grid, a box around it, and the block in box coordinates
 _BLOCK = slice(3, 5), slice(1, 4)
 _BOX = slice(2, 6), slice(1, 5)
@@ -489,7 +504,7 @@ def test_adam_rows_and_support_give_the_full_grid_step():
         grads.append(g)
     ref, ref_mom = start.copy(), Moments.like(start)
     for g in grads:
-        _reference_adam(ref, g, ref_mom, 0.1)
+        _reference_adam(ref, g, ref_mom, 0.1, _block_mask(start.shape, _BLOCK))
     zeros = np.zeros_like(start)
     for use_support in (False, True):
         p, mom = start[_BOX].copy(), Moments.like(start[_BOX])
@@ -507,16 +522,16 @@ def test_adam_rows_and_support_give_the_full_grid_step():
 
 @pytest.mark.parametrize("t", [355, 356, 357])
 def test_adam_step_across_the_rounded_bias_correction_is_the_allocating_step(t):
-    """Step t = 356 is the first whose 1 - beta1**t is 1.0, whose division
-    the kernel skips: whole-array and block steps still equal the
-    allocating full-grid step bit for bit."""
+    """Step t = 356 is the first whose 1 - beta1**t is 1.0: on either side of
+    it the folded bias corrections give whole-array and block steps the bits
+    of the allocating full-grid step."""
     rng = np.random.Generator(np.random.PCG64(t))
     start = rng.standard_normal((8, 6))
     g, m0, v0 = np.zeros((3, 8, 6))
     g[_BLOCK], m0[_BLOCK] = rng.standard_normal((2, 2, 3))
     v0[_BLOCK] = rng.random((2, 3)) + 1e-3
     ref, ref_mom = start.copy(), Moments(m0.copy(), v0.copy(), t - 1)
-    _reference_adam(ref, g, ref_mom, 0.1)
+    _reference_adam(ref, g, ref_mom, 0.1, _block_mask(start.shape, _BLOCK))
     p, mom = start.copy(), Moments(m0.copy(), v0.copy(), t - 1)
     adam_step(p, g, mom, 0.1)
     assert mom.t == t
@@ -718,19 +733,28 @@ def test_a_misshapen_capture_is_named(small_instance):
 
 # -- stage caching is bitwise-neutral --------------------------------------
 
-def _reference_adam(param, grad, mom, lr):
-    """The allocating Adam step through the same flat views."""
+def _reference_adam(param, grad, mom, lr, hit=True):
+    """The allocating Adam step through the same flat views; ``hit`` masks the
+    gradient's block, as in ``allocating_adam``."""
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     mom.t += 1
     t = mom.t
     allocating_adam(param.ravel(), grad.ravel(), mom.m.ravel(), mom.v.ravel(),
-                    lr, b1, b2, 1.0 - b1 ** t, 1.0 - b2 ** t, ADAM_EPS)
+                    lr, b1, b2, 1.0 - b1 ** t, 1.0 - b2 ** t, ADAM_EPS, np.ravel(hit))
+
+
+def _block_mask(shape, block):
+    """A boolean mask of ``shape``, True on ``block``."""
+    hit = np.zeros(shape, dtype=bool)
+    hit[block] = True
+    return hit
 
 
 def _reference_stage(model, state, stage_index):
     """run_stage holding nothing per stage but an object stage's TV penalty:
     every step recomputes the pupil and its phase factor, allocates a fresh
-    gradient grid and takes the allocating Adam step on the whole object, or
+    gradient grid and takes the allocating Adam step on the whole object
+    (without TV, the root's gradient update on window n alone), or
     on the pupil (the support's amplitudes and the coefficients, each block its
     own step at its own rate). With
     TV an object step holds the value and gradient ``allocating_tv_eval`` gave
@@ -766,9 +790,13 @@ def _reference_stage(model, state, stage_index):
                 loss = model.total_loss(state, n)
                 g = model.gradients(state, n)
             if update_object:
+                # without TV the gradient's block is window n, on the float view
+                rs, cs = model.windows[n]
+                hit = model.tv or _block_mask(g["object"].shape,
+                                              (rs, slice(2 * cs.start, 2 * cs.stop)))
                 _reference_adam(state.object_spectrum.view(np.float64),
                                 g["object"],
-                                state.moments["object"], pcfg.lr_object)
+                                state.moments["object"], pcfg.lr_object, hit)
             else:
                 # each block of the pupil's parameters (the support's, then a
                 # Zernike pupil's coefficients) as its own allocating step
@@ -827,8 +855,8 @@ def test_run_stage_matches_a_loop_that_recomputes_every_step(small_instance,
 def test_run_stage_across_the_rounded_bias_correction_matches_the_loop(
         small_instance, pcfg):
     """With every step count preset to 350, both stages cross t = 356, from
-    which Adam skips dividing by 1 - beta1**t (now 1.0): still bit for bit
-    the recomputing, allocating loop."""
+    which 1 - beta1**t is 1.0: still bit for bit the recomputing, allocating
+    loop."""
     cfg, obj, _ = small_instance
     pupil = make_ctf(cfg) * np.exp(1j * defocus_phase(cfg, 20.0))
     images = simulate_dataset(GroundTruth(obj, pupil), cfg)
