@@ -197,38 +197,61 @@ class PgnnModel:
 
     def tv_penalty(self, state: PgnnState) -> tuple[float, np.ndarray]:
         """TV penalty and its object-spectrum gradient (with TV off, 0.0 and a
-        read-only zero grid that allocates nothing)."""
+        read-only zero grid that allocates nothing). Each TV image is one
+        ``kernels.tv_grad`` pass, which also gives its value. With
+        u = z / max(|z|, AMP_FLOOR) (multiplied by the reciprocal: the
+        quotient's bits bar the sign of a zero part, see field.phase_unit),
+        the spatial gradient is one complex product,
+        u * (alpha1 * grad_amp + 1j * alpha2 * grad_phase / max(|z|, AMP_FLOOR))."""
         if not self.tv:
             return 0.0, np.broadcast_to(np.complex128(0.0), self.high_shape)
         pcfg = self.pcfg
         spatial = self.spatial_object(state)
-        amp = np.abs(spatial)
-        value = 0.0
-        g_spatial = np.zeros_like(spatial)
-        guarded = np.maximum(amp, AMP_FLOOR)
-        # complex over real as a multiply by the reciprocal: the quotient's bits,
-        # bar the sign of a zero part (field.phase_unit), in under half its time
+        weight = np.empty(self.high_shape, dtype=np.complex128)
+        value, held = 0.0, np.empty(1)
+        inv = np.abs(spatial)   # the amplitude, until its reciprocal replaces it
         if pcfg.tv_alpha1 > 0.0:
-            value += pcfg.tv_alpha1 * kernels.tv_value(amp)
-            g_spatial += (pcfg.tv_alpha1 * kernels.tv_grad(amp)
-                          * (spatial * (1.0 / guarded)))
+            np.multiply(kernels.tv_grad(inv, held), pcfg.tv_alpha1, out=weight.real)
+            value += pcfg.tv_alpha1 * float(held[0])
+        else:
+            weight.real = 0.0
+        np.maximum(inv, AMP_FLOOR, out=inv)
+        np.divide(1.0, inv, out=inv)
         if pcfg.tv_alpha2 > 0.0:
-            phase = wrap_phase(np.angle(spatial))
-            value += pcfg.tv_alpha2 * kernels.tv_value(phase)
-            g_spatial += (pcfg.tv_alpha2 * kernels.tv_grad(phase)
-                          * (1j * spatial * (1.0 / (guarded * guarded))))
+            grad = kernels.tv_grad(wrap_phase(np.angle(spatial)), held)
+            value += pcfg.tv_alpha2 * float(held[0])
+            grad *= pcfg.tv_alpha2
+            np.multiply(grad, inv, out=weight.imag)
+        else:
+            weight.imag = 0.0
+        spatial *= inv
+        # u on the left: numpy's complex product can round a * b and b * a differently
+        np.multiply(spatial, weight, out=weight)
         # adjoint of the mean-normalized synthesis (idft2 * pixel count):
         # the 1/N of idft2 cancels, leaving the plain forward transform
-        return value, center_shift(dft2(g_spatial))
+        return value, center_shift(dft2(weight))
+
+    def tv_value(self, state: PgnnState) -> float:
+        """The TV penalty alone, ``tv_penalty(state)[0]``'s bits (0.0 with TV off)."""
+        if not self.tv:
+            return 0.0
+        pcfg = self.pcfg
+        spatial = self.spatial_object(state)
+        value = 0.0
+        if pcfg.tv_alpha1 > 0.0:
+            value += pcfg.tv_alpha1 * kernels.tv_value(np.abs(spatial))
+        if pcfg.tv_alpha2 > 0.0:
+            value += pcfg.tv_alpha2 * kernels.tv_value(wrap_phase(np.angle(spatial)))
+        return value
 
     def total_loss(self, state: PgnnState, n: int) -> float:
-        return self.forward(state, n).data_loss + self.tv_penalty(state)[0]
+        return self.forward(state, n).data_loss + self.tv_value(state)
 
     def dataset_loss(self, state: PgnnState) -> float:
         """Frozen-state total loss accumulated over every image."""
         data = spectral_misfit(self.area_low * state.object_spectrum,
                                self.pupil(state), self.amplitudes, self.cfg)
-        return data + len(self.amplitudes) * self.tv_penalty(state)[0]
+        return data + len(self.amplitudes) * self.tv_value(state)
 
     # -- gradients and optimization ----------------------------------------
 
@@ -366,7 +389,9 @@ class PupilStage:
     ``lr_zern`` on the coefficients; Adam is elementwise, so the bits of separate
     steps). ``gradient`` scatters the pupil into the capture grid ``pupil`` for
     ``forward`` and a Zernike pupil's coefficient weight into ``weight``, both zero
-    off the support. It holds the TV penalty, and ``close`` has nothing to write."""
+    off the support. It holds the TV penalty's value (``PgnnModel.tv_value``; the
+    frozen object fixes it, and no pupil step needs its gradient), and ``close``
+    has nothing to write."""
 
     def __init__(self, model: PgnnModel, state: PgnnState):
         self.model, self.state = model, state
@@ -379,7 +404,7 @@ class PupilStage:
                                 [model.index.size, model.basis.count])
             self.weight = np.zeros(model.cfg.low_shape)
         self.pupil = np.zeros(model.cfg.low_shape, dtype=np.complex128)
-        self.tv_value = model.tv_penalty(state)[0]
+        self.tv_value = model.tv_value(state)
 
     def gradient(self, n: int) -> tuple[np.ndarray, object, float]:
         """Image n's pupil gradient, laid out like ``params``, and the data term. The

@@ -11,6 +11,7 @@ import pytest
 from fptycho.epie import (EpieConfig, measured_amplitudes, run_epie,
                           spectral_misfit)
 from fptycho.field import center_shift, dft2
+from fptycho.kernels import TV_EPS
 from fptycho.optics import (Illumination, OpticalConfig, defocus_phase,
                             make_ctf)
 from fptycho.pgnn import PgnnConfig, run_pgnn
@@ -79,6 +80,20 @@ def allocating_adam(p, g, m, v, lr, beta1, beta2, bc1, bc2, eps, hit=True) -> No
     s = v * math.sqrt(beta2)
     v[...] = np.where(hit, np.sqrt(s * s + (1.0 - beta2) * (g * g)), s)
     p -= lr * (math.sqrt(bc2) / bc1) * m / (v + eps * math.sqrt(bc2))
+
+
+def power_tv_grad(img):
+    """The TV gradient with its weight taken as (dr^2 + dc^2 + TV_EPS) ** -0.5:
+    ``tv_grad``'s bits before it shared the root with the value."""
+    dr = np.zeros_like(img)
+    dc = np.zeros_like(img)
+    dr[:-1, :] = img[1:, :] - img[:-1, :]
+    dc[:, :-1] = img[:, 1:] - img[:, :-1]
+    w = (dr * dr + dc * dc + TV_EPS) ** -0.5
+    grad = -w * (dr + dc)
+    grad[1:, :] += (w * dr)[:-1, :]
+    grad[:, 1:] += (w * dc)[:, :-1]
+    return grad
 
 
 DEFOCUS_UM = 50.0

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import allocating_adam
+from conftest import allocating_adam, power_tv_grad
 from fptycho import kernels
 
 
@@ -179,17 +179,18 @@ def test_root_adam_stays_within_rounding_of_textbook_adam():
 
 def allocating_tv(img):
     """The plain TV value and gradient, on strided slices: the bitwise
-    reference for ``tv_value`` and ``tv_grad``."""
+    reference for ``tv_value`` and ``tv_grad``, which weights the gradient
+    with the reciprocal of the root it sums for the value."""
     dr = np.zeros_like(img)
     dc = np.zeros_like(img)
     dr[:-1, :] = img[1:, :] - img[:-1, :]
     dc[:, :-1] = img[:, 1:] - img[:, :-1]
-    s2 = dr * dr + dc * dc
-    w = (s2 + kernels.TV_EPS) ** -0.5
+    r = np.sqrt(dr * dr + dc * dc + kernels.TV_EPS)
+    w = 1.0 / r
     grad = -w * (dr + dc)
     grad[1:, :] += (w * dr)[:-1, :]
     grad[:, 1:] += (w * dc)[:, :-1]
-    return float(np.sum((s2 + kernels.TV_EPS) ** 0.5)), grad
+    return float(np.sum(r)), grad
 
 
 def _tv_image(shape):
@@ -202,15 +203,40 @@ _TV_SHAPES = [(1, 1), (1, 7), (7, 1), (6, 5), (32, 32), (128, 128)]
 # first: the reference gradient keeps a -0.0 in column 0 here, which adding
 # +0.0 there would turn into +0.0
 _SIGNED_ZERO_COLUMN = np.array([[0.0, 0.0], [-0.0, 0.0], [-0.0, 1.0]])
-
-
-@pytest.mark.parametrize(
+_TV_CASES = pytest.mark.parametrize(
     "img", [_tv_image(shape) for shape in _TV_SHAPES] + [_SIGNED_ZERO_COLUMN],
     ids=["x".join(map(str, shape)) for shape in _TV_SHAPES] + ["signed_zero_column"])
+
+
+@_TV_CASES
 def test_scratch_tv_is_bitwise_the_allocating_expression(img):
     value, grad = allocating_tv(img)
     assert kernels.tv_value(img) == value
     assert kernels.tv_grad(img).tobytes() == grad.tobytes()
+
+
+@_TV_CASES
+def test_tv_grad_hands_back_tv_value_bit_for_bit(img):
+    """One pass gives both: the value tv_grad writes into its one-entry
+    output is tv_value's, and asking for it changes no gradient bit."""
+    held = np.full(1, np.nan)
+    grad = kernels.tv_grad(img, held)
+    assert held.tobytes() == np.float64(kernels.tv_value(img)).tobytes()
+    assert grad.tobytes() == kernels.tv_grad(img).tobytes()
+
+
+# fixed before the test was first run, from rounding: 1 / sqrt(x) and
+# x ** -0.5 each round once or twice, so a weight moves by a few ulps, and a
+# gradient entry sums at most four weighted differences of magnitude <= 1
+_TV_DRIFT = 2e-15
+
+
+@_TV_CASES
+def test_tv_grad_stays_within_rounding_of_the_power_form(img):
+    """The weight 1 / r moves the gradient from the (...) ** -0.5 form by
+    rounding alone: at most _TV_DRIFT of its largest magnitude."""
+    ref = power_tv_grad(img)
+    assert np.abs(kernels.tv_grad(img) - ref).max() <= _TV_DRIFT * np.abs(ref).max()
 
 
 def test_tv_value_allocates_four_grids():

@@ -72,9 +72,11 @@ def test_traced_solvers_reach_every_step_entry_point(small_instance):
     assert counts["pgnn.step.calls"] == steps
     # one Adam call per image step: a pupil step packs amplitude and Zernike
     assert counts["kernels.adam_update.calls"] == steps
-    # TV is evaluated at object steps 0, 4 and 8 of the 9 and once for the
-    # pupil stage, two tv_grad calls each
-    assert counts["kernels.tv_grad.calls"] == 2 * (3 + 1)
+    # TV is evaluated at object steps 0, 4 and 8 of the 9, one tv_grad call
+    # per TV image, which also gives its value; the pupil stage holds the
+    # value alone, from one tv_value call per TV image
+    assert counts["kernels.tv_grad.calls"] == 2 * 3
+    assert counts["kernels.tv_value.calls"] == 2
     assert counts["kernels.project_modes.calls"] == len(images)
 
     # without TV the object step hands Adam its window gradient directly;
