@@ -95,38 +95,40 @@ def project_modes(basis: np.ndarray, weight: np.ndarray) -> np.ndarray:
 
 def adam_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
                 support, lr, beta1: float, beta2: float,
-                bc1: float, bc2: float, eps: float) -> None:
-    """One in-place Adam step over float64 arrays of one shape, where ``v``
-    holds s, the root of the second moment.
+                bc1: float, bc2: float, eps: float, k: int) -> None:
+    """One in-place Adam step over float64 arrays of one shape, on moments held
+    in scaled form: with k the count of steps since they were last textbook,
+    this one included, ``m`` holds M = m / beta1**k and ``v`` holds
+    S = s / sqrt(beta2**k), s being the root of the second moment.
 
-    ``g`` is the gradient on ``p[support]`` (``...`` for all of ``p``); off
-    it the step only decays the moments. bc1/bc2 are the bias corrections
-    (1 - beta^t) for the current step count, folded into the scalars
-    alpha_t = lr * sqrt(bc2) / bc1 and eps_t = eps * sqrt(bc2), the reordering
-    in Kingma & Ba's Algorithm 1 footnote (ICLR 2015). ``lr`` is a scalar or a
-    rate per entry of ``p``. The bits are those of ``m *= beta1`` and
-    ``s *= sqrt(beta2)`` everywhere, ``m += (1 - beta1) * g`` and
-    ``s = sqrt(s * s + (1 - beta2) * g * g)`` on the support, then
-    ``p -= alpha_t * m / (s + eps_t)``: textbook Adam's step in real arithmetic,
-    with one division per entry and no root off the support. Off the support
-    the first moment has the bits of adding a zero-filled gradient's +0.0,
-    which changes no bit unless ``m * beta1`` is -0.0, and it never is from
-    +0.0 starts: a nonzero moment times a beta above 1/2 stays nonzero, and a
-    sum is -0.0 only when both terms are. The root is never negative or -0.0
-    either: ``s * sqrt(beta2)`` keeps the sign of ``s``, and its root update
-    takes the root of a sum of two terms that are each +0.0 or positive. The
-    root update is not applied off the support, where ``sqrt(s * s)`` is not
-    ``s`` once ``s * s`` underflows (s below about 1.5e-154).
+    ``g`` is the gradient on ``p[support]`` (``...`` for all of ``p``). Off it
+    the step leaves M and S alone, which is the textbook decay in the scaled
+    form; on it, M += g * (1 - beta1) / beta1**k and
+    S = sqrt(S * S + (1 - beta2) * g * g / beta2**k), on packed copies of the
+    block (a ufunc on a strided block takes about four times as long) written
+    back into ``m`` and ``v``. bc1/bc2 are the bias corrections (1 - beta^t)
+    for the current step count, folded into the scalars
+    alpha_t = lr * sqrt(bc2) / bc1 and eps_t = eps * sqrt(bc2), the
+    reordering in Kingma & Ba's Algorithm 1 footnote (ICLR 2015), and the
+    step is ``p -= alpha_t * beta1**k / sqrt(beta2**k) * M / (S + eps_t /
+    sqrt(beta2**k))``: textbook Adam's step in real arithmetic, with one
+    division per entry, no root off the block and four passes over ``p``.
+    ``lr`` is a scalar or a rate per entry of ``p``. Entries off every block
+    keep their bits, +0.0 moments included; on a block, M + g * c is -0.0
+    only when both terms are, and the root is never -0.0. The caller folds
+    the scales back in (``pgnn.Moments.fold``) before beta1**k gets small
+    enough for M to overflow.
     """
+    d1, d2 = beta1 ** k, beta2 ** k   # the decay the scaled moments leave out
+    r2 = math.sqrt(d2)
+    mb, sb = np.ascontiguousarray(m[support]), np.ascontiguousarray(v[support])
+    mb += g * ((1.0 - beta1) / d1)
+    sb *= sb
+    sb += g * g * ((1.0 - beta2) / d2)
+    np.sqrt(sb, out=sb)
+    m[support], v[support] = mb, sb   # numpy skips the copy when mb is m's own memory
     sqrt_bc2 = math.sqrt(bc2)
-    m *= beta1
-    v *= math.sqrt(beta2)
-    m[support] += g * (1.0 - beta1)
-    s = v[support]   # a view: the root update lands in v
-    s *= s
-    s += g * g * (1.0 - beta2)
-    np.sqrt(s, out=s)
-    a = m * (lr * (sqrt_bc2 / bc1))
-    b = v + eps * sqrt_bc2
+    a = m * (lr * (sqrt_bc2 / bc1 * d1 / r2))
+    b = v + eps * sqrt_bc2 / r2
     a /= b
     p -= a

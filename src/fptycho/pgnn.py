@@ -21,8 +21,9 @@ Stages alternate: odd stages (1-based) update the object, even stages the
 pupil. An ``ObjectStage`` or ``PupilStage`` holds what the frozen group fixes
 for the whole stage; an object stage also holds a packed copy of the object's
 live box, which its ``close`` writes back, while a pupil stage steps the
-state's packed pupil itself. ``run_stage`` opens one, sweeps ``step`` over the
-images and closes it. ``gradients`` and ``total_loss`` hold nothing.
+state's packed pupil itself; either ``close`` folds Adam's scaled ``Moments``.
+``run_stage`` opens one, sweeps ``step`` over the images and closes it.
+``gradients`` and ``total_loss`` hold nothing.
 
 All gradients are true real-parameter gradients (for a complex array they are
 d/dRe + i*d/dIm), verified against central finite differences of the
@@ -51,6 +52,9 @@ TV_REFRESH = 4  # object steps per TV evaluation; the held penalty serves the re
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Moments fold once beta1**k would fall below this (k = 656): the scaled first
+# moment then stays below 1e30 times a gradient, finite wherever g * g is
+ADAM_FOLD_FLOOR = 1e-30
 
 
 @dataclass(frozen=True)
@@ -87,16 +91,26 @@ class PgnnConfig:
 @dataclass
 class Moments:
     """Adam state of one parameter array over its float view: the first moment
-    ``m``, ``v``, which holds the root of the second moment
-    (``kernels.adam_update``), and the count ``t`` of steps taken."""
+    ``m``, ``v``, which holds the root of the second moment, and the count ``t``
+    of steps taken. Within a stage both are divided by the decay of the ``k``
+    steps since they were last textbook (``kernels.adam_update``), which ``fold``
+    multiplies back in; a stage folds as it closes."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
+    k: int = 0
 
     @classmethod
     def like(cls, view: np.ndarray) -> "Moments":
         return cls(m=np.zeros_like(view), v=np.zeros_like(view))
+
+    def fold(self) -> None:
+        """Make ``m`` and ``v`` textbook moments again (k = 0)."""
+        if self.k:
+            self.m *= ADAM_BETA1 ** self.k
+            self.v *= math.sqrt(ADAM_BETA2 ** self.k)
+            self.k = 0
 
 
 @dataclass
@@ -175,10 +189,13 @@ class PgnnModel:
 
     def predicted_spectrum(self, state: PgnnState, n: int,
                            pupil: np.ndarray | None = None) -> np.ndarray:
-        """Modeled window spectrum for image n (centered layout)."""
+        """Modeled window spectrum for image n (centered layout), formed on a
+        packed copy of the window: numpy's loops on a strided view take longer."""
         if pupil is None:
             pupil = self.pupil(state)
-        return self.area_low * state.object_spectrum[self.windows[n]] * pupil
+        spectrum = state.object_spectrum[self.windows[n]].copy()
+        np.multiply(self.area_low, spectrum, out=spectrum)
+        return np.multiply(spectrum, pupil, out=spectrum)
 
     def forward(self, state: PgnnState, n: int,
                 pupil: np.ndarray | None = None) -> ForwardResult:
@@ -313,16 +330,16 @@ class ObjectStage:
     ``weight`` 2 * area * conj(pupil), the spans ``reach`` of its nonzero rows and
     columns (within the support's, where the pupil is stored), and the ``box`` Adam
     runs on: the rows and columns a reach covers through any window or a nonzero
-    moment holds (with TV, the grid). Off the box Adam's update is pure decay of the
-    first moment and of the second moment's root, which keeps +0.0 moments and
-    parameters (and no step makes a -0.0 moment or root; see
-    ``kernels.adam_update``). Unless the box is the grid, ``spectrum`` (whose float
-    view is ``params``) and ``moments`` are packed copies of it, which ``close``
-    writes back; ``blocks`` holds per window its part in the box and gradient
-    support in ``params``. With TV the stage evaluates the penalty and its dense
-    gradient every ``TV_REFRESH`` of its ``steps`` and holds them (``tv_value``,
-    ``tv_gradient``) in between (lazy regularization, Karras et al., CVPR 2020); each
-    step copies the held gradient into its ``grad`` and adds its data gradient there."""
+    moment holds (with TV, the grid). Off the box Adam's scaled moments are never
+    written, so +0.0 moments and the parameters keep their bits (and no step makes a
+    -0.0 moment or root; see ``kernels.adam_update``). Unless the box is the grid,
+    ``spectrum`` (whose float view is ``params``) and ``moments`` are packed copies of
+    it, which ``close`` folds and writes back; ``blocks`` holds per window its part in
+    the box and gradient support in ``params``. With TV the stage evaluates the
+    penalty and its dense gradient every ``TV_REFRESH`` of its ``steps`` and holds
+    them (``tv_value``, ``tv_gradient``) in between (lazy regularization, Karras et
+    al., CVPR 2020); each step copies the held gradient into its ``grad`` and adds its
+    data gradient there."""
 
     def __init__(self, model: PgnnModel, state: PgnnState):
         self.model, self.state = model, state
@@ -365,7 +382,7 @@ class ObjectStage:
         if self.spectrum is not state.object_spectrum:
             state.object_spectrum[self.box][part] = self.spectrum[part]
         fw = model.forward(state, n, self.pupil)
-        data = (self.weight[self.reach] * fw.residual[self.reach]).view(np.float64)
+        data = np.ascontiguousarray((self.weight * fw.residual)[self.reach]).view(np.float64)
         if not model.tv:
             return data, support, fw.data_loss
         if self.steps % TV_REFRESH == 0:
@@ -376,7 +393,9 @@ class ObjectStage:
         return self.grad.view(np.float64), ..., fw.data_loss
 
     def close(self) -> None:
-        """Write a packed box (spectrum, moments and step count) back into the state."""
+        """Fold the moments, and write a packed box (spectrum, moments and step count)
+        back into the state."""
+        self.moments.fold()
         if self.moments is not (mom := self.state.moments["object"]):
             self.state.object_spectrum[self.box] = self.spectrum
             mom.m[self.fbox], mom.v[self.fbox], mom.t = (self.moments.m, self.moments.v,
@@ -391,7 +410,7 @@ class PupilStage:
     ``forward`` and a Zernike pupil's coefficient weight into ``weight``, both zero
     off the support. It holds the TV penalty's value (``PgnnModel.tv_value``; the
     frozen object fixes it, and no pupil step needs its gradient), and ``close``
-    has nothing to write."""
+    folds the moments."""
 
     def __init__(self, model: PgnnModel, state: PgnnState):
         self.model, self.state = model, state
@@ -430,7 +449,8 @@ class PupilStage:
                 ..., fw.data_loss)
 
     def close(self) -> None:
-        """Nothing to write back: Adam steps the state's own arrays."""
+        """Fold the moments; Adam steps the state's own arrays, so nothing is written back."""
+        self.moments.fold()
 
 
 def _span(mask: np.ndarray) -> slice:
@@ -453,8 +473,9 @@ def adam_step(param_view: np.ndarray, grad_view: np.ndarray, moments: Moments,
     all of ``param_view`` by default, or a (row slice, column slice) block.
     Complex parameters participate as their float views (two real scalars per
     element). ``lr`` is a scalar or a rate per entry of ``param_view``. The
-    step advances ``moments.t``, the count the bias corrections use; a
-    rejected step changes nothing.
+    step advances ``moments.t``, the count the bias corrections use, and
+    ``moments.k``, the steps the scaled moments hold, folding them first if
+    beta1**k would drop below ADAM_FOLD_FLOOR; a rejected step changes nothing.
     """
     if not (param_view.shape == moments.m.shape == moments.v.shape
             and grad_view.shape == param_view[support].shape
@@ -463,7 +484,10 @@ def adam_step(param_view: np.ndarray, grad_view: np.ndarray, moments: Moments,
     # packed arrays only: on a strided view every ufunc would leave numpy's packed loops
     if not all(a.flags.c_contiguous for a in (param_view, grad_view, moments.m, moments.v)):
         raise DimensionMismatch("param/grad/moment arrays must be C-contiguous")
+    if ADAM_BETA1 ** (moments.k + 1) < ADAM_FOLD_FLOOR:
+        moments.fold()
     moments.t += 1
+    moments.k += 1
     kernels.adam_update(param_view, grad_view, moments.m, moments.v, support, lr,
                         ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA1 ** moments.t,
-                        1.0 - ADAM_BETA2 ** moments.t, ADAM_EPS)
+                        1.0 - ADAM_BETA2 ** moments.t, ADAM_EPS, moments.k)

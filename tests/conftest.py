@@ -66,20 +66,26 @@ def ap_misfit(spatial: np.ndarray, pupil: np.ndarray,
     return spectral_misfit(spectrum, pupil, measured_amplitudes(images, cfg), cfg)
 
 
-def allocating_adam(p, g, m, v, lr, beta1, beta2, bc1, bc2, eps, hit=True) -> None:
-    """Adam on the root ``v`` = sqrt(second moment) in whole-array expressions,
-    ``g`` zero-filled to ``p``'s shape: the bitwise reference for
-    ``kernels.adam_update``, which works on the gradient's block in place.
-    Both moments decay everywhere, and the root takes its gradient update
-    where the mask ``hit`` (the block the step's gradient covers; True: all of
-    ``p``) is set: a zero-filled root update would change the bits wherever
-    s * s underflows. The bias corrections are folded into the rate and eps
-    (Kingma & Ba, Algorithm 1's footnote)."""
-    np.multiply(m, beta1, out=m)
-    m += (1.0 - beta1) * g
-    s = v * math.sqrt(beta2)
-    v[...] = np.where(hit, np.sqrt(s * s + (1.0 - beta2) * (g * g)), s)
-    p -= lr * (math.sqrt(bc2) / bc1) * m / (v + eps * math.sqrt(bc2))
+def allocating_adam(p, g, m, v, lr, beta1, beta2, bc1, bc2, eps, k, hit=True) -> None:
+    """Adam on scaled moments in whole-array expressions, ``g`` zero-filled to
+    ``p``'s shape: the bitwise reference for ``kernels.adam_update``, which
+    works on the gradient's block. ``m`` holds M = m / beta1**k and ``v``
+    holds S = sqrt(second moment) / sqrt(beta2**k), k counting this step.
+    Both take their gradient update where the mask ``hit`` (the block the
+    step's gradient covers; True: all of ``p``) is set and keep their bits
+    elsewhere. The bias corrections are folded into the rate and eps
+    (Kingma & Ba, Algorithm 1's footnote), and the scales into both."""
+    d1, d2 = beta1 ** k, beta2 ** k
+    m[...] = np.where(hit, m + g * ((1.0 - beta1) / d1), m)
+    v[...] = np.where(hit, np.sqrt(v * v + g * g * ((1.0 - beta2) / d2)), v)
+    rate = lr * (math.sqrt(bc2) / bc1 * d1 / math.sqrt(d2))
+    p -= m * rate / (v + eps * math.sqrt(bc2) / math.sqrt(d2))
+
+
+def fold_moments(m, v, beta1, beta2, k) -> None:
+    """Multiply the decay of k steps back into scaled moments, in place."""
+    m[...] = m * beta1 ** k
+    v[...] = v * math.sqrt(beta2 ** k)
 
 
 def power_tv_grad(img):

@@ -1,7 +1,8 @@
 """The Adam and TV kernels against the plain allocating expressions whose
-bits they keep (Adam adds its gradient terms on a block alone, and TV runs on
-contiguous views of one array), and Adam on the root of its second moment
-against the textbook Adam that stores the moment."""
+bits they keep (Adam updates its scaled moments on a block alone, and TV runs
+on contiguous views of one array), and Adam on scaled moments, folded as
+``pgnn.adam_step`` folds them, against the textbook Adam that stores the
+second moment."""
 
 import tracemalloc
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import allocating_adam, power_tv_grad
 from fptycho import kernels
+from fptycho.pgnn import Moments, adam_step
 
 
 def _signed_zeros(rng, n):
@@ -36,7 +38,7 @@ def test_scratch_adam_is_bitwise_the_allocating_expression(n, seed):
         if t % 10 == 0:
             g[:] = 0.0 if t % 20 else -0.0
         lr = float(rng.choice([1e-5, 1e-3, 0.3]))
-        args = (lr, b1, b2, 1.0 - b1 ** t, 1.0 - b2 ** t, eps)
+        args = (lr, b1, b2, 1.0 - b1 ** t, 1.0 - b2 ** t, eps, t)
         allocating_adam(ref[0], g, ref[1], ref[2], *args)
         kernels.adam_update(new[0], g, new[1], new[2], ..., *args)
         for a, b in zip(ref, new):
@@ -53,12 +55,10 @@ _ADAM_VALUES = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_window_support_adam_is_bitwise_the_full_grid_expression(data):
-    """The kernel adds the gradient terms only on its support: outside it,
-    the full-grid expression adds +0.0 terms to the first moment, which change
-    no bit because no Adam step makes a -0.0 moment from +0.0 starts, and
-    leaves the decayed root as it is (kernels.adam_update). The subnormal and
-    tiny draws make s * s underflow, where a root update off the block would
-    change bits."""
+    """The kernel updates the scaled moments only on its support, and the
+    full-grid expression masked to that block has its bits (kernels.adam_update).
+    The subnormal and tiny draws make S * S underflow, where a root update off
+    the block would change bits."""
     def grid(shape):
         return np.array(data.draw(st.lists(_ADAM_VALUES, min_size=shape[0] * shape[1],
                                            max_size=shape[0] * shape[1])),
@@ -71,7 +71,7 @@ def test_window_support_adam_is_bitwise_the_full_grid_expression(data):
 
     def args():
         lr = data.draw(st.sampled_from([1e-5, 1e-3, 0.3]))
-        return lr, b1, b2, 1.0 - b1 ** t, 1.0 - b2 ** t, eps
+        return lr, b1, b2, 1.0 - b1 ** t, 1.0 - b2 ** t, eps, t
 
     # moments after k full-grid steps (k = 0: the +0.0 starts)
     for _ in range(data.draw(st.integers(0, 3))):
@@ -104,9 +104,9 @@ def test_adam_skips_a_rounded_bias_correction_at_the_same_bits(t, block,
                                                                per_entry_rate):
     """From t = 356 the first bias correction 1 - 0.9**t is 1.0: on either
     side of that boundary the kernel's folded rate lr * (sqrt(bc2) / bc1) and
-    guard eps * sqrt(bc2) give the allocating expression's bits, on the whole
-    array and on a block. A rate per entry gives the bits of a separate
-    allocating step per rate."""
+    guard eps * sqrt(bc2), with the moments' scales of t steps, give the
+    allocating expression's bits, on the whole array and on a block. A rate
+    per entry gives the bits of a separate allocating step per rate."""
     b1, b2, eps = 0.9, 0.999, 1e-8
     assert 1.0 - b1 ** 355 < 1.0 == 1.0 - b1 ** 356
     rng = np.random.Generator(np.random.PCG64(t))
@@ -123,36 +123,39 @@ def test_adam_skips_a_rounded_bias_correction_at_the_same_bits(t, block,
     ref = [a.copy() for a in start]
     for half, lr in zip((slice(0, 3), slice(3, 6)), rates):
         allocating_adam(ref[0][half], full[half], ref[1][half], ref[2][half],
-                        lr, b1, b2, *bcs, eps, hit=hit[half])
+                        lr, b1, b2, *bcs, eps, t, hit=hit[half])
     new = [a.copy() for a in start]
     lr = np.repeat(rates, 24).reshape(shape) if per_entry_rate else rates[0]
     kernels.adam_update(new[0], full[support].copy(), new[1], new[2], support,
-                        lr, b1, b2, *bcs, eps)
+                        lr, b1, b2, *bcs, eps, t)
     for a, b in zip(ref, new):
         assert a.tobytes() == b.tobytes()
 
 
-# fixed before the test was first run, from rounding: the root form decays by
-# the rounded sqrt(0.999) and each side rounds every step, so over 2,400 steps
-# an entry's second-moment root may drift by up to a few 1e-13 relative
-_ROOT_DRIFT = 1e-12
+# fixed before the test was first run, from rounding: each side rounds every
+# step, the scaled form in its accumulated moments and its folds, textbook
+# Adam in its decays, so over 2,400 steps an entry may drift by a few 1e-13
+# relative (the root form alone drifted by 6.7e-14)
+_DRIFT = 1e-12
 
 
-def test_root_adam_stays_within_rounding_of_textbook_adam():
-    """2,400 steps of the kernel on a moving block, with a rate per entry and
-    t crossing 356, against textbook Adam that stores the second moment v:
-    the first moments keep their bits, the roots stay within _ROOT_DRIFT of
-    sqrt(v) and the parameters' displacement within _ROOT_DRIFT of the
-    textbook's largest. Rows 10-11 and column 9 never get a gradient: their
-    parameters and moments keep their +0.0 bits, so a pgnn object stage's box
-    (the rows and columns with a nonzero moment) cannot grow."""
+def test_scaled_adam_stays_within_rounding_of_textbook_adam():
+    """2,400 ``adam_step`` calls on a moving block, with a rate per entry, t
+    crossing 356 and the moments folded mid-stage (beta1**k reaches
+    ADAM_FOLD_FLOOR at k = 656) and once at the end, against textbook Adam
+    that stores the second moment v: the first moments stay within _DRIFT of
+    sqrt(v), the roots within _DRIFT of sqrt(v) and the parameters'
+    displacement within _DRIFT of the textbook's largest. Rows 10-11 and
+    column 9 never get a gradient: their parameters and moments keep their
+    +0.0 bits, so a pgnn object stage's box (the rows and columns with a
+    nonzero moment) cannot grow."""
     b1, b2, eps = 0.9, 0.999, 1e-8
     rng = np.random.Generator(np.random.PCG64(62))
     shape = (12, 10)
     start = rng.standard_normal(shape)
     start[10:, :] = start[:, 9] = 0.0
     lr = rng.choice([1e-5, 1e-3, 3e-2], size=shape)
-    p, m, s = start.copy(), np.zeros(shape), np.zeros(shape)
+    p, mom = start.copy(), Moments.like(start)
     ref_p, ref_m, ref_v = start.copy(), np.zeros(shape), np.zeros(shape)
     for t in range(1, 2401):
         r0, c0 = (5 * t) % 7, (3 * t) % 5
@@ -160,20 +163,20 @@ def test_root_adam_stays_within_rounding_of_textbook_adam():
         g = np.zeros(shape)
         g[support] = (rng.standard_normal(g[support].shape)
                       * 10.0 ** rng.uniform(-3, 1, g[support].shape))
-        bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-        kernels.adam_update(p, g[support].copy(), m, s, support, lr, b1, b2,
-                            bc1, bc2, eps)
+        adam_step(p, g[support].copy(), mom, lr, support)
         ref_m = b1 * ref_m + (1.0 - b1) * g
         ref_v = b2 * ref_v + (1.0 - b2) * g * g
-        ref_p -= lr * (ref_m / bc1) / (np.sqrt(ref_v / bc2) + eps)
-    assert m.tobytes() == ref_m.tobytes()
+        ref_p -= lr * (ref_m / (1.0 - b1 ** t)) / (np.sqrt(ref_v / (1.0 - b2 ** t)) + eps)
+    assert mom.t == 2400 and mom.k == 2400 - 3 * 655   # three mid-stage folds
+    mom.fold()
     reached = ref_v > 0.0
     assert not reached[10:, :].any() and not reached[:, 9].any() and reached[:10, :9].all()
-    drift = np.abs(s[reached] - np.sqrt(ref_v[reached])) / np.sqrt(ref_v[reached])
-    assert drift.max() <= _ROOT_DRIFT
+    root = np.sqrt(ref_v[reached])
+    assert (np.abs(mom.m[reached] - ref_m[reached]) / root).max() <= _DRIFT
+    assert (np.abs(mom.v[reached] - root) / root).max() <= _DRIFT
     moved = np.abs(p - ref_p).max() / np.abs(ref_p - start).max()
-    assert moved <= _ROOT_DRIFT
-    for a in (p, m, s):
+    assert moved <= _DRIFT
+    for a in (p, mom.m, mom.v):
         assert not a[~reached].view(np.uint64).any()
 
 

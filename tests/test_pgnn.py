@@ -8,14 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (allocating_adam, fd_check, grid_config, power_tv_grad,
-                      textured_object)
+from conftest import (allocating_adam, fd_check, fold_moments, grid_config,
+                      power_tv_grad, textured_object)
 from fptycho.epie import EpieConfig, run_epie
 from fptycho.errors import DimensionMismatch, NumericalError
 from fptycho.field import center_shift, dft2, wrap_phase
 from fptycho.kernels import tv_grad, tv_value
-from fptycho.pgnn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AMP_FLOOR, TV_REFRESH,
-                          Moments, ObjectStage, PgnnConfig, PgnnModel, PupilStage,
+from fptycho.pgnn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ADAM_FOLD_FLOOR, AMP_FLOOR,
+                          TV_REFRESH, Moments, ObjectStage, PgnnConfig, PgnnModel, PupilStage,
                           adam_step, run_pgnn)
 from fptycho.optics import (Illumination, OpticalConfig, defocus_phase, make_ctf,
                             pupil_support)
@@ -534,7 +534,8 @@ def test_adam_validates_step_count_and_shapes():
 @pytest.mark.parametrize("lr_shape", [(5,), (6, 1), (1,)])
 def test_adam_rejects_a_misshapen_rate_before_touching_the_state(lr_shape):
     """A rate that is neither a scalar nor one per parameter is refused before
-    the step: the parameters, both moments and the count keep their bits."""
+    the step: the parameters, both moments, the count and the moments' scale
+    keep their bits."""
     rng = np.random.Generator(np.random.PCG64(47))
     p = rng.standard_normal(6)
     mom = Moments.like(p)
@@ -543,7 +544,7 @@ def test_adam_rejects_a_misshapen_rate_before_touching_the_state(lr_shape):
     with pytest.raises(DimensionMismatch, match="shapes differ"):
         adam_step(p, rng.standard_normal(6), mom, lr=np.full(lr_shape, 0.1))
     assert [p.tobytes(), mom.m.tobytes(), mom.v.tobytes()] == before
-    assert mom.t == 1
+    assert mom.t == mom.k == 1
 
 
 # a block of the 8x6 grid, a box around it, and the block in box coordinates
@@ -624,13 +625,15 @@ def test_adam_rejects_strided_arrays_instead_of_losing_the_update():
     with pytest.raises(DimensionMismatch, match="contiguous"):
         adam_step(p, np.ones((4, 2)), mom, lr=0.1)
     assert np.all(p == 1.0) and np.all(mom.m == 0.0) and np.all(mom.v == 0.0)
-    assert mom.t == 0
+    assert mom.t == mom.k == 0
     packed = np.ones((4, 2))
     with pytest.raises(DimensionMismatch, match="contiguous"):
-        adam_step(packed, np.ones((4, 4))[:, ::2], Moments.like(packed), lr=0.1)
+        adam_step(packed, np.ones((4, 4))[:, ::2], mom := Moments.like(packed), lr=0.1)
+    assert mom.t == mom.k == 0
     strided = Moments(m=np.zeros((4, 4))[:, ::2], v=np.zeros((4, 2)))
     with pytest.raises(DimensionMismatch, match="contiguous"):
         adam_step(packed, np.ones((4, 2)), strided, lr=0.1)
+    assert strided.t == strided.k == 0
     adam_step(packed, np.ones((4, 2)), Moments.like(packed), lr=0.1)
     assert np.all(packed < 1.0)
 
@@ -806,13 +809,23 @@ def test_a_misshapen_capture_is_named(small_instance):
 # -- stage caching is bitwise-neutral --------------------------------------
 
 def _reference_adam(param, grad, mom, lr, hit=True):
-    """The allocating Adam step through the same flat views; ``hit`` masks the
-    gradient's block, as in ``allocating_adam``."""
+    """The allocating Adam step through the same flat views, folding first
+    where ``adam_step`` folds; ``hit`` masks the gradient's block, as in
+    ``allocating_adam``."""
     b1, b2 = ADAM_BETA1, ADAM_BETA2
+    if b1 ** (mom.k + 1) < ADAM_FOLD_FLOOR:
+        _reference_fold(mom)
     mom.t += 1
+    mom.k += 1
     t = mom.t
     allocating_adam(param.ravel(), grad.ravel(), mom.m.ravel(), mom.v.ravel(),
-                    lr, b1, b2, 1.0 - b1 ** t, 1.0 - b2 ** t, ADAM_EPS, np.ravel(hit))
+                    lr, b1, b2, 1.0 - b1 ** t, 1.0 - b2 ** t, ADAM_EPS, mom.k, np.ravel(hit))
+
+
+def _reference_fold(mom):
+    """``Moments.fold`` as whole-array expressions."""
+    fold_moments(mom.m, mom.v, ADAM_BETA1, ADAM_BETA2, mom.k)
+    mom.k = 0
 
 
 def _block_mask(shape, block):
@@ -826,15 +839,16 @@ def _reference_stage(model, state, stage_index):
     """run_stage holding nothing per stage but an object stage's TV penalty:
     every step recomputes the pupil and its phase factor, allocates a fresh
     gradient grid and takes the allocating Adam step on the whole object
-    (without TV, the root's gradient update on window n alone), or
+    (without TV, the moments' gradient update on window n alone), or
     on the pupil (the support's amplitudes and the coefficients, each block its
     own step at its own rate). With
     TV an object step holds the value and gradient ``allocating_tv_eval`` gave
     at the stage's last refresh (steps 0, TV_REFRESH, 2 TV_REFRESH, ... across
     its epochs) and adds its data gradient onto a copy of that gradient on its
-    window; other steps take ``total_loss`` and ``gradients``. Like
+    window; other steps take ``total_loss`` and ``gradients``. The moments
+    fold where ``adam_step`` folds them and as the stage ends. Like
     ``run_stage``, it raises NumericalError after the step of the first
-    non-finite loss."""
+    non-finite loss, folded."""
     pcfg = model.pcfg
     update_object = stage_index % 2 == 1
     if model.basis is None:   # re and im of each support entry
@@ -844,47 +858,52 @@ def _reference_stage(model, state, stage_index):
                   (slice(model.index.size, None), pcfg.lr_zern)]
     losses = []
     steps = 0
-    for _ in range(pcfg.epochs_per_stage):
-        acc = 0.0
-        for n in model.order:
-            if update_object and model.tv:
-                if steps % TV_REFRESH == 0:
-                    tv_value, tv_gradient = allocating_tv_eval(model, state)
-                steps += 1
-                fw = model.forward(state, n)
-                loss = fw.data_loss + tv_value
-                g_object = tv_gradient.copy()
-                g_object[model.windows[n]] += (2.0 * model.area_low
-                                               * np.conj(model.pupil(state))
-                                               * fw.residual)
-                g = {"object": g_object.view(np.float64)}
-            else:
-                loss = model.total_loss(state, n)
-                g = model.gradients(state, n)
-            if update_object:
-                # without TV the gradient's block is window n, on the float view
-                rs, cs = model.windows[n]
-                hit = model.tv or _block_mask(g["object"].shape,
-                                              (rs, slice(2 * cs.start, 2 * cs.stop)))
-                _reference_adam(state.object_spectrum.view(np.float64),
-                                g["object"],
-                                state.moments["object"], pcfg.lr_object, hit)
-            else:
-                # each block of the pupil's parameters (the support's, then a
-                # Zernike pupil's coefficients) as its own allocating step
-                # with its own scalar rate: that proves the per-entry rates
-                # bit-exact
-                mom = state.moments["pupil"]
-                mom.t += 1
-                for block, lr in blocks:
-                    allocating_adam(state.pupil_params[block], g["pupil"][block],
-                                    mom.m[block], mom.v[block], lr, ADAM_BETA1, ADAM_BETA2,
-                                    1.0 - ADAM_BETA1 ** mom.t, 1.0 - ADAM_BETA2 ** mom.t,
-                                    ADAM_EPS)
-            if not np.isfinite(loss):
-                raise NumericalError(f"non-finite loss at image {n}")
-            acc += loss
-        losses.append(acc)
+    mom = state.moments["object" if update_object else "pupil"]
+    try:
+        for _ in range(pcfg.epochs_per_stage):
+            acc = 0.0
+            for n in model.order:
+                if update_object and model.tv:
+                    if steps % TV_REFRESH == 0:
+                        tv_value, tv_gradient = allocating_tv_eval(model, state)
+                    steps += 1
+                    fw = model.forward(state, n)
+                    loss = fw.data_loss + tv_value
+                    g_object = tv_gradient.copy()
+                    g_object[model.windows[n]] += (2.0 * model.area_low
+                                                   * np.conj(model.pupil(state))
+                                                   * fw.residual)
+                    g = {"object": g_object.view(np.float64)}
+                else:
+                    loss = model.total_loss(state, n)
+                    g = model.gradients(state, n)
+                if update_object:
+                    # without TV the gradient's block is window n, on the float view
+                    rs, cs = model.windows[n]
+                    hit = model.tv or _block_mask(g["object"].shape,
+                                                  (rs, slice(2 * cs.start, 2 * cs.stop)))
+                    _reference_adam(state.object_spectrum.view(np.float64),
+                                    g["object"], mom, pcfg.lr_object, hit)
+                else:
+                    # each block of the pupil's parameters (the support's, then a
+                    # Zernike pupil's coefficients) as its own allocating step
+                    # with its own scalar rate: that proves the per-entry rates
+                    # bit-exact
+                    if ADAM_BETA1 ** (mom.k + 1) < ADAM_FOLD_FLOOR:
+                        _reference_fold(mom)
+                    mom.t += 1
+                    mom.k += 1
+                    for block, lr in blocks:
+                        allocating_adam(state.pupil_params[block], g["pupil"][block],
+                                        mom.m[block], mom.v[block], lr, ADAM_BETA1,
+                                        ADAM_BETA2, 1.0 - ADAM_BETA1 ** mom.t,
+                                        1.0 - ADAM_BETA2 ** mom.t, ADAM_EPS, mom.k)
+                if not np.isfinite(loss):
+                    raise NumericalError(f"non-finite loss at image {n}")
+                acc += loss
+            losses.append(acc)
+    finally:
+        _reference_fold(mom)
     return losses
 
 
@@ -893,7 +912,7 @@ def _state_bytes(state):
     for name in sorted(state.moments):
         arrays += [state.moments[name].m, state.moments[name].v]
     return ([a.tobytes() for a in arrays],
-            [state.moments[name].t for name in sorted(state.moments)])
+            [(state.moments[name].t, state.moments[name].k) for name in sorted(state.moments)])
 
 
 @pytest.mark.parametrize("pcfg", [
@@ -1020,7 +1039,8 @@ def test_object_adam_rows_follow_the_held_pupil_and_the_moments(small_instance,
 def test_a_stage_that_raises_leaves_the_state_of_the_step_loop(small_instance, tv):
     """An object stage that raises NumericalError partway through leaves in
     ``state`` what the full-grid step loop leaves at the same image: its box
-    is written back, the failing step included."""
+    is written back, the failing step included, and its moments are folded
+    back into textbook ones."""
     cfg, _, images = small_instance
     pcfg = PgnnConfig(epochs_per_stage=2, tv_alpha1=1e-3 if tv else 0.0)
     model = PgnnModel(images, cfg, pcfg)
@@ -1036,8 +1056,33 @@ def test_a_stage_that_raises_leaves_the_state_of_the_step_loop(small_instance, t
         with pytest.raises(NumericalError):
             _reference_stage(model, slow, 1)
     assert fast.moments["object"].t == 5
+    assert all(mom.k == 0 for mom in fast.moments.values())   # folded as it raised
     assert _state_bytes(fast) == _state_bytes(slow)
     assert _state_bytes(fast)[0][0] != start[0][0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_stage_past_the_fold_floor_folds_and_matches_the_step_loop():
+    """A stage of 700 steps on a tiny problem (two LEDs, 4x4 captures) passes
+    k = 656, where beta1**k first falls below ADAM_FOLD_FLOOR: each group's
+    moments fold there and as the stage closes, finite and without a
+    RuntimeWarning, bit for bit as the recomputing, allocating loop folds."""
+    assert ADAM_BETA1 ** 655 >= ADAM_FOLD_FLOOR > ADAM_BETA1 ** 656
+    rng = np.random.Generator(np.random.PCG64(5))
+    leds = (Illumination(-0.12, 0.0), Illumination(0.12, 0.0))
+    cfg = OpticalConfig(wavelength_um=0.5, na=0.25, magnification=2.0, camera_pixel_um=2.0,
+                        low_rows=4, low_cols=4, upsample=2, illuminations=leds)
+    model = PgnnModel([rng.random((4, 4)) + 0.1 for _ in leds], cfg,
+                      PgnnConfig(epochs_per_stage=350))
+    fast, slow = model.initial_state(), model.initial_state()
+    for stage, group in ((1, "object"), (2, "pupil")):
+        fast_losses = model.run_stage(fast, stage)
+        slow_losses = _reference_stage(model, slow, stage)
+        assert np.array(fast_losses).tobytes() == np.array(slow_losses).tobytes()
+        assert _state_bytes(fast) == _state_bytes(slow)
+        mom = fast.moments[group]
+        assert mom.t == 700 and mom.k == 0
+        assert np.isfinite(mom.m).all() and np.isfinite(mom.v).all()
 
 
 # -- end-to-end behavior on the reference problem --------------------------
