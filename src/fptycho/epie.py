@@ -129,7 +129,7 @@ def ap_project(phi_low: np.ndarray, amplitude: np.ndarray) -> tuple[np.ndarray, 
     field = idft2(phi_low)
     modulus = np.abs(field)
     unit = phase_unit(field, _centring_ramp(*field.shape[-2:]), modulus=modulus)
-    return dft2(np.multiply(amplitude, unit, out=unit)), modulus
+    return dft2(amplitude * unit), modulus
 
 
 @functools.lru_cache

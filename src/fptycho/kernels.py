@@ -4,10 +4,10 @@ projection (np.tensordot's reshapes and one ``dot``), and elementwise Adam.
 These run tens of thousands of times per reconstruction. Callers reach them
 as ``kernels.<name>`` attributes, so a profiler can wrap each one by name.
 
-``adam_update`` decays the moments and steps the arrays it is given (a
-``pgnn`` object stage packs its live box of the spectrum, a pupil stage steps the
-pupil as stored, on its support), but adds gradient terms, and takes the root
-it keeps of the second moment, only on the block ``support`` the gradient covers.
+``adam_update`` steps the arrays it is given (a ``pgnn`` object stage packs its
+live box of the spectrum, a pupil stage steps the pupil as stored, on its
+support) on moments held in scaled form, which leaves the moments off the block
+``support`` the gradient covers untouched: no decay pass runs over them.
 ``tv_value`` and ``tv_grad`` run every ufunc on contiguous views (row blocks,
 or the flat grid for the column differences) of one new array: on a strided
 column view numpy goes through its buffered iterator, which allocates and
