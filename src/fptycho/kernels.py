@@ -104,12 +104,13 @@ def adam_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
     ``g`` is the gradient on ``p[support]`` (``...`` for all of ``p``). Off it
     the step leaves M and S alone, which is the textbook decay in the scaled
     form; on it, M += g * (1 - beta1) / beta1**k and
-    S = sqrt(S * S + (1 - beta2) * g * g / beta2**k), on packed copies of the
-    block (a ufunc on a strided block takes about four times as long) written
-    back into ``m`` and ``v``. bc1/bc2 are the bias corrections (1 - beta^t)
-    for the current step count, folded into the scalars
-    alpha_t = lr * sqrt(bc2) / bc1 and eps_t = eps * sqrt(bc2), the
-    reordering in Kingma & Ba's Algorithm 1 footnote (ICLR 2015), and the
+    S = sqrt(S * S + (1 - beta2) * g * g / beta2**k), in place when ``support``
+    is ``...``, otherwise on packed copies of the block (a ufunc on a strided
+    block takes about four times as long) written back into ``m`` and ``v``.
+    bc1/bc2 are the bias corrections (1 - beta^t) for the current step count,
+    folded into the scalars alpha_t = lr * sqrt(bc2) / bc1 and
+    eps_t = eps * sqrt(bc2), the reordering in Kingma & Ba's Algorithm 1
+    footnote (ICLR 2015), and the
     step is ``p -= alpha_t * beta1**k / sqrt(beta2**k) * M / (S + eps_t /
     sqrt(beta2**k))``: textbook Adam's step in real arithmetic, with one
     division per entry, no root off the block and four passes over ``p``.
@@ -121,12 +122,14 @@ def adam_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
     """
     d1, d2 = beta1 ** k, beta2 ** k   # the decay the scaled moments leave out
     r2 = math.sqrt(d2)
-    mb, sb = np.ascontiguousarray(m[support]), np.ascontiguousarray(v[support])
+    mb, sb = ((m, v) if support is ... else
+              (np.ascontiguousarray(m[support]), np.ascontiguousarray(v[support])))
     mb += g * ((1.0 - beta1) / d1)
     sb *= sb
     sb += g * g * ((1.0 - beta2) / d2)
     np.sqrt(sb, out=sb)
-    m[support], v[support] = mb, sb   # numpy skips the copy when mb is m's own memory
+    if mb is not m:   # numpy skips the copy when mb is m's own memory
+        m[support], v[support] = mb, sb
     sqrt_bc2 = math.sqrt(bc2)
     a = m * (lr * (sqrt_bc2 / bc1 * d1 / r2))
     b = v + eps * sqrt_bc2 / r2

@@ -152,8 +152,8 @@ class ZernikeBasis:
     rho = f / cutoff > 1 (the rim rho == 1 is kept).
     """
 
-    grids: np.ndarray  # (count, low_rows, low_cols) float64
-    disk: np.ndarray   # bool, rho <= 1
+    grids: np.ndarray  # (count, low_rows, low_cols) float64, or (count, k) on k pixels
+    disk: np.ndarray   # bool, rho <= 1, on the same pixels
 
     @property
     def count(self) -> int:

@@ -19,9 +19,11 @@ step on the active parameter group against
 
 Stages alternate: odd stages (1-based) update the object, even stages the
 pupil. An ``ObjectStage`` or ``PupilStage`` holds what the frozen group fixes
-for the whole stage; an object stage also holds a packed copy of the object's
-live box, which its ``close`` writes back, while a pupil stage steps the
-state's packed pupil itself; either ``close`` folds Adam's scaled ``Moments``.
+for the whole stage (the data-gradient weight of the frozen pupil or object);
+an object stage also holds a packed copy of the object's live box, which its
+``close`` writes back, while a pupil stage steps the state's packed pupil
+itself, on the support alone: the Zernike modes are held there
+(``PgnnModel.basis``). Either ``close`` folds Adam's scaled ``Moments``.
 ``run_stage`` opens one, sweeps ``step`` over the images and closes it.
 ``gradients`` and ``total_loss`` hold nothing.
 
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,8 +133,7 @@ class PgnnState:
         return self.pupil_params[self.pupil_params.size - self.zernike_modes:]
 
 
-@dataclass(frozen=True)
-class ForwardResult:
+class ForwardResult(NamedTuple):
     residual: np.ndarray    # modeled minus amplitude-replaced window spectrum
     target: np.ndarray      # amplitude-replaced spectrum; constant per step
     data_loss: float
@@ -147,13 +149,16 @@ class PgnnModel:
         self.pcfg = pcfg
         self.support = pupil_support(cfg)
         self.index = np.flatnonzero(self.support)   # the support's flat capture-grid indices
-        self.basis: ZernikeBasis | None = (
-            None if pcfg.zernike_modes is None
-            else zernike_basis(cfg, pcfg.zernike_modes))
+        self.basis: ZernikeBasis | None = None   # the modes on the support: (count, index.size)
+        if pcfg.zernike_modes is not None:
+            full = zernike_basis(cfg, pcfg.zernike_modes)
+            self.basis = ZernikeBasis(np.ascontiguousarray(full.grids[:, self.support]),
+                                      full.disk[self.support])
         self.high_shape = (cfg.high_rows, cfg.high_cols)
-        # the object-spectrum window each image addresses
+        # the object-spectrum window each image addresses, and its first entry's flat index
         self.windows = [window(self.high_shape, off, cfg.low_rows, cfg.low_cols)
                         for off in illumination_offsets(cfg)]
+        self.origins = [rs.start * cfg.high_cols + cs.start for rs, cs in self.windows]
         # field spectra are low_area * window * pupil; keeping the stored
         # spectrum divided by this puts every parameter on an O(1) scale
         self.area_low = cfg.low_rows * cfg.low_cols
@@ -176,14 +181,13 @@ class PgnnModel:
 
     def pupil(self, state: PgnnState) -> np.ndarray:
         """The capture-grid pupil: ``state.pupil_params`` scattered onto the
-        support, +0.0 off it; a Zernike phase is synthesised on the whole grid."""
-        if self.basis is None:
-            pupil = np.zeros(self.cfg.low_shape, dtype=np.complex128)
-            pupil.reshape(-1)[self.index] = state.pupil_params.view(np.complex128)
-            return pupil
-        amp = np.zeros(self.cfg.low_shape)
-        amp.reshape(-1)[self.index] = state.pupil_params[:self.index.size]
-        return self.basis.pupil(amp, state.zern_coeffs)[0]
+        support, +0.0 off it; a Zernike pupil is synthesised on the support alone."""
+        pupil = np.zeros(self.cfg.low_shape, dtype=np.complex128)
+        params = state.pupil_params
+        pupil.reshape(-1)[self.index] = (
+            params.view(np.complex128) if self.basis is None
+            else self.basis.pupil(params[:self.index.size], state.zern_coeffs)[0])
+        return pupil
 
     # -- forward and loss --------------------------------------------------
 
@@ -202,8 +206,7 @@ class PgnnModel:
         predicted = self.predicted_spectrum(state, n, pupil)
         target = ap_project(predicted, self.amplitudes[n])[0]
         residual = predicted - target
-        return ForwardResult(residual=residual, target=target,
-                             data_loss=float(np.vdot(residual, residual).real))
+        return ForwardResult(residual, target, float(np.vdot(residual, residual).real))
 
     def spatial_object(self, state: PgnnState) -> np.ndarray:
         """Physical-units high-res object from the mean-normalized state."""
@@ -326,11 +329,11 @@ def run_pgnn(images: list[np.ndarray], cfg: OpticalConfig,
 
 
 class ObjectStage:
-    """An object stage, the pupil frozen. It holds the ``pupil``, its data-gradient
-    ``weight`` 2 * area * conj(pupil), the spans ``reach`` of its nonzero rows and
-    columns (within the support's, where the pupil is stored), and the ``box`` Adam
-    runs on: the rows and columns a reach covers through any window or a nonzero
-    moment holds (with TV, the grid). Off the box Adam's scaled moments are never
+    """An object stage, the pupil frozen. It holds the ``pupil``, the spans ``reach``
+    of its nonzero rows and columns (within the support's, where the pupil is stored),
+    its data-gradient ``weight`` 2 * area * conj(pupil) packed on the reach, and the
+    ``box`` Adam runs on: the rows and columns a reach covers through any window or a
+    nonzero moment holds (with TV, the grid). Off the box Adam's scaled moments are never
     written, so +0.0 moments and the parameters keep their bits (and no step makes a
     -0.0 moment or root; see ``kernels.adam_update``). Unless the box is the grid,
     ``spectrum`` (whose float view is ``params``) and ``moments`` are packed copies of
@@ -338,13 +341,12 @@ class ObjectStage:
     the box and gradient support in ``params``. With TV the stage evaluates the
     penalty and its dense gradient every ``TV_REFRESH`` of its ``steps`` and holds
     them (``tv_value``, ``tv_gradient``) in between (lazy regularization, Karras et
-    al., CVPR 2020); each step copies the held gradient into its ``grad`` and adds its
-    data gradient there."""
+    al., CVPR 2020); each step adds its data gradient onto the held one in ``grad``
+    on its block, which the next step restores (``last``)."""
 
     def __init__(self, model: PgnnModel, state: PgnnState):
         self.model, self.state = model, state
         self.pupil = pupil = model.pupil(state)
-        self.weight = 2.0 * model.area_low * np.conj(pupil)
         reached = np.any(pupil, axis=1), np.any(pupil, axis=0)
         mom = state.moments["object"]
         # rows and columns holding nonzero moment bits (-0.0 too), with no grid-sized temporary
@@ -355,6 +357,7 @@ class ObjectStage:
             for start in {win[axis].start for win in model.windows}:
                 live[axis][start:start + reached[axis].size] |= reached[axis]
         self.box, self.reach = tuple(map(_span, live)), tuple(map(_span, reached))
+        self.weight = 2.0 * model.area_low * np.conj(pupil[self.reach])
         (br, bc), (rr, rc) = self.box, self.reach
         self.fbox = br, slice(2 * bc.start, 2 * bc.stop)   # on the float view
         self.spectrum, self.moments = state.object_spectrum, mom
@@ -369,28 +372,30 @@ class ObjectStage:
             self.blocks.append(((_within(rs, br), _within(cs, bc)), hit))
         self.tv_value = 0.0
         if model.tv:   # step 0 refreshes the held penalty
-            self.steps, self.tv_gradient = 0, None
-            self.grad = np.empty(model.high_shape, dtype=np.complex128)
+            self.steps, self.tv_gradient, self.last = 0, None, ...
+            self.grad = np.empty(model.high_shape, dtype=np.complex128).view(np.float64)
 
     def gradient(self, n: int) -> tuple[np.ndarray, object, float]:
         """Image n's object gradient as float64, its ``support`` in ``params`` and the
         data term, taken on the reach alone (off it, it is +-0.0, which Adam may skip)
         once window n's part of a packed box is copied into the state for ``forward``;
-        with TV, added onto the copy of the held TV gradient in ``grad``."""
+        with TV, added onto the held TV gradient in ``grad``, which holds it bar the
+        last step's block: a refresh copies it whole, other steps that block."""
         model, state = self.model, self.state
         part, support = self.blocks[n]
         if self.spectrum is not state.object_spectrum:
             state.object_spectrum[self.box][part] = self.spectrum[part]
         fw = model.forward(state, n, self.pupil)
-        data = np.ascontiguousarray((self.weight * fw.residual)[self.reach]).view(np.float64)
+        data = (self.weight * fw.residual[self.reach]).view(np.float64)
         if not model.tv:
             return data, support, fw.data_loss
-        if self.steps % TV_REFRESH == 0:
+        if self.steps % TV_REFRESH == 0:   # the box is the grid
             self.tv_value, self.tv_gradient = model.tv_penalty(state)
-        self.steps += 1
-        np.copyto(self.grad, self.tv_gradient)
-        self.grad.view(np.float64)[support] += data   # the box is the grid
-        return self.grad.view(np.float64), ..., fw.data_loss
+            self.last = ...   # restore all of it
+        self.grad[self.last] = self.tv_gradient.view(np.float64)[self.last]
+        self.steps, self.last = self.steps + 1, support
+        self.grad[support] += data
+        return self.grad, ..., fw.data_loss
 
     def close(self) -> None:
         """Fold the moments, and write a packed box (spectrum, moments and step count)
@@ -406,46 +411,46 @@ class PupilStage:
     """A pupil stage, the object frozen: Adam on ``state.pupil_params`` itself (a
     Zernike pupil's rate per entry in ``lr``: ``lr_pupil_amp`` on the amplitudes,
     ``lr_zern`` on the coefficients; Adam is elementwise, so the bits of separate
-    steps). ``gradient`` scatters the pupil into the capture grid ``pupil`` for
-    ``forward`` and a Zernike pupil's coefficient weight into ``weight``, both zero
-    off the support. It holds the TV penalty's value (``PgnnModel.tv_value``; the
-    frozen object fixes it, and no pupil step needs its gradient), and ``close``
-    folds the moments."""
+    steps). It holds the frozen object's data-gradient weight 2 * area *
+    conj(spectrum) as a flat grid (``object_weight``), of which a step takes the
+    support's entries in window n at ``offsets`` + ``model.origins[n]``; the TV
+    penalty's value (``PgnnModel.tv_value``; no pupil step needs its gradient); and
+    the capture grid ``pupil`` that ``gradient`` scatters the pupil into for
+    ``forward``, zero off the support. ``close`` folds the moments."""
 
     def __init__(self, model: PgnnModel, state: PgnnState):
         self.model, self.state = model, state
         self.params, self.moments = state.pupil_params, state.moments["pupil"]
         pcfg = model.pcfg
-        if model.basis is None:
-            self.lr, self.weight = pcfg.lr_pupil_amp, None
-        else:
-            self.lr = np.repeat([pcfg.lr_pupil_amp, pcfg.lr_zern],
-                                [model.index.size, model.basis.count])
-            self.weight = np.zeros(model.cfg.low_shape)
+        self.lr = (pcfg.lr_pupil_amp if model.basis is None
+                   else np.repeat([pcfg.lr_pupil_amp, pcfg.lr_zern],
+                                  [model.index.size, model.basis.count]))
         self.pupil = np.zeros(model.cfg.low_shape, dtype=np.complex128)
+        index, (_, cols) = model.index, model.cfg.low_shape
+        self.offsets = index + index // cols * (model.high_shape[1] - cols)
+        self.object_weight = np.conj(state.object_spectrum).reshape(-1)
+        np.multiply(2.0 * model.area_low, self.object_weight, out=self.object_weight)
         self.tv_value = model.tv_value(state)
 
     def gradient(self, n: int) -> tuple[np.ndarray, object, float]:
-        """Image n's pupil gradient, laid out like ``params``, and the data term. The
-        Zernike phase is synthesised on the whole grid, then taken on the support: a
-        product over the support's columns alone can round the last bit differently."""
+        """Image n's pupil gradient, laid out like ``params``, and the data term, all
+        on the support: a Zernike pupil is synthesised there (``ZernikeBasis.pupil``,
+        as ``PgnnModel.pupil`` does) and its coefficient weight projected there."""
         model, index = self.model, self.model.index
         if model.basis is None:
             pupil = self.params.view(np.complex128)
         else:
-            amp, coeffs = self.params[:index.size], self.params[index.size:]
-            phase = kernels.synth_phase(model.basis.grids, coeffs).reshape(-1)[index]
-            phase_factor = np.exp(1j * phase)
-            pupil = amp * phase_factor
+            pupil, phase_factor = model.basis.pupil(self.params[:index.size],
+                                                    self.params[index.size:])
         self.pupil.reshape(-1)[index] = pupil
         fw = model.forward(self.state, n, self.pupil)
-        patch = self.state.object_spectrum[model.windows[n]].reshape(-1)[index]
-        g_pupil = 2.0 * model.area_low * np.conj(patch) * fw.residual.reshape(-1)[index]
+        g_pupil = (self.object_weight.take(self.offsets + model.origins[n])
+                   * fw.residual.reshape(-1)[index])
         if model.basis is None:
             return g_pupil.view(np.float64), ..., fw.data_loss
-        self.weight.reshape(-1)[index] = (g_pupil * np.conj(pupil)).imag
         return (np.concatenate(((np.conj(phase_factor) * g_pupil).real,
-                                kernels.project_modes(model.basis.grids, self.weight))),
+                                kernels.project_modes(model.basis.grids,
+                                                      (g_pupil * np.conj(pupil)).imag))),
                 ..., fw.data_loss)
 
     def close(self) -> None:
@@ -477,12 +482,15 @@ def adam_step(param_view: np.ndarray, grad_view: np.ndarray, moments: Moments,
     ``moments.k``, the steps the scaled moments hold, folding them first if
     beta1**k would drop below ADAM_FOLD_FLOOR; a rejected step changes nothing.
     """
+    if not isinstance(lr, (float, np.ndarray)):
+        lr = np.asarray(lr, dtype=np.float64)   # a list of rates, say
     if not (param_view.shape == moments.m.shape == moments.v.shape
             and grad_view.shape == param_view[support].shape
-            and np.shape(lr) in ((), param_view.shape)):
+            and (isinstance(lr, float) or lr.shape in ((), param_view.shape))):
         raise DimensionMismatch("param/grad/moment/rate shapes differ")
     # packed arrays only: on a strided view every ufunc would leave numpy's packed loops
-    if not all(a.flags.c_contiguous for a in (param_view, grad_view, moments.m, moments.v)):
+    if not (param_view.flags.c_contiguous and grad_view.flags.c_contiguous
+            and moments.m.flags.c_contiguous and moments.v.flags.c_contiguous):
         raise DimensionMismatch("param/grad/moment arrays must be C-contiguous")
     if ADAM_BETA1 ** (moments.k + 1) < ADAM_FOLD_FLOOR:
         moments.fold()

@@ -78,6 +78,11 @@ def test_traced_solvers_reach_every_step_entry_point(small_instance):
     assert counts["kernels.tv_grad.calls"] == 2 * 3
     assert counts["kernels.tv_value.calls"] == 2
     assert counts["kernels.project_modes.calls"] == len(images)
+    assert counts["pgnn.forward.calls"] == steps
+    # one Zernike synthesis per pupil step, through the traced kernel, plus one
+    # per PgnnModel.pupil call: the object stage's and the returned pupil
+    assert counts["pgnn.pupil.calls"] == 2
+    assert counts["kernels.synth_phase.calls"] == len(images) + 2
 
     # without TV the object step hands Adam its window gradient directly;
     # it still goes through the traced forward and Adam
@@ -86,6 +91,8 @@ def test_traced_solvers_reach_every_step_entry_point(small_instance):
     assert counts["pgnn.step.calls"] == steps
     assert counts["pgnn.forward.calls"] == steps
     assert counts["kernels.adam_update.calls"] == steps
+    assert counts["pgnn.pupil.calls"] == 2
+    assert counts["kernels.synth_phase.calls"] == len(images) + 2
 
     ecfg = fptycho.epie.EpieConfig(iterations=2)
     counts = _traced(tracing, lambda: fptycho.epie.run_epie(images, cfg, ecfg))
