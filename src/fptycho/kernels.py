@@ -110,10 +110,10 @@ def adam_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
     bc1/bc2 are the bias corrections (1 - beta^t) for the current step count,
     folded into the scalars alpha_t = lr * sqrt(bc2) / bc1 and
     eps_t = eps * sqrt(bc2), the reordering in Kingma & Ba's Algorithm 1
-    footnote (ICLR 2015), and the
-    step is ``p -= alpha_t * beta1**k / sqrt(beta2**k) * M / (S + eps_t /
-    sqrt(beta2**k))``: textbook Adam's step in real arithmetic, with one
-    division per entry, no root off the block and four passes over ``p``.
+    footnote (ICLR 2015), and the step is ``p -= alpha_t * beta1**k /
+    sqrt(beta2**k) * M / (S + eps_t / sqrt(beta2**k))``: textbook Adam's step
+    in real arithmetic, with one division per entry, no root off the block and
+    four passes over ``p``.
     ``lr`` is a scalar or a rate per entry of ``p``. Entries off every block
     keep their bits, +0.0 moments included; on a block, M + g * c is -0.0
     only when both terms are, and the root is never -0.0. The caller folds
@@ -128,7 +128,7 @@ def adam_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
     sb *= sb
     sb += g * g * ((1.0 - beta2) / d2)
     np.sqrt(sb, out=sb)
-    if mb is not m:   # numpy skips the copy when mb is m's own memory
+    if mb is not m:   # a block; numpy skips the copy when mb views m's own memory
         m[support], v[support] = mb, sb
     sqrt_bc2 = math.sqrt(bc2)
     a = m * (lr * (sqrt_bc2 / bc1 * d1 / r2))
