@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateField, DegeneratePupil, DimensionMismatch, NumericalError
-from .field import (dft2, center_shift, idft2, inverse_center_shift,
-                    phase_unit, window, window_stacks)
+from .field import dft2, center_shift, idft2, inverse_center_shift, phase_unit, window
 from .optics import OpticalConfig, illumination_offsets, make_ctf
 
 
@@ -184,24 +183,6 @@ def epie_step(state: EpieState, amplitude: np.ndarray, offset: tuple[int, int],
     np.add(patch, object_step, out=view)
     diff = amplitude - modulus
     return float(np.vdot(diff, diff).real)
-
-
-def spectral_misfit(spectrum: np.ndarray, pupil: np.ndarray,
-                    amplitudes: np.ndarray, cfg: OpticalConfig) -> float:
-    """Frozen-state misfit sum_n ||P_n(phi_n) - phi_n||^2, phi_n the window of
-    the centered ``spectrum`` at LED n times ``pupil``, P_n ``ap_project``
-    against capture n. One stacked projection per chunk of
-    ``field.WINDOW_CHUNK`` LEDs; the terms add in manifest order, so the sum
-    equals a per-LED loop bit for bit."""
-    total = 0.0
-    for start, phi in window_stacks(spectrum, illumination_offsets(cfg),
-                                    cfg.low_rows, cfg.low_cols):
-        phi *= pupil
-        diff = ap_project(phi, amplitudes[start:start + len(phi)])[0]
-        diff -= phi
-        for d in diff:
-            total += float(np.vdot(d, d).real)
-    return total
 
 
 def run_epie(images: list[np.ndarray], cfg: OpticalConfig,

@@ -25,11 +25,10 @@ an object stage also holds a packed copy of the object's live box, which its
 itself, on the support alone: the Zernike modes are held there
 (``PgnnModel.basis``). Either ``close`` folds Adam's scaled ``Moments``.
 ``run_stage`` opens one, sweeps ``step`` over the images and closes it.
-``gradients`` and ``total_loss`` hold nothing.
 
-All gradients are true real-parameter gradients (for a complex array they are
-d/dRe + i*d/dIm), verified against central finite differences of the
-frozen-target loss; see tests.
+A stage's gradients are true real-parameter gradients (for a complex array
+they are d/dRe + i*d/dIm) of the loss above with the step's target frozen,
+verified against its central finite differences; see tests.
 """
 
 from __future__ import annotations
@@ -41,8 +40,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .epie import (ap_project, initial_object_spectrum, measured_amplitudes,
-                   spectral_misfit, sweep, traversal_order)
+from .epie import (ap_project, initial_object_spectrum, measured_amplitudes, sweep,
+                   traversal_order)
 from .errors import DimensionMismatch
 from .field import dft2, center_shift, idft2, inverse_center_shift, window, wrap_phase
 from .optics import (OpticalConfig, ZernikeBasis, illumination_offsets,
@@ -135,7 +134,6 @@ class PgnnState:
 
 class ForwardResult(NamedTuple):
     residual: np.ndarray    # modeled minus amplitude-replaced window spectrum
-    target: np.ndarray      # amplitude-replaced spectrum; constant per step
     data_loss: float
 
 
@@ -191,22 +189,19 @@ class PgnnModel:
 
     # -- forward and loss --------------------------------------------------
 
-    def predicted_spectrum(self, state: PgnnState, n: int,
-                           pupil: np.ndarray | None = None) -> np.ndarray:
-        """Modeled window spectrum for image n (centered layout), formed on a
-        packed copy of the window: numpy's loops on a strided view take longer."""
-        if pupil is None:
-            pupil = self.pupil(state)
+    def predicted_spectrum(self, state: PgnnState, n: int, pupil: np.ndarray) -> np.ndarray:
+        """Modeled window spectrum for image n (centered layout) under the
+        capture-grid ``pupil``, formed on a packed copy of the window: numpy's
+        loops on a strided view take longer."""
         spectrum = state.object_spectrum[self.windows[n]].copy()
         np.multiply(self.area_low, spectrum, out=spectrum)
         return np.multiply(spectrum, pupil, out=spectrum)
 
-    def forward(self, state: PgnnState, n: int,
-                pupil: np.ndarray | None = None) -> ForwardResult:
+    def forward(self, state: PgnnState, n: int, pupil: np.ndarray) -> ForwardResult:
+        """Image n's residual against its amplitude-replaced target, and the data term."""
         predicted = self.predicted_spectrum(state, n, pupil)
-        target = ap_project(predicted, self.amplitudes[n])[0]
-        residual = predicted - target
-        return ForwardResult(residual, target, float(np.vdot(residual, residual).real))
+        residual = predicted - ap_project(predicted, self.amplitudes[n])[0]
+        return ForwardResult(residual, float(np.vdot(residual, residual).real))
 
     def spatial_object(self, state: PgnnState) -> np.ndarray:
         """Physical-units high-res object from the mean-normalized state."""
@@ -216,15 +211,13 @@ class PgnnModel:
         return spatial
 
     def tv_penalty(self, state: PgnnState) -> tuple[float, np.ndarray]:
-        """TV penalty and its object-spectrum gradient (with TV off, 0.0 and a
-        read-only zero grid that allocates nothing). Each TV image is one
+        """TV penalty and its object-spectrum gradient, for a model with TV on
+        (an object stage calls it only then). Each TV image is one
         ``kernels.tv_grad`` pass, which also gives its value. With
         u = z / max(|z|, AMP_FLOOR) (multiplied by the reciprocal: the
         quotient's bits bar the sign of a zero part, see field.phase_unit),
         the spatial gradient is one complex product,
         u * (alpha1 * grad_amp + 1j * alpha2 * grad_phase / max(|z|, AMP_FLOOR))."""
-        if not self.tv:
-            return 0.0, np.broadcast_to(np.complex128(0.0), self.high_shape)
         pcfg = self.pcfg
         spatial = self.spatial_object(state)
         weight = np.empty(self.high_shape, dtype=np.complex128)
@@ -264,34 +257,7 @@ class PgnnModel:
             value += pcfg.tv_alpha2 * kernels.tv_value(wrap_phase(np.angle(spatial)))
         return value
 
-    def total_loss(self, state: PgnnState, n: int) -> float:
-        return self.forward(state, n).data_loss + self.tv_value(state)
-
-    def dataset_loss(self, state: PgnnState) -> float:
-        """Frozen-state total loss accumulated over every image."""
-        data = spectral_misfit(self.area_low * state.object_spectrum,
-                               self.pupil(state), self.amplitudes, self.cfg)
-        return data + len(self.amplitudes) * self.tv_value(state)
-
-    # -- gradients and optimization ----------------------------------------
-
-    def gradients(self, state: PgnnState, n: int) -> dict[str, np.ndarray]:
-        """Real-parameter gradients of total_loss at image n, as float64
-        arrays keyed like ``state.moments``. The object gradient covers the
-        full grid: the TV gradient (or zeros) plus the data term's
-        2 * area * conj(pupil) * residual on the window. The pupil gradient is
-        a pupil stage's, laid out like ``state.pupil_params``.
-
-        The amplitude-replaced target is treated as a constant (matching the
-        loss the solver actually descends); finite differences of that
-        frozen-target loss are the reference the tests check against.
-        """
-        pupil = self.pupil(state)
-        g_object = self.tv_penalty(state)[1].copy()
-        g_object[self.windows[n]] += (2.0 * self.area_low * np.conj(pupil)
-                                      * self.forward(state, n, pupil).residual)
-        return {"object": g_object.view(np.float64),
-                "pupil": PupilStage(self, state).gradient(n)[0]}
+    # -- optimization ------------------------------------------------------
 
     def step(self, state: PgnnState, n: int, stage: ObjectStage | PupilStage) -> float:
         """One per-image Adam step on the group ``stage`` updates; returns the

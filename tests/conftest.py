@@ -8,13 +8,12 @@ import math
 import numpy as np
 import pytest
 
-from fptycho.epie import (EpieConfig, measured_amplitudes, run_epie,
-                          spectral_misfit)
-from fptycho.field import center_shift, dft2
+from fptycho.epie import EpieConfig, ap_project, measured_amplitudes, run_epie
+from fptycho.field import center_shift, dft2, window
 from fptycho.kernels import TV_EPS
 from fptycho.optics import (Illumination, OpticalConfig, defocus_phase,
-                            make_ctf)
-from fptycho.pgnn import PgnnConfig, run_pgnn
+                            illumination_offsets, make_ctf)
+from fptycho.pgnn import ObjectStage, PgnnConfig, PgnnModel, PupilStage, run_pgnn
 from fptycho.simulate import GroundTruth, simulate_dataset
 
 
@@ -55,6 +54,19 @@ def textured_object(n: int, amp_seed: int, phase_seed: int,
     return amp * np.exp(1j * pha)
 
 
+def spectral_misfit(spectrum: np.ndarray, pupil: np.ndarray,
+                    amplitudes: np.ndarray, cfg: OpticalConfig) -> float:
+    """Frozen-state misfit sum_n ||P_n(phi_n) - phi_n||^2, phi_n the window of
+    the centered ``spectrum`` at LED n times ``pupil``, P_n ``ap_project``
+    against capture n; the terms add in manifest order."""
+    total = 0.0
+    for amplitude, off in zip(amplitudes, illumination_offsets(cfg)):
+        phi = spectrum[window(spectrum.shape, off, cfg.low_rows, cfg.low_cols)] * pupil
+        diff = ap_project(phi, amplitude)[0] - phi
+        total += float(np.vdot(diff, diff).real)
+    return total
+
+
 def ap_misfit(spatial: np.ndarray, pupil: np.ndarray,
               images: list[np.ndarray], cfg: OpticalConfig) -> float:
     """One spectral-misfit functional applied to any solver's final state.
@@ -64,6 +76,29 @@ def ap_misfit(spatial: np.ndarray, pupil: np.ndarray,
     (object, pupil) pair and sums the amplitude-replacement misfit."""
     spectrum = center_shift(dft2(spatial)) * cfg.spectrum_scale
     return spectral_misfit(spectrum, pupil, measured_amplitudes(images, cfg), cfg)
+
+
+def pgnn_loss(model: PgnnModel, state) -> float:
+    """A ``pgnn`` state's frozen-target loss summed over every image: the
+    misfit of its field spectra plus the TV penalty once per image."""
+    data = spectral_misfit(model.area_low * state.object_spectrum, model.pupil(state),
+                           model.amplitudes, model.cfg)
+    return data + len(model.amplitudes) * model.tv_value(state)
+
+
+def stage_gradients(model: PgnnModel, state, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Image n's object and pupil gradients as the solver's stages take them,
+    each a float64 array shaped like its group's parameters: a freshly opened
+    ``ObjectStage``'s, scattered into a zero grid at its box and support (off
+    it +0.0), and a ``PupilStage``'s. On a state no stage holds open (its
+    moments folded), opening, asking and closing a stage without a step
+    leaves the state as it was."""
+    stage = ObjectStage(model, state)
+    grad, support, _ = stage.gradient(n)
+    g_object = np.zeros_like(state.object_spectrum.view(np.float64))
+    g_object[stage.fbox][support] = grad
+    stage.close()
+    return g_object, PupilStage(model, state).gradient(n)[0]
 
 
 def allocating_adam(p, g, m, v, lr, beta1, beta2, bc1, bc2, eps, k, hit=True) -> None:
@@ -114,13 +149,12 @@ def fd_check(seed: int, use_zernike: bool, alpha: float,
     (by default 6 LEDs, 4x4 captures, 8x8 recovered; offsets stay within one
     bin for captures up to 6 pixels a side), perturbs the
     standard starting point, and central-differences EVERY real parameter of
-    the frozen-target loss at h=1e-6. A coordinate passes when the
+    the frozen-target loss at h=1e-6 against the gradients the solver's
+    stages step (``stage_gradients``). A coordinate passes when the
     fd/analytic gap sits under the cancellation noise floor of the loss
     (50 ulps of the loss magnitude per unit h) or agrees to 1e-4 relative;
     returns the worst relative disagreement among coordinates above the
     floor (0.0 if none)."""
-    from fptycho.pgnn import PgnnConfig as _PC, PgnnModel as _PM
-
     rng = np.random.Generator(np.random.PCG64(seed))
     if leds is None:
         st2 = (-0.12, 0.0, 0.12)
@@ -129,10 +163,10 @@ def fd_check(seed: int, use_zernike: bool, alpha: float,
                         camera_pixel_um=2.0, low_rows=low[0], low_cols=low[1],
                         upsample=upsample, illuminations=leds)
     high = (cfg.high_rows, cfg.high_cols)
-    pcfg = _PC(zernike_modes=6 if use_zernike else None,
-               tv_alpha1=alpha, tv_alpha2=alpha)
+    pcfg = PgnnConfig(zernike_modes=6 if use_zernike else None,
+                      tv_alpha1=alpha, tv_alpha2=alpha)
     images = [rng.random(low) + 0.1 for _ in leds]
-    model = _PM(images, cfg, pcfg)
+    model = PgnnModel(images, cfg, pcfg)
     state = model.initial_state()
     state.object_spectrum += 0.2 * (rng.standard_normal(high)
                                     + 1j * rng.standard_normal(high))
@@ -144,19 +178,17 @@ def fd_check(seed: int, use_zernike: bool, alpha: float,
         state.pupil_params += 0.15 * rng.standard_normal(2 * on_support)
     n = int(rng.integers(0, len(leds)))
 
-    target = model.forward(state, n).target
+    target = ap_project(model.predicted_spectrum(state, n, model.pupil(state)),
+                        model.amplitudes[n])[0]
 
     def frozen_loss() -> float:
-        predicted = model.predicted_spectrum(state, n)
-        diff = predicted - target
-        return float(np.vdot(diff, diff).real) + model.tv_penalty(state)[0]
+        diff = model.predicted_spectrum(state, n, model.pupil(state)) - target
+        return float(np.vdot(diff, diff).real) + model.tv_value(state)
 
-    grads = model.gradients(state, n)
-    assert grads.keys() == state.moments.keys()
+    g_object, g_pupil = stage_gradients(model, state, n)
     h = 1e-6
     worst = 0.0
-    blocks = [(state.object_spectrum, grads["object"]),
-              (state.pupil_params, grads["pupil"])]
+    blocks = [(state.object_spectrum, g_object), (state.pupil_params, g_pupil)]
     for arr, grad in blocks:
         flat = arr.view(np.float64).ravel() if np.iscomplexobj(arr) else arr.ravel()
         gflat = grad.ravel()

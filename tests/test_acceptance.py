@@ -8,7 +8,7 @@ per-module tests.
 
 import numpy as np
 
-from conftest import ap_misfit, record_verdict
+from conftest import ap_misfit, pgnn_loss, record_verdict
 from fptycho.epie import (EpieConfig, EpieState, epie_step,
                           measured_amplitudes, traversal_order)
 from fptycho.evaluate import metrics, passband_rel_err_amp
@@ -42,9 +42,10 @@ def test_acceptance_2_forward_model_is_consistent_at_ground_truth(
     model = PgnnModel(images, cfg, PgnnConfig())
     state = model.initial_state()
     state.object_spectrum = center_shift(dft2(obj)) / (32 * 32)
-    loss = model.dataset_loss(state)
+    loss = pgnn_loss(model, state)
+    pupil = model.pupil(state)
     scale = sum(float(np.vdot(p, p).real)
-                for p in (model.predicted_spectrum(state, n)
+                for p in (model.predicted_spectrum(state, n, pupil)
                           for n in range(len(images))))
     ratio = loss / scale
 
@@ -116,10 +117,9 @@ def test_acceptance_5_tv_weights_smooth_without_wrecking_the_fit(
     base_rough = tv_value(np.abs(base_spatial))
 
     model = PgnnModel(defocus_images, reference_cfg, PgnnConfig())
-    tv_data = sum(model.forward(pgnn_defocus_tv[3], n).data_loss
-                  for n in range(len(defocus_images)))
-    base_data = sum(model.forward(pgnn_defocus_zern[3], n).data_loss
-                    for n in range(len(defocus_images)))
+    tv_data, base_data = (sum(model.forward(state, n, model.pupil(state)).data_loss
+                              for n in range(len(defocus_images)))
+                          for state in (pgnn_defocus_tv[3], pgnn_defocus_zern[3]))
     data_ratio = tv_data / base_data
 
     ok = tv_rough < base_rough and data_ratio <= 10.0

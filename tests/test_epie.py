@@ -1,16 +1,15 @@
 """Alternating-projection baseline solver."""
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import fptycho.epie
+from conftest import spectral_misfit
 from fptycho.epie import (EpieConfig, EpieState, ap_project, epie_step,
                           initial_object_spectrum, initial_state,
-                          measured_amplitudes, run_epie, spectral_misfit,
-                          traversal_order)
+                          measured_amplitudes, run_epie, traversal_order)
 from fptycho.errors import (DegenerateField, DegeneratePupil,
                             DimensionMismatch, NumericalError)
 from fptycho.field import (center_shift, dft2, idft2, inverse_center_shift,
@@ -276,7 +275,7 @@ def test_dividing_by_a_real_peak_is_multiplying_by_its_reciprocal():
     assert divided.imag == multiplied.imag == -0.5
 
 
-# -- captures and the frozen-state misfit ------------------------------------
+# -- captures ----------------------------------------------------------------
 
 def test_measured_amplitudes_roots_each_capture_into_a_new_stack(small_instance):
     cfg, _, images = small_instance
@@ -303,61 +302,6 @@ def test_a_misshapen_capture_is_named_before_any_visit(small_instance,
     with pytest.raises(DimensionMismatch, match=r"image 7 is \(8, 8\)"):
         run_epie(bad, cfg, EpieConfig(iterations=1))
 
-
-def per_led_misfit(spectrum, pupil, images, cfg):
-    """The per-LED loop ``spectral_misfit`` replaced: one projection per
-    capture, each rooting its own intensity."""
-    total = 0.0
-    for img, off in zip(images, illumination_offsets(cfg)):
-        phi = spectrum[window(spectrum.shape, off, cfg.low_rows, cfg.low_cols)] * pupil
-        amplitude = np.sqrt(np.asarray(img, dtype=np.float64))
-        diff = ap_project(phi, amplitude)[0] - phi
-        total += float(np.vdot(diff, diff).real)
-    return total
-
-
-def odd_instance(rng):
-    """5x7 captures at 3x upsampling under a 3x3 LED grid."""
-    steps = (-0.1, 0.0, 0.1)
-    leds = tuple(Illumination(sx, sy) for sy in steps for sx in steps)
-    cfg = OpticalConfig(wavelength_um=0.5, na=0.25, magnification=2.0,
-                        camera_pixel_um=2.0, low_rows=5, low_cols=7,
-                        upsample=3, illuminations=leds)
-    return cfg, [rng.random((5, 7)) for _ in leds]
-
-
-def test_spectral_misfit_equals_a_per_led_loop(small_instance):
-    rng = np.random.Generator(np.random.PCG64(40))
-    cfg, _, images = small_instance
-    for cfg, images in ((cfg, images), odd_instance(rng)):
-        amps = measured_amplitudes(images, cfg)
-        high = (cfg.high_rows, cfg.high_cols)
-        low = (cfg.low_rows, cfg.low_cols)
-        state = initial_state(amps, cfg)
-        pupils = (state.pupil,
-                  rng.standard_normal(low) + 1j * rng.standard_normal(low))
-        spectra = (state.object_spectrum,
-                   rng.standard_normal(high) + 1j * rng.standard_normal(high))
-        for spectrum, pupil in zip(spectra, pupils):
-            assert (spectral_misfit(spectrum, pupil, amps, cfg)
-                    == per_led_misfit(spectrum, pupil, images, cfg))
-
-
-
-def test_spectral_misfit_peak_memory_stays_bounded(reference_cfg,
-                                                   defocus_images):
-    """The misfit projects chunks of LEDs: one stack of all 225 windows
-    peaked at 19.6 MB on the reference problem."""
-    amps = measured_amplitudes(defocus_images, reference_cfg)
-    state = initial_state(amps, reference_cfg)
-    spectral_misfit(state.object_spectrum, state.pupil, amps, reference_cfg)
-    tracemalloc.start()
-    try:
-        spectral_misfit(state.object_spectrum, state.pupil, amps, reference_cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * 2 ** 20
 
 # -- configuration and traversal -------------------------------------------
 

@@ -1,5 +1,6 @@
 """Gradient-descent solver: forward graph, gradients, Adam, stages, TV."""
 
+import copy
 import sys
 import tracemalloc
 
@@ -8,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (allocating_adam, fd_check, fold_moments, grid_config,
-                      power_tv_grad, textured_object)
-from fptycho.epie import EpieConfig, run_epie
+from conftest import (allocating_adam, fd_check, fold_moments, grid_config, pgnn_loss,
+                      power_tv_grad, stage_gradients, textured_object)
+from fptycho.epie import EpieConfig, ap_project, run_epie
 from fptycho.errors import DimensionMismatch, NumericalError
 from fptycho.field import center_shift, dft2, wrap_phase
 from fptycho.kernels import tv_grad, tv_value
@@ -58,10 +59,8 @@ def test_gradients_vanish_at_ground_truth(small_instance):
     state.object_spectrum = center_shift(dft2(obj)) / (32 * 32)
     worst = 0.0
     for n in range(len(images)):
-        g = model.gradients(state, n)
-        worst = max(worst,
-                    float(np.max(np.abs(g["object"]))),
-                    float(np.max(np.abs(g["pupil"]))))
+        worst = max(worst, *(float(np.max(np.abs(g)))
+                             for g in stage_gradients(model, state, n)))
     # measured 1.5e-11 on this instance
     assert worst <= 1e-10
 
@@ -84,9 +83,10 @@ def test_the_piston_mode_is_a_global_phase_the_data_cannot_see(small_instance):
         state.pupil_params[:model.index.size] = 0.5 + rng.random(model.index.size)
         state.zern_coeffs[...] = rng.standard_normal(model.basis.count)
         for n in range(len(images)):
-            loss, piston = model.forward(state, n).data_loss, state.zern_coeffs[0]
+            piston = state.zern_coeffs[0]
+            loss = model.forward(state, n, model.pupil(state)).data_loss
             state.zern_coeffs[0] = piston + 0.7
-            shifted = model.forward(state, n).data_loss
+            shifted = model.forward(state, n, model.pupil(state)).data_loss
             state.zern_coeffs[0] = piston
             assert abs(shifted - loss) <= 1e-14 * loss, (seed, n)
             g = PupilStage(model, state).gradient(n)[0][zern]
@@ -108,9 +108,9 @@ def test_object_gradient_is_linear_in_the_residual(small_instance):
     doubled = model.initial_state()
     doubled.object_spectrum = 2.0 * state.object_spectrum
     for n in (0, 4):
-        g1 = model.gradients(state, n)
-        g2 = model.gradients(doubled, n)
-        assert np.array_equal(g2["object"], 2.0 * g1["object"])
+        g1 = stage_gradients(model, state, n)[0]
+        g2 = stage_gradients(model, doubled, n)[0]
+        assert np.array_equal(g2, 2.0 * g1)
 
 
 # -- forward model and losses ----------------------------------------------
@@ -121,11 +121,12 @@ def test_zero_object_loss_equals_window_area_times_intensity_sum(
     model = PgnnModel(images, cfg, PgnnConfig())
     state = model.initial_state()
     state.object_spectrum[:] = 0.0
+    pupil = model.pupil(state)
     for n in (0, 4, 8):
-        fw = model.forward(state, n)
+        fw = model.forward(state, n, pupil)
         expected_target = center_shift(
             dft2(np.sqrt(images[n]).astype(np.complex128)))
-        assert np.allclose(fw.target, expected_target, atol=1e-9)
+        assert np.allclose(-fw.residual, expected_target, atol=1e-9)
         expected = (16 * 16) * float(np.sum(images[n]))
         assert fw.data_loss == pytest.approx(expected, rel=1e-12)
 
@@ -137,13 +138,15 @@ def test_data_loss_matches_scalar_loop(small_instance):
     state = model.initial_state()
     state.object_spectrum += 0.1 * (rng.standard_normal((32, 32))
                                     + 1j * rng.standard_normal((32, 32)))
-    fw = model.forward(state, 5)
-    predicted = model.predicted_spectrum(state, 5)
-    assert np.array_equal(fw.residual, predicted - fw.target)
+    pupil = model.pupil(state)
+    fw = model.forward(state, 5, pupil)
+    predicted = model.predicted_spectrum(state, 5, pupil)
+    target = ap_project(predicted, model.amplitudes[5])[0]
+    assert np.array_equal(fw.residual, predicted - target)
     acc = 0.0
     for r in range(16):
         for c in range(16):
-            d = predicted[r, c] - fw.target[r, c]
+            d = predicted[r, c] - target[r, c]
             acc += d.real * d.real + d.imag * d.imag
     assert fw.data_loss == pytest.approx(acc, rel=1e-12)
 
@@ -153,9 +156,10 @@ def test_loss_at_ground_truth_is_negligible(small_instance):
     model = PgnnModel(images, cfg, PgnnConfig())
     state = model.initial_state()
     state.object_spectrum = center_shift(dft2(obj)) / (32 * 32)
-    loss = model.dataset_loss(state)
+    loss = pgnn_loss(model, state)
+    pupil = model.pupil(state)
     scale = sum(float(np.vdot(p, p).real)
-                for p in (model.predicted_spectrum(state, n)
+                for p in (model.predicted_spectrum(state, n, pupil)
                           for n in range(len(images))))
     assert loss <= 1e-16 * scale
 
@@ -164,6 +168,9 @@ def test_loss_at_ground_truth_is_negligible(small_instance):
     PgnnConfig(), PgnnConfig(zernike_modes=None, tv_alpha1=1e-3, tv_alpha2=1e-3)],
     ids=["zernike", "free_pupil_tv"])
 def test_dataset_loss_equals_the_per_image_forward_losses(small_instance, pcfg):
+    """The tests' dataset loss (``conftest.pgnn_loss``, one ``ap_project`` per
+    LED in manifest order) is the model's per-image data terms summed, plus
+    the TV penalty per image, bit for bit."""
     cfg, _, images = small_instance
     rng = np.random.Generator(np.random.PCG64(41))
     model = PgnnModel(images, cfg, pcfg)
@@ -176,12 +183,12 @@ def test_dataset_loss_equals_the_per_image_forward_losses(small_instance, pcfg):
         state.zern_coeffs[...] += 0.1 * rng.standard_normal(state.zern_coeffs.shape)
     data = 0.0
     for n in range(len(images)):
-        data += model.forward(state, n).data_loss
-    assert (model.dataset_loss(state)
-            == data + len(images) * model.tv_penalty(state)[0])
+        data += model.forward(state, n, model.pupil(state)).data_loss
+    assert pgnn_loss(model, state) == data + len(images) * model.tv_value(state)
 
 
 def test_total_loss_recomposes_from_its_three_terms(small_instance):
+    """A step returns its pre-update data term plus both TV terms."""
     cfg, _, images = small_instance
     pcfg = PgnnConfig(tv_alpha1=2e-3, tv_alpha2=3e-3)
     model = PgnnModel(images, cfg, pcfg)
@@ -190,17 +197,23 @@ def test_total_loss_recomposes_from_its_three_terms(small_instance):
     state.object_spectrum += 0.05 * (rng.standard_normal((32, 32))
                                      + 1j * rng.standard_normal((32, 32)))
     spatial = model.spatial_object(state)
-    expected = (model.forward(state, 2).data_loss
+    expected = (model.forward(state, 2, model.pupil(state)).data_loss
                 + 2e-3 * tv_value(np.abs(spatial))
                 + 3e-3 * tv_value(wrap_phase(np.angle(spatial))))
-    assert model.total_loss(state, 2) == pytest.approx(expected, rel=1e-12)
+    for stage in (ObjectStage, PupilStage):
+        probed = copy.deepcopy(state)
+        loss = model.step(probed, 2, stage(model, probed))
+        assert loss == pytest.approx(expected, rel=1e-12)
 
 
 def test_total_loss_without_tv_is_exactly_the_data_loss(small_instance):
+    """Without TV a step of either stage returns its data term alone."""
     cfg, _, images = small_instance
     model = PgnnModel(images, cfg, PgnnConfig())
-    state = model.initial_state()
-    assert model.total_loss(state, 0) == model.forward(state, 0).data_loss
+    for stage in (ObjectStage, PupilStage):
+        state = model.initial_state()
+        data = model.forward(state, 0, model.pupil(state)).data_loss
+        assert model.step(state, 0, stage(model, state)) == data
 
 
 def test_constant_object_has_zero_tv_penalty(small_instance):
@@ -354,62 +367,64 @@ def test_tv_penalty_stays_within_rounding_of_the_two_term_expression(small_insta
 
 @pytest.mark.parametrize("alphas", [(2e-3, 3e-3), (2e-3, 0.0), (0.0, 3e-3), (0.0, 0.0)])
 def test_pupil_stage_holds_the_tv_value_without_its_gradient(small_instance, alphas):
-    """A pupil stage holds tv_penalty's value, bit for bit, from the two
-    ``kernels.tv_value`` calls alone (``PgnnModel.tv_value``)."""
+    """A pupil stage holds tv_penalty's value (without TV, 0.0), bit for bit,
+    from the two ``kernels.tv_value`` calls alone (``PgnnModel.tv_value``)."""
     cfg, _, images = small_instance
     model = PgnnModel(images, cfg, PgnnConfig(tv_alpha1=alphas[0], tv_alpha2=alphas[1]))
     for state in _tv_states(model):
         held = PupilStage(model, state).tv_value
-        assert np.float64(held).tobytes() == np.float64(model.tv_penalty(state)[0]).tobytes()
+        want = model.tv_penalty(state)[0] if model.tv else 0.0
+        assert np.float64(held).tobytes() == np.float64(want).tobytes()
         assert np.float64(model.tv_value(state)).tobytes() == np.float64(held).tobytes()
 
 
 @pytest.mark.parametrize("alphas", [(0.0, 0.0), (2e-3, 3e-3)], ids=["no_tv", "tv"])
 def test_gradients_leave_the_object_gradient_grid_clean(small_instance, alphas):
-    """A call for another image sees none of the previous call's window:
-    the object gradient starts from a fresh grid each call."""
+    """A stage's gradient for another image sees none of the previous call's
+    window (with TV, an object stage restores the held TV gradient there):
+    asked for image 5 after image 3, with no step between, either stage gives
+    a freshly opened stage's gradient for image 5, bit for bit."""
     cfg, _, images = small_instance
-    pcfg = PgnnConfig(tv_alpha1=alphas[0], tv_alpha2=alphas[1])
-    model = PgnnModel(images, cfg, pcfg)
+    model = PgnnModel(images, cfg, PgnnConfig(tv_alpha1=alphas[0], tv_alpha2=alphas[1]))
     state = model.initial_state()
-    model.gradients(state, 3)
-    again = model.gradients(state, 5)
-    fresh = PgnnModel(images, cfg, pcfg).gradients(state, 5)
-    assert all(again[key].tobytes() == fresh[key].tobytes() for key in fresh)
+    for open_stage in (ObjectStage, PupilStage):
+        stage = open_stage(model, state)
+        stage.gradient(3)
+        again = stage.gradient(5)[0].copy()
+        assert again.tobytes() == open_stage(model, state).gradient(5)[0].tobytes()
 
 
 @pytest.mark.parametrize("tv", [True, False], ids=["tv", "no_tv"])
 def test_gradients_and_total_loss_stay_exact_between_tv_refreshes(small_instance, tv):
-    """An object stage holds its TV penalty between refreshes, but
-    ``gradients`` and ``total_loss``, the references of the finite-difference
-    checks, still evaluate it at the state they are given, bit for bit; and
-    calling them mid-stage leaves the stage's held penalty alone. Their object
-    gradient is the TV gradient (zeros without TV) plus the data gradient
-    added on the window, formed without a stage (``_reference_stage`` relies
-    on it)."""
+    """A running object stage holds its TV penalty between refreshes, but a
+    stage opened on a copy of its state, the finite-difference checks'
+    reference (``conftest.stage_gradients``), evaluates it at that state, bit
+    for bit: its loss is the data term plus that penalty, and its object
+    gradient the TV gradient (zeros without TV) plus the data gradient added
+    on the window (equal as values: a zero's sign may differ)."""
     cfg, _, images = small_instance
     alpha1, alpha2 = (2e-3, 3e-3) if tv else (0.0, 0.0)
     model = PgnnModel(images, cfg, PgnnConfig(tv_alpha1=alpha1, tv_alpha2=alpha2))
-    probed, plain = model.initial_state(), model.initial_state()
-    stage_probed, stage_plain = ObjectStage(model, probed), ObjectStage(model, plain)
+    state = model.initial_state()
+    running = ObjectStage(model, state)
     stale = 0
     for n in model.order[:2 * TV_REFRESH + 1]:
-        loss = model.step(probed, n, stage_probed)
-        assert loss == model.step(plain, n, stage_plain)
-        value, tv_gradient = allocating_tv_eval(model, probed)
-        stale += value != stage_probed.tv_value
-        fw = model.forward(probed, n)
-        assert model.total_loss(probed, n) == fw.data_loss + value
-        want = tv_gradient.copy() if tv else np.zeros_like(probed.object_spectrum)
-        want[model.windows[n]] += (2.0 * model.area_low * np.conj(model.pupil(probed))
-                                   * fw.residual)
-        assert model.gradients(probed, n)["object"].tobytes() == want.tobytes()
+        model.step(state, n, running)
+        probed = copy.deepcopy(state)
+        value, tv_gradient = (allocating_tv_eval(model, probed) if tv
+                              else (0.0, np.zeros_like(probed.object_spectrum)))
+        stale += value != running.tv_value
+        pupil = model.pupil(probed)
+        fw = model.forward(probed, n, pupil)
+        fresh = ObjectStage(model, probed)
+        assert fresh.gradient(n)[2] + fresh.tv_value == fw.data_loss + value
+        want = tv_gradient.copy()
+        want[model.windows[n]] += 2.0 * model.area_low * np.conj(pupil) * fw.residual
+        assert np.array_equal(stage_gradients(model, probed, n)[0], want.view(np.float64))
     if tv:
-        assert stage_probed.steps == 2 * TV_REFRESH + 1
+        assert running.steps == 2 * TV_REFRESH + 1
     assert stale == (2 * TV_REFRESH + 1 if tv else 0)
-    stage_probed.close()
-    stage_plain.close()
-    assert _state_bytes(probed) == _state_bytes(plain)
+    running.close()
 
 
 def _grid_256(pcfg: PgnnConfig):
@@ -463,19 +478,6 @@ def test_object_step_without_tv_allocates_no_full_grid():
     finally:
         tracemalloc.stop()
     assert peak < np.empty(model.high_shape).nbytes // 8
-
-
-def test_total_loss_without_tv_allocates_no_spectrum_grid():
-    """With TV off the penalty is 0.0 and no grid: what total_loss allocates
-    is capture-sized, far under one spectrum grid."""
-    model, state = _grid_256(PgnnConfig())
-    tracemalloc.start()
-    try:
-        model.total_loss(state, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < state.object_spectrum.nbytes
 
 
 def _object_size(obj) -> int:
@@ -810,9 +812,9 @@ def test_first_stage_lowers_the_dataset_loss(small_instance):
     cfg, _, images = small_instance
     model = PgnnModel(images, cfg, PgnnConfig())
     state = model.initial_state()
-    before = model.dataset_loss(state)
+    before = pgnn_loss(model, state)
     model.run_stage(state, 1)
-    assert model.dataset_loss(state) < before
+    assert pgnn_loss(model, state) < before
 
 
 def test_zero_stages_returns_the_initialization(small_instance):
@@ -921,13 +923,14 @@ def _reference_stage(model, state, stage_index):
     gradient grid and takes the allocating Adam step on the whole object
     (without TV, the moments' gradient update on window n alone), or
     on the pupil (the support's amplitudes and the coefficients, each block its
-    own step at its own rate). With
-    TV an object step holds the value and gradient ``allocating_tv_eval`` gave
-    at the stage's last refresh (steps 0, TV_REFRESH, 2 TV_REFRESH, ... across
-    its epochs) and adds its data gradient onto a copy of that gradient on its
-    window; other steps take ``total_loss`` and ``gradients``. The moments
-    fold where ``adam_step`` folds them and as the stage ends. Like
-    ``run_stage``, it raises NumericalError after the step of the first
+    own step at its own rate). An object step adds its data gradient on its
+    window onto a copy of the TV gradient (zeros without TV) and adds the TV
+    value to its data term; with TV it holds the value and gradient
+    ``allocating_tv_eval`` gave at the stage's last refresh (steps 0,
+    TV_REFRESH, 2 TV_REFRESH, ... across its epochs). A pupil step takes a
+    freshly opened pupil stage's gradient and adds ``tv_value`` at the state.
+    The moments fold where ``adam_step`` folds them and as the stage ends.
+    Like ``run_stage``, it raises NumericalError after the step of the first
     non-finite loss, folded."""
     pcfg = model.pcfg
     update_object = stage_index % 2 == 1
@@ -938,33 +941,32 @@ def _reference_stage(model, state, stage_index):
                   (slice(model.index.size, None), pcfg.lr_zern)]
     losses = []
     steps = 0
+    tv_value, tv_gradient = 0.0, np.zeros_like(state.object_spectrum)
     mom = state.moments["object" if update_object else "pupil"]
     try:
         for _ in range(pcfg.epochs_per_stage):
             acc = 0.0
             for n in model.order:
-                if update_object and model.tv:
-                    if steps % TV_REFRESH == 0:
+                pupil = model.pupil(state)
+                fw = model.forward(state, n, pupil)
+                if update_object:
+                    if model.tv and steps % TV_REFRESH == 0:
                         tv_value, tv_gradient = allocating_tv_eval(model, state)
                     steps += 1
-                    fw = model.forward(state, n)
                     loss = fw.data_loss + tv_value
                     g_object = tv_gradient.copy()
-                    g_object[model.windows[n]] += (2.0 * model.area_low
-                                                   * np.conj(model.pupil(state))
+                    g_object[model.windows[n]] += (2.0 * model.area_low * np.conj(pupil)
                                                    * fw.residual)
-                    g = {"object": g_object.view(np.float64)}
-                else:
-                    loss = model.total_loss(state, n)
-                    g = model.gradients(state, n)
-                if update_object:
+                    g_object = g_object.view(np.float64)
                     # without TV the gradient's block is window n, on the float view
                     rs, cs = model.windows[n]
-                    hit = model.tv or _block_mask(g["object"].shape,
+                    hit = model.tv or _block_mask(g_object.shape,
                                                   (rs, slice(2 * cs.start, 2 * cs.stop)))
                     _reference_adam(state.object_spectrum.view(np.float64),
-                                    g["object"], mom, pcfg.lr_object, hit)
+                                    g_object, mom, pcfg.lr_object, hit)
                 else:
+                    loss = fw.data_loss + model.tv_value(state)
+                    g_pupil = PupilStage(model, state).gradient(n)[0]
                     # each block of the pupil's parameters (the support's, then a
                     # Zernike pupil's coefficients) as its own allocating step
                     # with its own scalar rate: that proves the per-entry rates
@@ -974,7 +976,7 @@ def _reference_stage(model, state, stage_index):
                     mom.t += 1
                     mom.k += 1
                     for block, lr in blocks:
-                        allocating_adam(state.pupil_params[block], g["pupil"][block],
+                        allocating_adam(state.pupil_params[block], g_pupil[block],
                                         mom.m[block], mom.v[block], lr, ADAM_BETA1,
                                         ADAM_BETA2, 1.0 - ADAM_BETA1 ** mom.t,
                                         1.0 - ADAM_BETA2 ** mom.t, ADAM_EPS, mom.k)

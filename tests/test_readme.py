@@ -73,7 +73,7 @@ def test_readme_names_resolve(small_instance):
     state = model.initial_state()
     owners = {name: importlib.import_module(f"fptycho.{name}") for name in MODULES}
     owners.update(fptycho=fptycho, PgnnModel=model, PgnnState=state,
-                  ForwardResult=model.forward(state, 0),
+                  ForwardResult=model.forward(state, 0, model.pupil(state)),
                   ObjectStage=ObjectStage(model, state), PupilStage=PupilStage(model, state))
     refs = _references(owners)
     assert len(refs) >= 20 and {owner for owner, _ in refs} >= {"fptycho", "PgnnModel"}
